@@ -86,10 +86,6 @@ let sig_of_cfg (cfg : Config.t) =
 
 let run_table : (string, Engine.result) Hashtbl.t = Hashtbl.create 64
 
-(* Worker domains for every harness run (--domains N).  Not part of the
-   memo key: the engine result is byte-identical across domain counts. *)
-let domains = ref 1
-
 (* One simulated run, memoized on (config, app, optimized). *)
 let run cfg ~optimized (app : App.t) =
   let key = Printf.sprintf "%s|%s|%b" (sig_of_cfg cfg) app.App.name optimized in
@@ -100,11 +96,10 @@ let run cfg ~optimized (app : App.t) =
     let r =
       if optimized then
         Runner.run cfg ~optimized:true ~warmup_phases:app.App.warmup_nests
-          ~index_lookup:c.index_lookup ~profile:c.profile ~domains:!domains
-          c.program
+          ~index_lookup:c.index_lookup ~profile:c.profile c.program
       else
         Runner.run cfg ~optimized:false ~warmup_phases:app.App.warmup_nests
-          ~index_lookup:c.index_lookup ~domains:!domains c.program
+          ~index_lookup:c.index_lookup c.program
     in
     Hashtbl.replace run_table key r;
     r

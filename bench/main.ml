@@ -6,16 +6,16 @@
 
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- --only fig16 # one section
+     dune exec bench/main.exe -- --only fig14 fig16
      dune exec bench/main.exe -- --jobs 4     # sections in parallel workers
-     dune exec bench/main.exe -- --micro      # Bechamel microbenchmarks
-     dune exec bench/main.exe -- --domains 4  # engine runs on 4 domains
-     dune exec bench/main.exe -- --check bench/baseline.json
-                                              # perf-regression gate (exit 2)
-     dune exec bench/main.exe -- --check bench/baseline.json --update
+     dune exec bench/main.exe -- --json DIR   # one JSON document per section
      dune exec bench/main.exe -- --platform mesh8x8-mc8
                                               # or a platform JSON file,
                                               # e.g. from occ --search-out
-     OFFCHIP_APPS=apsi,swim dune exec ...     # restrict the app suite *)
+     OFFCHIP_APPS=apsi,swim dune exec ...     # restrict the app suite
+
+   Host-time performance is measured by benchmark/ (see its README), not
+   here. *)
 
 module H = Harness
 module Config = Sim.Config
@@ -544,73 +544,6 @@ let ablation () =
   show "closed-page DRAM"
     { (H.line_cfg ()) with Config.mc_row_policy = Dram.Fr_fcfs.Closed_page }
 
-(* --- Bechamel microbenchmarks: cost of the pass itself --- *)
-
-let micro () =
-  H.header "Microbenchmarks (Bechamel)"
-    "(compile-time cost of the layout pass and hot simulator primitives)";
-  let open Bechamel in
-  let apsi = H.ctx_of (Workloads.Suite.by_name "apsi") in
-  let ccfg = Config.customize_config (H.line_cfg ()) in
-  let b =
-    Affine.Matrix.of_rows
-      [
-        Affine.Vec.of_list [ 2; -1; 0; 3; 1 ];
-        Affine.Vec.of_list [ 0; 4; 1; -2; 5 ];
-        Affine.Vec.of_list [ 1; 1; 1; 1; 1 ];
-      ]
-  in
-  let layout =
-    Core.Customize.customize ccfg ~array:"A" ~extents:[| 128; 128 |]
-      ~u:(Affine.Matrix.identity 2) ~v:0
-  in
-  let topo = Noc.Topology.make ~width:8 ~height:8 () in
-  let idx = [| 37; 91 |] in
-  let tests =
-    Test.make_grouped ~name:"offchip"
-      [
-        Test.make ~name:"gauss.nullspace-3x5"
-          (Staged.stage (fun () -> ignore (Affine.Gauss.nullspace b)));
-        Test.make ~name:"unimodular.complete_row"
-          (Staged.stage (fun () ->
-               ignore
-                 (Affine.Unimodular.complete_row
-                    (Affine.Vec.of_list [ 0; 1; 0; 0 ])
-                    ~v:0)));
-        Test.make ~name:"transform.run-apsi"
-          (Staged.stage (fun () ->
-               ignore (Core.Transform.run ccfg apsi.H.analysis)));
-        Test.make ~name:"parser.parse-apsi"
-          (Staged.stage (fun () ->
-               ignore (Lang.Parser.parse_result apsi.H.app.App.source)));
-        Test.make ~name:"layout.offset_of_index"
-          (Staged.stage (fun () -> ignore (Core.Layout.offset_of_index layout idx)));
-        Test.make ~name:"topology.xy_route-corner"
-          (Staged.stage (fun () ->
-               ignore (Noc.Topology.xy_route topo ~src:0 ~dst:63)));
-        Test.make ~name:"event_heap.churn-4k"
-          (Staged.stage (fun () -> ignore (Check.heap_churn ())));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> (name, nan) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-40s %14.1f ns/run\n" name est)
-    (List.sort compare rows)
-
 let sensitivity () =
   H.header "Sensitivity: link width, L2 capacity, compute intensity"
     "(robustness of the execution-time gain to the scaled platform's\n\
@@ -715,68 +648,88 @@ let run_sections_parallel ~jobs selected =
        ~jobs:(Array.length tasks) f);
   flush_ready ()
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let is_flag s = String.length s >= 2 && String.sub s 0 2 = "--" in
-  let rec parse only json jobs check check_out = function
-    | [] -> (only, json, jobs, check, check_out)
-    | "--only" :: rest ->
-      let rec take acc = function
-        | s :: tl when not (is_flag s) -> take (s :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let names, rest = take [] rest in
-      parse (Some names) json jobs check check_out rest
-    | "--platform" :: spec :: rest when not (is_flag spec) ->
-      (match H.set_platform spec with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "bench: --platform %s: %s\n" spec e;
-        exit 1);
-      parse only json jobs check check_out rest
-    | "--json" :: dir :: rest when not (is_flag dir) ->
-      parse only (Some dir) jobs check check_out rest
-    | "--jobs" :: n :: rest when not (is_flag n) ->
-      parse only json
-        (Option.value (int_of_string_opt n) ~default:jobs)
-        check check_out rest
-    | "--domains" :: n :: rest when not (is_flag n) ->
-      (match int_of_string_opt n with
-      | None ->
-        Printf.eprintf "bench: --domains expects an integer (got %S)\n" n;
-        exit 1
-      | Some d -> (
-        match Cli.check_domains ~available:Sim.Par_backend.available d with
-        | Error e ->
-          Printf.eprintf "bench: %s\n" e;
-          exit 1
-        | Ok () -> H.domains := d));
-      parse only json jobs check check_out rest
-    | "--check" :: path :: rest when not (is_flag path) ->
-      parse only json jobs (Some path) check_out rest
-    | "--check-out" :: path :: rest when not (is_flag path) ->
-      parse only json jobs check (Some path) rest
-    | _ :: rest -> parse only json jobs check check_out rest
+let main only more_sections platform json jobs =
+  Cli.guard ~name:"bench" @@ fun () ->
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        prerr_endline ("bench: " ^ s);
+        Cli.user_error)
+      fmt
   in
-  let only, json, jobs, check, check_out = parse None None 1 None None (List.tl args) in
-  Option.iter H.set_json_dir json;
-  match check with
-  | Some baseline_path ->
-    exit
-      (Check.run ~baseline_path
-         ~update:(List.mem "--update" args)
-         ~report_out:check_out ())
-  | None ->
-  if List.mem "--micro" args then micro ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let selected =
-      List.filter
-        (fun (name, _) ->
-          match only with Some names -> List.mem name names | None -> true)
-        sections
-    in
-    if jobs > 1 then run_sections_parallel ~jobs selected
-    else List.iter (fun (_, f) -> f ()) selected;
-    Printf.printf "\n(total wall time: %.0f s)\n" (Unix.gettimeofday () -. t0)
-  end
+  let names = Option.to_list only @ more_sections in
+  match List.find_opt (fun n -> not (List.mem_assoc n sections)) names with
+  | _ when only = None && more_sections <> [] ->
+    fail "unexpected argument %S (section names follow --only)"
+      (List.hd more_sections)
+  | Some name ->
+    fail "unknown section %S (known: %s)" name
+      (String.concat ", " (List.map fst sections))
+  | None when jobs < 1 -> fail "--jobs must be at least 1 (got %d)" jobs
+  | None -> (
+    match if platform = "" then Ok () else H.set_platform platform with
+    | Error e -> fail "--platform %s: %s" platform e
+    | Ok () ->
+      Option.iter H.set_json_dir json;
+      let t0 = Unix.gettimeofday () in
+      let selected =
+        if only = None then sections
+        else List.filter (fun (name, _) -> List.mem name names) sections
+      in
+      if jobs > 1 then run_sections_parallel ~jobs selected
+      else List.iter (fun (_, f) -> f ()) selected;
+      Printf.printf "\n(total wall time: %.0f s)\n" (Unix.gettimeofday () -. t0);
+      Cli.ok)
+
+open Cmdliner
+
+let only_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "only" ] ~docv:"SECTION"
+        ~doc:
+          "Run only this section (table1, fig3 ... fig25, fig25serve, \
+           alternative, ablation, sensitivity); further section names may \
+           follow as arguments.")
+
+let more_sections_arg =
+  Arg.(
+    value & pos_all string []
+    & info [] ~docv:"SECTION" ~doc:"More section names for --only.")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"DIR"
+        ~doc:"Also write each section's rows as DIR/<section>.json.")
+
+let jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Run the sections in N forked workers, printing each section's \
+           output in order (use --json, not OFFCHIP_CSV, with N > 1).")
+
+let cmd =
+  Cmd.v
+    (Cmd.info "bench" ~doc:"regenerate the paper's tables and figures")
+    Term.(
+      const main $ only_arg $ more_sections_arg $ Cli.platform $ json_arg
+      $ jobs_arg)
+
+(* cmdliner reports a bad flag or value as a message, a usage line and a
+   hint; keep the message alone and exit with the user-error code *)
+let () =
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err 10_000;
+  match Cmd.eval_value ~err cmd with
+  | Ok (`Ok code) -> exit code
+  | Ok (`Version | `Help) -> exit Cli.ok
+  | Error _ ->
+    Format.pp_print_flush err ();
+    prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+    exit Cli.user_error

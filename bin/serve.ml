@@ -62,7 +62,7 @@ let print_tenants fmt (run : Serve.Server.t) =
 
 let run_cmd path smoke policy seed attr progress stats_json domains =
   Cli.guard ~name:"serve" @@ fun () ->
-  match Cli.check_domains ~available:Sim.Par_backend.available domains with
+  match Cli.check_domains domains with
   | Error e ->
     Printf.eprintf "serve: %s\n" e;
     Cli.user_error

@@ -18,7 +18,7 @@ let run name optimized platform l2 interleave policy mapping width height tpc
       trace_sample;
     Cli.user_error)
   else
-  match Cli.check_domains ~available:Sim.Par_backend.available domains with
+  match Cli.check_domains domains with
   | Error e ->
     Printf.eprintf "simulate: %s\n" e;
     Cli.user_error

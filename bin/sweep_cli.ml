@@ -19,22 +19,12 @@
 open Cmdliner
 
 let run_cmd spec_file out jobs timeout retries backoff force seq inject_fail
-    domains quiet =
+    quiet =
   match Sweep.Spec.load spec_file with
   | Error e ->
     Printf.eprintf "sweep: %s\n" e;
     1
-  | Ok spec -> (
-    let eff_domains =
-      Option.value domains ~default:spec.Sweep.Spec.domains
-    in
-    match
-      Cli.check_domains ~available:Sim.Par_backend.available eff_domains
-    with
-    | Error e ->
-      Printf.eprintf "sweep: %s\n" e;
-      1
-    | Ok () ->
+  | Ok spec ->
     let workers = if seq then 0 else jobs in
     let log = if quiet then fun _ -> () else fun s -> Printf.printf "%s\n%!" s in
     if not quiet then
@@ -56,8 +46,7 @@ let run_cmd spec_file out jobs timeout retries backoff force seq inject_fail
     in
     let report =
       Sweep.Orchestrate.run_sweep ~workers ?timeout_s:timeout ?retries
-        ~backoff_s:backoff ~force ?inject_fail ~domains:eff_domains ~log
-        ~progress ~out spec
+        ~backoff_s:backoff ~force ?inject_fail ~log ~progress ~out spec
     in
     Obs.Progress.close progress;
     let ok, cached, failed, pending =
@@ -75,7 +64,7 @@ let run_cmd spec_file out jobs timeout retries backoff force seq inject_fail
           (Filename.concat out "merged.json")
       | None -> Printf.printf "no merged registry (no completed jobs)\n"
     end;
-    if failed > 0 || pending > 0 then 3 else 0)
+    if failed > 0 || pending > 0 then 3 else 0
 
 (* one human line per progress event *)
 let print_event ev =
@@ -229,16 +218,6 @@ let inject_fail_arg =
           "Testing: crash the worker of every job whose id contains \
            SUBSTR (exercises retry and graceful-degradation paths).")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for each job's engine pass (overrides the \
-           spec; needs an OCaml 5 build for N > 1).  Results are \
-           byte-identical for every N, so cached results stay valid.")
-
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-job progress output.")
 
@@ -248,7 +227,7 @@ let run_c =
     Term.(
       const run_cmd $ spec_arg $ out_arg $ jobs_arg $ timeout_arg
       $ retries_arg $ backoff_arg $ force_arg $ seq_arg $ inject_fail_arg
-      $ domains_arg $ quiet_arg)
+      $ quiet_arg)
 
 let follow_arg =
   Arg.(

@@ -61,18 +61,12 @@ let domains =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Simulate with N worker domains (parallel engine; requires an \
-           OCaml 5 build).  Results are byte-identical to --domains 1 for \
-           every N; workloads the partitioner cannot prove decomposable \
-           fall back to the sequential engine with a printed reason.")
+          "Simulate with N worker domains (parallel engine).  Results are \
+           byte-identical to --domains 1 for every N; workloads the \
+           partitioner cannot prove decomposable fall back to the \
+           sequential engine with a printed reason.")
 
-let check_domains ~available n =
+let check_domains n =
   if n < 1 then
     Error (Printf.sprintf "--domains must be at least 1 (got %d)" n)
-  else if n > 1 && not available then
-    Error
-      (Printf.sprintf
-         "--domains %d needs OCaml 5 domains; this binary was built on %s \
-          (sequential only, use --domains 1)"
-         n Sys.ocaml_version)
   else Ok ()

@@ -48,9 +48,7 @@ val height : int Cmdliner.Term.t
 val domains : int Cmdliner.Term.t
 (** [--domains N] — worker-domain count for the parallel engine. *)
 
-val check_domains : available:bool -> int -> (unit, string) result
-(** Validates a [--domains] value against the build's backend
-    ({!Sim.Par_backend.available}): rejects non-positive counts anywhere
-    and counts above 1 on pre-OCaml-5 builds, with the canonical
-    one-line message (the driver prints it and exits with
+val check_domains : int -> (unit, string) result
+(** Validates a [--domains] value: rejects non-positive counts with the
+    canonical one-line message (the driver prints it and exits with
     {!user_error}). *)

@@ -290,13 +290,51 @@ let describe plan ~domains =
                 String.concat "+" (List.map string_of_int p.part_clusters))
               parts))
     in
-    Printf.sprintf "parallel: %d partitions (clusters %s) on %d worker domain%s%s"
+    Printf.sprintf "parallel: %d partitions (clusters %s) on %d worker domain%s"
       (Array.length parts) clusters
       (min domains (Array.length parts))
       (if min domains (Array.length parts) = 1 then "" else "s")
-      (if Par_backend.available then "" else " [no domain support: serialized]")
 
 (* --- partitioned execution and the deterministic merge ---------------- *)
+
+(* [Array.map f xs] on up to [workers] domains.  Worker k owns indices
+   k, k+w, k+2w, ... in increasing order and results land at their
+   input's index, so the schedule is deterministic.  The calling domain
+   is worker 0 (w workers cost w-1 spawns); every domain is joined before
+   the first failure, if any, is re-raised. *)
+let map_workers ~workers f xs =
+  let n = Array.length xs in
+  let w = max 1 (min workers n) in
+  if w <= 1 then Array.map f xs
+  else begin
+    let strip k =
+      let out = ref [] in
+      let i = ref k in
+      while !i < n do
+        out := (!i, f xs.(!i)) :: !out;
+        i := !i + w
+      done;
+      !out
+    in
+    let spawned =
+      Array.init (w - 1) (fun k -> Domain.spawn (fun () -> strip (k + 1)))
+    in
+    let own = try Ok (strip 0) with e -> Error e in
+    let joined =
+      Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned
+    in
+    let results = Array.make n None in
+    let place = function
+      | Ok pairs -> List.iter (fun (i, r) -> results.(i) <- Some r) pairs
+      | Error _ -> ()
+    in
+    place own;
+    Array.iter place joined;
+    let raise_first = function Error e -> raise e | Ok _ -> () in
+    raise_first own;
+    Array.iter raise_first joined;
+    Array.map (function Some r -> r | None -> assert false) results
+  end
 
 let run_parallel cfg ?desired_mc_of_vpage ?attr ~domains ~jobs parts =
   let js = Array.of_list jobs in
@@ -333,7 +371,7 @@ let run_parallel cfg ?desired_mc_of_vpage ?attr ~domains ~jobs parts =
     Engine.run cfg ?desired_mc_of_vpage ?attr:sub_attr.(pi) ~jobs:pjobs ()
   in
   let results =
-    Par_backend.map_workers ~workers:domains run_one (Array.init np Fun.id)
+    map_workers ~workers:domains run_one (Array.init np Fun.id)
   in
   (* registry counters add, gauges max, histograms add — all partition
      metrics have disjoint supports, so the fold is order-insensitive *)

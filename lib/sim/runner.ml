@@ -186,11 +186,9 @@ let prepare_replicas cfg ~optimized ?threads ?name ?(warmup_phases = 0)
       in
       confine cfg ~cluster:c p)
 
-let run cfg ~optimized ?warmup_phases ?index_lookup ?profile ?trace
-    ?(domains = 1) ?on_plan program =
+let run cfg ~optimized ?warmup_phases ?index_lookup ?profile ?trace program =
   let p = prepare cfg ~optimized ?warmup_phases ?index_lookup ?profile program in
-  Par_engine.run cfg ~desired_mc_of_vpage:p.desired_mc ?trace ?on_plan ~domains
-    ~jobs:[ p.job ] ()
+  Engine.run cfg ~desired_mc_of_vpage:p.desired_mc ?trace ~jobs:[ p.job ] ()
 
 let run_many ?trace ?attr ?(domains = 1) ?on_plan cfg ~jobs =
   Par_engine.run cfg

@@ -82,15 +82,12 @@ val run :
   ?index_lookup:(string -> int array -> int) ->
   ?profile:(string -> (Affine.Vec.t * Affine.Vec.t) list) ->
   ?trace:Obs.Trace.t ->
-  ?domains:int ->
-  ?on_plan:(string -> unit) ->
   Lang.Ast.program ->
   Engine.result
 (** Prepare + simulate one program alone on the whole machine.  [trace]
     is handed to {!Engine.run} (request-path spans; default disabled).
-    [domains] (default 1) routes through {!Par_engine.run} — the result
-    is byte-identical for every value; [on_plan] receives its one-line
-    plan description. *)
+    One whole-machine job spans every cluster, so it always runs on the
+    sequential engine. *)
 
 val run_many :
   ?trace:Obs.Trace.t ->

@@ -44,7 +44,7 @@ let result_json ?attr ?(extra = []) ~app cfg (r : Sim.Engine.result) =
      ]
     @ attr_fields @ extra)
 
-let run_job ?(domains = 1) (job : Spec.job) =
+let run_job (job : Spec.job) =
   let app = Workloads.Suite.by_name job.Spec.app in
   let program = Workloads.App.program app in
   let analysis = Lang.Analysis.analyze program in
@@ -55,10 +55,9 @@ let run_job ?(domains = 1) (job : Spec.job) =
       let profile a = Workloads.Profile.for_transform app analysis a in
       Sim.Runner.run cfg ~optimized:true
         ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup ~profile
-        ~domains program
+        program
     else
       Sim.Runner.run cfg ~optimized:false
-        ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup ~domains
-        program
+        ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup program
   in
   result_json ~app:job.Spec.app cfg r

@@ -21,10 +21,8 @@ val result_json :
     consolidation server adds its ["scenario"]/["tenants"]/["qos"]
     sections this way. *)
 
-val run_job : ?domains:int -> Spec.job -> Obs.Json.t
-(** Simulates the job and returns its result document.  [domains]
-    (default 1) runs the engine pass through {!Sim.Par_engine} — the
-    document is byte-identical for every value, so it does not enter the
-    result-cache key.  Raises on internal errors (unparseable workload
-    model, simulator invariant) — in pool workers that surfaces as a
-    failed attempt, not a sweep abort. *)
+val run_job : Spec.job -> Obs.Json.t
+(** Simulates the job and returns its result document.  Raises on
+    internal errors (unparseable workload model, simulator invariant) —
+    in pool workers that surfaces as a failed attempt, not a sweep
+    abort. *)

@@ -85,11 +85,10 @@ let write_merged ~out doc =
   final
 
 let run_sweep ?(workers = 4) ?timeout_s ?retries ?(backoff_s = 0.5)
-    ?(force = false) ?inject_fail ?domains ?(log = fun _ -> ())
+    ?(force = false) ?inject_fail ?(log = fun _ -> ())
     ?(progress = Obs.Progress.null) ~out (spec : Spec.t) =
   let timeout_s = Option.value timeout_s ~default:spec.Spec.timeout_s in
   let retries = Option.value retries ~default:spec.Spec.retries in
-  let domains = Option.value domains ~default:spec.Spec.domains in
   Cache.ensure ~dir:out;
   let jobs = spec.Spec.jobs in
   let n = Array.length jobs in
@@ -135,7 +134,7 @@ let run_sweep ?(workers = 4) ?timeout_s ?retries ?(backoff_s = 0.5)
       else Error "injected failure"
     else begin
       let t0 = Unix.gettimeofday () in
-      let doc = Exec.run_job ~domains job in
+      let doc = Exec.run_job job in
       Cache.store ~dir:out keys.(to_run.(k)) doc;
       let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
       Ok (Json.to_string ~minify:true (Json.obj [ ("wall_ms", Json.Float wall_ms) ]))

@@ -22,7 +22,6 @@ val run_sweep :
   ?backoff_s:float ->
   ?force:bool ->
   ?inject_fail:string ->
-  ?domains:int ->
   ?log:(string -> unit) ->
   ?progress:Obs.Progress.sink ->
   out:string ->
@@ -33,10 +32,7 @@ val run_sweep :
     values.  [force] ignores (and overwrites) cached results.
     [inject_fail] is a testing knob: any job whose id contains the
     substring crashes its worker ([exit 1]), exercising the retry and
-    degradation paths end to end.  [domains] (default the spec's) is
-    handed to {!Exec.run_job} for every executed job; cached results
-    remain valid because the engine output is byte-identical across
-    domain counts.  [log] receives one progress line per
+    degradation paths end to end.  [log] receives one progress line per
     job resolution.  [progress] (default {!Obs.Progress.null}) receives
     the live NDJSON event stream — [sweep_start], [job_start],
     [job_retry], [job_finish] (with wall time, ETA and the job's

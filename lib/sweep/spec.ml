@@ -13,7 +13,6 @@ type t = {
   jobs : job array;
   timeout_s : float;
   retries : int;
-  domains : int;
 }
 
 let ( let* ) = Result.bind
@@ -80,17 +79,20 @@ let search_of ctx = function
     Ok (Some ({ Core.Place_search.pool; seed; restarts }, pressure))
   | _ -> Error (ctx ^ " must be a boolean or an object")
 
+(* a misspelt or retired key is an error, not silently ignored *)
+let check_known ~what known fields =
+  match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
+  | Some (k, _) -> Error (Printf.sprintf "unknown %s field %S" what k)
+  | None -> Ok ()
+
 let config_of_json ~default_seed ~index j =
   match j with
   | Json.Obj fields ->
-    let known =
-      [ "name"; "platform"; "scaled"; "l2"; "interleave"; "policy"; "mapping";
-        "width"; "height"; "tpc"; "optimal"; "seed"; "search" ]
-    in
     let* () =
-      match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
-      | Some (k, _) -> Error (Printf.sprintf "unknown config field %S" k)
-      | None -> Ok ()
+      check_known ~what:"config"
+        [ "name"; "platform"; "scaled"; "l2"; "interleave"; "policy";
+          "mapping"; "width"; "height"; "tpc"; "optimal"; "seed"; "search" ]
+        fields
     in
     let* name =
       opt_field string_of ~default:(Printf.sprintf "cfg%d" index) "name" j
@@ -133,7 +135,13 @@ let config_of_json ~default_seed ~index j =
 
 let of_json j =
   match j with
-  | Json.Obj _ ->
+  | Json.Obj fields ->
+    let* () =
+      check_known ~what:"sweep"
+        [ "name"; "seed"; "apps"; "optimized"; "timeout_s"; "retries";
+          "configs" ]
+        fields
+    in
     let* name = opt_field string_of ~default:"sweep" "name" j in
     let* default_seed = opt_field int_of ~default:0 "seed" j in
     let* apps =
@@ -160,11 +168,9 @@ let of_json j =
     in
     let* timeout_s = opt_field float_of ~default:300. "timeout_s" j in
     let* retries = opt_field int_of ~default:2 "retries" j in
-    let* domains = opt_field int_of ~default:1 "domains" j in
     let* () =
       if timeout_s <= 0. then Error "\"timeout_s\" must be positive"
       else if retries < 0 then Error "\"retries\" must be >= 0"
-      else if domains < 1 then Error "\"domains\" must be >= 1"
       else Ok ()
     in
     let* configs =
@@ -201,7 +207,7 @@ let of_json j =
             apps)
         configs
     in
-    Ok { name; jobs = Array.of_list jobs; timeout_s; retries; domains }
+    Ok { name; jobs = Array.of_list jobs; timeout_s; retries }
   | _ -> Error "a sweep spec must be a JSON object"
 
 let load path =

@@ -47,18 +47,14 @@ type t = {
   jobs : job array;  (** in spec order — aggregation order is fixed *)
   timeout_s : float;  (** per-job wall-clock budget (default 300) *)
   retries : int;  (** extra attempts after the first (default 2) *)
-  domains : int;
-      (** worker domains for each job's engine pass (default 1).  Results
-          are byte-identical for every value, so [domains] is an execution
-          knob like [timeout_s] and deliberately {e not} part of
-          {!job_identity} — cached results stay valid across it. *)
 }
 
 val of_json : Obs.Json.t -> (t, string) result
 
 val load : string -> (t, string) result
 (** Reads and parses a spec file; any problem (unreadable file, JSON
-    syntax, unknown app or config value) is a one-line [Error]. *)
+    syntax, unknown top-level or config field, unknown app or config
+    value) is a one-line [Error]. *)
 
 val job_identity : job -> Obs.Json.t
 (** The canonical description of what a job computes — full platform

@@ -143,6 +143,25 @@ let test_validation () =
     (Invalid_argument "Unimodular.complete_row: not primitive") (fun () ->
       ignore (Affine.Unimodular.complete_row (Vec.of_list [ 2; 4 ]) ~v:0))
 
+let test_check_domains () =
+  List.iter
+    (fun n ->
+      match Cli.check_domains n with
+      | Ok () -> Alcotest.failf "--domains %d must be rejected" n
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "one-line message for %d" n)
+          true
+          (e <> "" && not (String.contains e '\n')))
+    [ 0; -1 ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "--domains %d accepted" n)
+        true
+        (Cli.check_domains n = Ok ()))
+    [ 1; 8 ]
+
 (* --- access functions --- *)
 
 let test_access_transform () =
@@ -174,6 +193,7 @@ let suite =
         Alcotest.test_case "parse_file missing" `Quick test_parse_file_missing;
         Alcotest.test_case "codegen emit" `Quick test_codegen_emit;
         Alcotest.test_case "argument validation" `Quick test_validation;
+        Alcotest.test_case "check_domains" `Quick test_check_domains;
         Alcotest.test_case "access transform" `Quick test_access_transform;
       ] );
   ]

@@ -81,6 +81,41 @@ let test_spec_search_knob () =
   Alcotest.(check bool) "distinct cache identity from the preset" false
     (String.equal (identity job) (identity preset.Sweep.Spec.jobs.(0)))
 
+(* Malformed specs are one-line errors, never silently accepted: a
+   leftover or misspelt key fails the load instead of being ignored. *)
+let test_spec_malformed () =
+  let expect_error ?message input =
+    match Result.bind (Json.of_string input) Sweep.Spec.of_json with
+    | Ok _ -> Alcotest.failf "accepted malformed spec %s" input
+    | Error e ->
+      Alcotest.(check bool) ("one line: " ^ e) false (String.contains e '\n');
+      Option.iter (fun m -> Alcotest.(check string) input m e) message
+  in
+  expect_error "[1]";
+  expect_error {|{"name":"x"}|};
+  expect_error {|{"apps":[]}|};
+  expect_error {|{"apps":["nope"]}|};
+  expect_error {|{"apps":["apsi"],"retries":-1}|};
+  expect_error ~message:{|unknown config field "bogus"|}
+    {|{"apps":["apsi"],"configs":[{"bogus":1}]}|};
+  expect_error ~message:{|unknown sweep field "domains"|}
+    {|{"apps":["apsi"],"domains":2}|}
+
+let test_example_specs_load () =
+  let dir = "../examples/sweeps" in
+  let specs =
+    List.filter
+      (fun f -> Filename.check_suffix f ".json")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check bool) "examples found" true (specs <> []);
+  List.iter
+    (fun f ->
+      match Sweep.Spec.load (Filename.concat dir f) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s" e)
+    specs
+
 (* ---- pool ---- *)
 
 let test_pool_payloads () =
@@ -299,6 +334,9 @@ let suite =
       [
         Alcotest.test_case "spec search knob substitutes searched machine"
           `Quick test_spec_search_knob;
+        Alcotest.test_case "malformed specs are one-line errors" `Quick
+          test_spec_malformed;
+        Alcotest.test_case "example specs load" `Quick test_example_specs_load;
         Alcotest.test_case "pool transports payloads" `Quick
           test_pool_payloads;
         Alcotest.test_case "pool kills a job on timeout" `Quick
