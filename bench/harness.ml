@@ -1,44 +1,21 @@
-(* Shared plumbing for the experiment harness: per-app preparation,
-   memoized simulation runs, and formatting helpers.
+(* Shared plumbing for the experiment harness: standard configurations,
+   the sweep jobs a section declares, the results those jobs produced,
+   and formatting helpers.
 
-   Every figure/table of the paper is regenerated from combinations of a
-   handful of configurations; runs are memoized on a configuration
-   signature so that, e.g., the cache-line-interleaved baseline is
-   simulated once and reused by Figs. 15, 16, 17 and 18. *)
+   A section that simulates suite apps is a list of (config, app,
+   orig|opt) sweep jobs plus a renderer.  bench gathers the jobs of every
+   selected section, dedupes them by cache key and runs them once through
+   the sweep engine, so e.g. the cache-line-interleaved baseline is
+   simulated once and read by Figs. 15, 16, 17 and 18.  Renderers read
+   the runs back from their result documents. *)
 
 module Config = Sim.Config
-module Engine = Sim.Engine
-module Runner = Sim.Runner
-module Stats = Sim.Stats
 module App = Workloads.App
+module Json = Obs.Json
 
-type app_ctx = {
-  app : App.t;
-  program : Lang.Ast.program;
-  analysis : Lang.Analysis.t;
-  index_lookup : string -> int array -> int;
-  profile : string -> (Affine.Vec.t * Affine.Vec.t) list;
-}
+let analysis app = Lang.Analysis.analyze (App.program app)
 
-let app_table : (string, app_ctx) Hashtbl.t = Hashtbl.create 16
-
-let ctx_of (app : App.t) =
-  match Hashtbl.find_opt app_table app.App.name with
-  | Some c -> c
-  | None ->
-    let program = App.program app in
-    let analysis = Lang.Analysis.analyze program in
-    let c =
-      {
-        app;
-        program;
-        analysis;
-        index_lookup = App.index_lookup app;
-        profile = (fun a -> Workloads.Profile.for_transform app analysis a);
-      }
-    in
-    Hashtbl.replace app_table app.App.name c;
-    c
+let profile app analysis a = Workloads.Profile.for_transform app analysis a
 
 (* Restrict the suite via OFFCHIP_APPS="apsi,swim" for quick runs. *)
 let apps () =
@@ -48,61 +25,122 @@ let apps () =
     let names = String.split_on_char ',' s in
     List.map Workloads.Suite.by_name names
 
-let sig_of_cfg (cfg : Config.t) =
-  Printf.sprintf "%dx%d/%s/%s/%s/%s/tpc%d/opt%b/l1:%d/l2:%d/cc%d/lk%d/j%b/ch%d/bk%d/rh%d/sd%d"
-    (Config.topo cfg).Noc.Topology.width (Config.topo cfg).Noc.Topology.height
-    (Config.cluster cfg).Core.Cluster.name
-    (Config.placement cfg).Noc.Placement.name
-    (match cfg.Config.l2_org with
-    | Config.Private_l2 -> "private"
-    | Config.Shared_l2 -> "shared")
-    ((match Config.interleaving cfg with
-     | Dram.Address_map.Line_interleaved -> "line"
-     | Dram.Address_map.Page_interleaved -> "page")
-    ^
-    match cfg.Config.page_policy with
-    | Config.Hardware -> "-hw"
-    | Config.First_touch -> "-ft"
-    | Config.Mc_aware -> "-mc")
-    cfg.Config.threads_per_core cfg.Config.optimal cfg.Config.l1_size
-    cfg.Config.l2_size cfg.Config.compute_cycles
-    cfg.Config.noc.Noc.Network.link_bytes cfg.Config.jitter
-    (Config.channels_per_mc cfg) (Config.banks_per_mc cfg)
-    (cfg.Config.timing.Dram.Timing.row_hit
-    + (match cfg.Config.mc_scheduler with Dram.Fr_fcfs.Fr_fcfs -> 0 | Dram.Fr_fcfs.Fcfs -> 1000)
-    + match cfg.Config.mc_row_policy with
-      | Dram.Fr_fcfs.Open_page -> 0
-      | Dram.Fr_fcfs.Closed_page -> 2000)
-    cfg.Config.seed
-  (* hierarchical platforms get a suffix so memoized runs never collide
-     with a flat mesh of the same geometry; flat keys are unchanged *)
-  ^
-  match (Config.topo cfg).Noc.Topology.chiplets with
-  | None -> ""
-  | Some g ->
-    Printf.sprintf "/chip%dx%d:%d:%d" g.Noc.Topology.grid_x
-      g.Noc.Topology.grid_y g.Noc.Topology.link_latency
-      g.Noc.Topology.link_bytes
+(* A run that is not a (config, suite app) job — fig25's co-run pairs,
+   alternative's restructured programs — prepared for a direct engine
+   run.  [program] and [profile] default to the app's own. *)
+let prepare cfg ~optimized ?threads ?core_offset ?vaddr_base ?name ?profile:p
+    ?program (app : App.t) =
+  Sim.Runner.prepare cfg ~optimized ?threads ?core_offset ?vaddr_base ?name
+    ~warmup_phases:app.App.warmup_nests ~index_lookup:(App.index_lookup app)
+    ~profile:(Option.value p ~default:(profile app (analysis app)))
+    (Option.value program ~default:(App.program app))
 
-let run_table : (string, Engine.result) Hashtbl.t = Hashtbl.create 64
+(* --- sections, jobs and their results --- *)
 
-(* One simulated run, memoized on (config, app, optimized). *)
-let run cfg ~optimized (app : App.t) =
-  let key = Printf.sprintf "%s|%s|%b" (sig_of_cfg cfg) app.App.name optimized in
-  match Hashtbl.find_opt run_table key with
-  | Some r -> r
-  | None ->
-    let c = ctx_of app in
-    let r =
-      if optimized then
-        Runner.run cfg ~optimized:true ~warmup_phases:app.App.warmup_nests
-          ~index_lookup:c.index_lookup ~profile:c.profile c.program
-      else
-        Runner.run cfg ~optimized:false ~warmup_phases:app.App.warmup_nests
-          ~index_lookup:c.index_lookup c.program
-    in
-    Hashtbl.replace run_table key r;
-    r
+type section = {
+  title : string;
+  paper : string;  (** the paper's numbers to compare against *)
+  jobs : Sweep.Spec.job list;
+  render : unit -> unit;
+}
+
+let section ?(jobs = []) title paper render = { title; paper; jobs; render }
+
+(* [label] names the config in the job id; bench prefixes the section *)
+let job ?(label = "") cfg ~optimized (app : App.t) =
+  let side = if optimized then "opt" else "orig" in
+  let id = String.concat "/" (List.filter (( <> ) "") [ label; app.App.name; side ]) in
+  { Sweep.Spec.id; config = cfg; app = app.App.name; optimized }
+
+(* one (original, optimized) job pair per app *)
+let pair_jobs ?label ?(apps = apps ()) cfg_orig cfg_opt =
+  List.concat_map
+    (fun app -> [ job ?label cfg_orig ~optimized:false app; job ?label cfg_opt ~optimized:true app ])
+    apps
+
+(* What a renderer reads of one run: fields of its result document. *)
+type run = {
+  measured_time : int;
+  mc_occupancy : float array;
+  derived : string -> float;  (** a [stats.derived] member *)
+  counter : string -> int;  (** a [stats.metrics] counter *)
+  onchip_hops : int array;
+  offchip_hops : int array;
+  node_mc_requests : int array array;
+}
+
+let run_of_json doc =
+  let member j k = match Json.member k j with Some v -> v | None -> failwith ("result lacks " ^ k) in
+  let at j path = List.fold_left member j path in
+  let int = function Json.Int i -> i | _ -> failwith "result: not an integer" in
+  let num = function Json.Float f -> f | Json.Int i -> float_of_int i | _ -> Float.nan in
+  let arr f = function
+    | Json.List l -> Array.of_list (List.map f l)
+    | _ -> failwith "result: not a list"
+  in
+  let stats = at doc [ "stats" ] in
+  let assoc f = function Json.Obj l -> List.map (fun (k, v) -> (k, f v)) l | _ -> [] in
+  let derived = assoc num (at stats [ "derived" ]) in
+  let counters =
+    match Obs.Metrics.snapshot_of_json (at stats [ "metrics" ]) with
+    | Ok s -> s.Obs.Metrics.counters
+    | Error e -> failwith e
+  in
+  {
+    measured_time = int (at doc [ "measured_time" ]);
+    mc_occupancy = arr num (at doc [ "mc_occupancy" ]);
+    derived = (fun k -> List.assoc k derived);
+    counter = (fun k -> Option.value (List.assoc_opt k counters) ~default:0);
+    onchip_hops = arr int (at stats [ "hops"; "onchip" ]);
+    offchip_hops = arr int (at stats [ "hops"; "offchip" ]);
+    node_mc_requests = arr (arr int) (at stats [ "node_mc_requests" ]);
+  }
+
+(* cache key -> the job's run, or why it failed *)
+let results : (string, (run, string) result) Hashtbl.t = Hashtbl.create 512
+
+(* Rerunning the same binary resumes from this directory's cache: keys
+   carry the binary's digest. *)
+let results_dir = Filename.concat (Filename.get_temp_dir_name ()) "offchip-bench"
+
+(* Runs each distinct job once — [workers] forked pool workers, or in
+   process when 0 — and records every job's run or failure. *)
+let run_jobs ~workers jobs =
+  let seen = Hashtbl.create 512 in
+  let fresh j =
+    let k = Sweep.Cache.key j in
+    (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true)
+  in
+  match List.filter fresh jobs with
+  | [] -> ()
+  | unique ->
+    let spec = { Sweep.Spec.name = "bench"; jobs = Array.of_list unique; timeout_s = 3600.; retries = 0 } in
+    let report = Sweep.Orchestrate.run_sweep ~workers ~out:results_dir spec in
+    Array.iter
+      (fun (e : Sweep.Manifest.entry) ->
+        Hashtbl.replace results e.key
+          (match (e.status, Sweep.Cache.find ~dir:results_dir e.key) with
+          | Sweep.Manifest.Failed reason, _ -> Error reason
+          | (Ok | Cached), Some doc -> Ok (run_of_json doc)
+          | _ -> Error "no result"))
+      report.manifest.entries
+
+(* the first job of a section that failed, with its reason *)
+let first_failure s =
+  List.find_map
+    (fun j ->
+      match Hashtbl.find_opt results (Sweep.Cache.key j) with
+      | Some (Error reason) -> Some (j.Sweep.Spec.id, reason)
+      | _ -> None)
+    s.jobs
+
+(* The run of a job the rendering section declared; anything else is a
+   bug in that section, never a reason to simulate here. *)
+let get cfg ~optimized app =
+  let j = job cfg ~optimized app in
+  match Hashtbl.find_opt results (Sweep.Cache.key j) with
+  | Some (Ok r) -> r
+  | _ -> failwith ("run " ^ j.Sweep.Spec.id ^ " was not declared by its section")
 
 (* --- standard configurations --- *)
 
@@ -113,13 +151,6 @@ let or_fail = function Ok v -> v | Error e -> failwith e
    (e.g. one emitted by occ --mapping search --search-out).  The scaled
    cache/latency parameters are kept; only the machine is swapped. *)
 let platform_override : Core.Platform.t option ref = ref None
-
-let set_platform spec =
-  match Core.Platform.of_spec spec with
-  | Ok p ->
-    platform_override := Some p;
-    Ok ()
-  | Error _ as e -> e
 
 let base () =
   match !platform_override with
@@ -158,8 +189,21 @@ let m2_cfg () =
 let pct_reduction orig opt =
   if orig = 0. then 0. else 100. *. (1. -. (opt /. orig))
 
-let exec_improvement (o : Engine.result) (p : Engine.result) =
-  pct_reduction (float_of_int o.Engine.measured_time) (float_of_int p.Engine.measured_time)
+let exec_improvement o p =
+  pct_reduction (float_of_int o.measured_time) (float_of_int p.measured_time)
+
+let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
+
+(* The mean execution-time gain over [apps] of one config: the jobs it
+   needs, and the value once they have run. *)
+let mean_gain ?label ?(apps = apps ()) cfg =
+  ( pair_jobs ?label ~apps cfg cfg,
+    fun () ->
+      mean
+        (List.map
+           (fun app ->
+             exec_improvement (get cfg ~optimized:false app) (get cfg ~optimized:true app))
+           apps) )
 
 type four = {
   onchip_net : float;
@@ -168,21 +212,16 @@ type four = {
   exec : float;
 }
 
-let four_metrics (o : Engine.result) (p : Engine.result) =
+let four_metrics o p =
+  let reduction k = pct_reduction (o.derived k) (p.derived k) in
   {
-    onchip_net =
-      pct_reduction (Stats.avg_onchip_net o.Engine.stats) (Stats.avg_onchip_net p.Engine.stats);
-    offchip_net =
-      pct_reduction (Stats.avg_offchip_net o.Engine.stats)
-        (Stats.avg_offchip_net p.Engine.stats);
-    memory =
-      pct_reduction (Stats.avg_memory o.Engine.stats) (Stats.avg_memory p.Engine.stats);
+    onchip_net = reduction "avg_onchip_net";
+    offchip_net = reduction "avg_offchip_net";
+    memory = reduction "avg_memory";
     exec = exec_improvement o p;
   }
 
-let avg_occupancy (r : Engine.result) =
-  let a = r.Engine.mc_occupancy in
-  Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
+let avg_occupancy r = mean (Array.to_list r.mc_occupancy)
 
 (* --- formatting --- *)
 
@@ -201,6 +240,9 @@ let csv_channel =
       Some oc)
 
 let current_section = ref ""
+
+(* the --only key of the current section, which names its JSON file *)
+let current_key = ref ""
 
 let json_dir : string option ref = ref None
 
@@ -230,22 +272,7 @@ let flush_json_section () =
           ("rows", Obs.Json.List rows);
         ]
     in
-    (* "Figure 14" -> fig14.json, "Table 2" -> table2.json: match the
-       section keys accepted by --only *)
-    let slug =
-      let b = Buffer.create 16 in
-      String.iter
-        (fun c ->
-          match Char.lowercase_ascii c with
-          | ('a' .. 'z' | '0' .. '9') as c -> Buffer.add_char b c
-          | _ -> ())
-        !current_section;
-      let s = Buffer.contents b in
-      if String.length s >= 6 && String.sub s 0 6 = "figure" then
-        "fig" ^ String.sub s 6 (String.length s - 6)
-      else s
-    in
-    let path = Filename.concat dir (slug ^ ".json") in
+    let path = Filename.concat dir (!current_key ^ ".json") in
     let oc = open_out path in
     Obs.Json.to_channel oc doc;
     output_char oc '\n';
@@ -266,19 +293,21 @@ let csv_row label metric value =
 " !current_section label metric value);
   if !json_dir <> None then json_rows := (label, metric, value) :: !json_rows
 
+(* starts section [key]: "Figure 14: ..." is CSV/JSON section "Figure 14" *)
+let header key title paper_ref =
+  flush_json_section ();
+  current_key := key;
+  current_section := (match String.index_opt title ':' with
+    | Some i -> String.sub title 0 i
+    | None -> title);
+  Printf.printf "\n=== %s ===\n%s\n" title paper_ref
+
 let csv_row4 label (f : four) =
   csv_row label "onchip_net" f.onchip_net;
   csv_row label "offchip_net" f.offchip_net;
   csv_row label "memory" f.memory;
   csv_row label "exec" f.exec
 
-
-let header title paper_ref =
-  flush_json_section ();
-  current_section := (match String.index_opt title ':' with
-    | Some i -> String.sub title 0 i
-    | None -> title);
-  Printf.printf "\n=== %s ===\n%s\n" title paper_ref
 
 let row4 name (f : four) =
   csv_row4 name f;
@@ -302,20 +331,20 @@ let avg4 rows =
    almost no traffic left in a category (e.g. galgel's on-chip messages
    drop 60x, so its per-app latency ratio is computed over a tiny,
    bursty population). *)
-let aggregate4 (pairs : (Engine.result * Engine.result) list) =
+let aggregate4 (pairs : (run * run) list) =
   let sum f = List.fold_left (fun a (o, p) -> (fst a + f o, snd a + f p)) (0, 0) pairs in
-  let ratio (num_o, num_p) (den_o, den_p) =
+  let ratio num den =
+    let (num_o, num_p), (den_o, den_p) = (sum (fun r -> r.counter num), sum (fun r -> r.counter den)) in
     let avg_o = float_of_int num_o /. float_of_int (max 1 den_o) in
     let avg_p = float_of_int num_p /. float_of_int (max 1 den_p) in
     pct_reduction avg_o avg_p
   in
-  let s f = sum (fun r -> f r.Engine.stats) in
   {
-    onchip_net = ratio (s Stats.onchip_net_cycles) (s Stats.onchip_messages);
-    offchip_net = ratio (s Stats.offchip_net_cycles) (s Stats.offchip_messages);
-    memory = ratio (s Stats.memory_cycles) (s Stats.offchip_accesses);
+    onchip_net = ratio "net.onchip_cycles" "net.onchip_messages";
+    offchip_net = ratio "net.offchip_cycles" "net.offchip_messages";
+    memory = ratio "mem.cycles" "sim.offchip_accesses";
     exec =
-      (let to_, tp = sum (fun r -> r.Engine.measured_time) in
+      (let to_, tp = sum (fun r -> r.measured_time) in
        pct_reduction (float_of_int to_) (float_of_int tp));
   }
 

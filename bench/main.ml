@@ -7,24 +7,22 @@
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- --only fig16 # one section
      dune exec bench/main.exe -- --only fig14 fig16
-     dune exec bench/main.exe -- --jobs 4     # sections in parallel workers
+     dune exec bench/main.exe -- --jobs 4     # simulations in 4 workers
      dune exec bench/main.exe -- --json DIR   # one JSON document per section
      dune exec bench/main.exe -- --platform mesh8x8-mc8
                                               # or a platform JSON file,
                                               # e.g. from occ --search-out
      OFFCHIP_APPS=apsi,swim dune exec ...     # restrict the app suite
 
-   Host-time performance is measured by benchmark/ (see its README), not
-   here. *)
+   Simulations are cached in $TMPDIR/offchip-bench: reruns resume.
+   Host-time performance is measured by benchmark/ (see its README). *)
 
 module H = Harness
 module Config = Sim.Config
-module Engine = Sim.Engine
-module Stats = Sim.Stats
 module App = Workloads.App
 
 let table1 () =
-  H.header "Table 1: simulated configuration" "(paper: Table 1)";
+  H.section "Table 1: simulated configuration" "(paper: Table 1)" @@ fun () ->
   Format.printf "  full-scale: %a@." Config.pp (Config.default ());
   Format.printf "  scaled (used by the experiments): %a@." Config.pp
     (Config.scaled ());
@@ -34,37 +32,42 @@ let table1 () =
     \  page/row buffer 4 KB; interleaving unit 4 KB or 256 B\n"
 
 let fig3 () =
-  H.header "Figure 3: off-chip accesses vs total data accesses"
+  let cfg = H.page_cfg () in
+  H.section ~jobs:(List.map (H.job cfg ~optimized:false) (H.apps ()))
+    "Figure 3: off-chip accesses vs total data accesses"
     "(paper: average 22.4% under page interleaving; our scaled caches\n\
      filter more accesses, so the absolute level is lower — the per-app\n\
-     variation is the point of comparison)";
-  let cfg = H.page_cfg () in
+     variation is the point of comparison)"
+  @@ fun () ->
   let fracs =
     List.map
       (fun app ->
-        let r = H.run cfg ~optimized:false app in
-        let f = 100. *. Stats.offchip_fraction r.Engine.stats in
+        let f = 100. *. (H.get cfg ~optimized:false app).H.derived "offchip_fraction" in
         H.csv_row app.App.name "offchip_pct" f;
         Printf.printf "  %-10s %5.1f%% %s\n" app.App.name f (H.bar f 10. 30);
         f)
       (H.apps ())
   in
-  Printf.printf "  %-10s %5.1f%%\n" "AVERAGE"
-    (List.fold_left ( +. ) 0. fracs /. float_of_int (List.length fracs))
+  Printf.printf "  %-10s %5.1f%%\n" "AVERAGE" (H.mean fracs)
 
 let fig4 () =
-  H.header "Figure 4: impact of the optimal scheme"
-    "(paper averages: on-chip net 20.8%, off-chip net 68.2%, memory 45.6%,\n\
-     execution time 19.5%)";
   let cfg = H.page_cfg () in
   let optimal = { cfg with Config.optimal = true } in
+  let orig c app = H.get c ~optimized:false app in
+  H.section
+    ~jobs:
+      (List.concat_map
+         (fun app -> [ H.job cfg ~optimized:false app; H.job ~label:"optimal" optimal ~optimized:false app ])
+         (H.apps ()))
+    "Figure 4: impact of the optimal scheme"
+    "(paper averages: on-chip net 20.8%, off-chip net 68.2%, memory 45.6%,\n\
+     execution time 19.5%)"
+  @@ fun () ->
   H.row4_header ();
   let rows =
     List.map
       (fun app ->
-        let o = H.run cfg ~optimized:false app in
-        let p = H.run optimal ~optimized:false app in
-        let f = H.four_metrics o p in
+        let f = H.four_metrics (orig cfg app) (orig optimal app) in
         H.row4 app.App.name f;
         f)
       (H.apps ())
@@ -72,27 +75,30 @@ let fig4 () =
   H.row4 "AVERAGE" (H.avg4 rows)
 
 let table2 () =
-  H.header "Table 2: arrays optimized / references satisfied"
-    "(paper: per-app percentages; hpccg/minimd approximate indexed refs)";
+  H.section "Table 2: arrays optimized / references satisfied"
+    "(paper: per-app percentages; hpccg/minimd approximate indexed refs)"
+  @@ fun () ->
   let ccfg = Config.customize_config (H.line_cfg ()) in
   Printf.printf "  %-10s %10s %14s\n" "" "arrays" "refs satisfied";
   List.iter
     (fun app ->
-      let c = H.ctx_of app in
-      let report = Core.Transform.run ~profile:c.H.profile ccfg c.H.analysis in
+      let an = H.analysis app in
+      let report = Core.Transform.run ~profile:(H.profile app an) ccfg an in
       Printf.printf "  %-10s %9.1f%% %13.1f%%\n" app.App.name
         report.Core.Transform.pct_arrays_optimized
         report.Core.Transform.pct_refs_satisfied)
     (H.apps ())
 
 let fig13 () =
-  H.header "Figure 13: spatial distribution of off-chip accesses to MC1 (apsi)"
-    "(paper: original requests come from all over the chip; optimized\n\
-     requests are skewed towards the nearby cores)";
   let cfg = H.line_cfg () in
   let app = Workloads.Suite.by_name "apsi" in
-  let map label r =
-    let reqs = Stats.node_mc_requests (r : Engine.result).Engine.stats in
+  H.section ~jobs:(H.pair_jobs ~apps:[ app ] cfg cfg)
+    "Figure 13: spatial distribution of off-chip accesses to MC1 (apsi)"
+    "(paper: original requests come from all over the chip; optimized\n\
+     requests are skewed towards the nearby cores)"
+  @@ fun () ->
+  let reqs optimized = (H.get cfg ~optimized app).H.node_mc_requests in
+  let map label reqs =
     let total = Array.fold_left (fun a row -> a + row.(0)) 0 reqs in
     Printf.printf "  %s (%% of MC1's requests per node):\n" label;
     for y = 0 to 7 do
@@ -108,26 +114,24 @@ let fig13 () =
       print_newline ()
     done
   in
-  map "original" (H.run cfg ~optimized:false app);
-  map "optimized" (H.run cfg ~optimized:true app);
-  let heat label (r : Engine.result) =
+  map "original" (reqs false);
+  map "optimized" (reqs true);
+  let heat label reqs =
     Printf.printf "  %s, as a heat map:\n%s" label
-      (Sim.Platform_map.render_heat cfg
-         (Array.map (fun row -> row.(0))
-            (Stats.node_mc_requests r.Engine.stats)))
+      (Sim.Platform_map.render_heat cfg (Array.map (fun row -> row.(0)) reqs))
   in
-  heat "original" (H.run cfg ~optimized:false app);
-  heat "optimized" (H.run cfg ~optimized:true app);
+  heat "original" (reqs false);
+  heat "optimized" (reqs true);
   Printf.printf "  (MC1 is attached at the top-left corner)\n"
 
 let four_metric_figure title paper cfg_orig cfg_opt =
-  H.header title paper;
+  H.section ~jobs:(H.pair_jobs cfg_orig cfg_opt) title paper @@ fun () ->
   H.row4_header ();
   let pairs =
     List.map
       (fun app ->
-        let o = H.run cfg_orig ~optimized:false app in
-        let p = H.run cfg_opt ~optimized:true app in
+        let o = H.get cfg_orig ~optimized:false app in
+        let p = H.get cfg_opt ~optimized:true app in
         H.row4 app.App.name (H.four_metrics o p);
         (o, p))
       (H.apps ())
@@ -141,23 +145,24 @@ let fig14 () =
     (H.page_cfg ~policy:Config.Mc_aware ())
 
 let fig15 () =
-  H.header "Figure 15: CDF of links traversed (all apps, cache-line interleaving)"
-    "(paper: off-chip requests use significantly fewer links after the\n\
-     optimization; on-chip request distances barely change)";
   let cfg = H.line_cfg () in
+  H.section ~jobs:(H.pair_jobs cfg cfg)
+    "Figure 15: CDF of links traversed (all apps, cache-line interleaving)"
+    "(paper: off-chip requests use significantly fewer links after the\n\
+     optimization; on-chip request distances barely change)"
+  @@ fun () ->
   let sum_hist select optimized =
-    let acc = Array.make (Stats.max_hops + 1) 0 in
+    let acc = Array.make (Sim.Stats.max_hops + 1) 0 in
     List.iter
       (fun app ->
-        let r = H.run cfg ~optimized app in
-        Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) (select r.Engine.stats))
+        let r = H.get cfg ~optimized app in
+        Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) (select r))
       (H.apps ());
-    Stats.hop_cdf acc
+    Sim.Stats.hop_cdf acc
   in
-  let on_orig = sum_hist Stats.onchip_hops false in
-  let on_opt = sum_hist Stats.onchip_hops true in
-  let off_orig = sum_hist Stats.offchip_hops false in
-  let off_opt = sum_hist Stats.offchip_hops true in
+  let onchip r = r.H.onchip_hops and offchip r = r.H.offchip_hops in
+  let on_orig = sum_hist onchip false and on_opt = sum_hist onchip true in
+  let off_orig = sum_hist offchip false and off_opt = sum_hist offchip true in
   Printf.printf "  %-6s %13s %12s %13s %13s\n" "links" "on-chip orig"
     "on-chip opt" "off-chip orig" "off-chip opt";
   for x = 0 to 14 do
@@ -180,16 +185,19 @@ let fig16 () =
     (H.line_cfg ())
 
 let fig17 () =
-  H.header "Figure 17: execution-time improvement, mapping M1 vs M2"
-    "(paper: M2 loses locality for most apps but wins for fma3d and\n\
-     minighost, whose memory-parallelism demand is highest)";
   let m1o = H.line_cfg () and m2o = H.m2_cfg () in
+  H.section
+    ~jobs:(H.pair_jobs m1o m1o @ List.map (H.job ~label:"M2" m2o ~optimized:true) (H.apps ()))
+    "Figure 17: execution-time improvement, mapping M1 vs M2"
+    "(paper: M2 loses locality for most apps but wins for fma3d and\n\
+     minighost, whose memory-parallelism demand is highest)"
+  @@ fun () ->
   Printf.printf "  %-10s %8s %8s\n" "" "M1" "M2";
   List.iter
     (fun app ->
-      let base = H.run m1o ~optimized:false app in
-      let p1 = H.run m1o ~optimized:true app in
-      let p2 = H.run m2o ~optimized:true app in
+      let base = H.get m1o ~optimized:false app in
+      let p1 = H.get m1o ~optimized:true app in
+      let p2 = H.get m2o ~optimized:true app in
       H.csv_row app.App.name "M1" (H.exec_improvement base p1);
       H.csv_row app.App.name "M2" (H.exec_improvement base p2);
       Printf.printf "  %-10s %+7.1f%% %+7.1f%%\n" app.App.name
@@ -197,126 +205,88 @@ let fig17 () =
     (H.apps ())
 
 let fig18 () =
-  H.header
+  let cfg = H.line_cfg () in
+  H.section ~jobs:(List.map (H.job cfg ~optimized:true) (H.apps ()))
     "Figure 18: bank queue occupancy under M1 (and the compiler's mapping choice)"
     "(paper: fma3d and minighost have much higher utilization, which is\n\
-     why the analysis favours M2 for them)";
-  let cfg = H.line_cfg () in
-  let topo = Config.topo cfg in
-  let m2 =
-    H.or_fail
-      (Core.Cluster.m2 ~width:topo.Noc.Topology.width
-         ~height:topo.Noc.Topology.height)
-  in
-  let m2p = H.or_fail (Core.Platform.placement_for topo m2) in
+     why the analysis favours M2 for them)"
+  @@ fun () ->
+  let candidates = List.map (fun c -> (Config.cluster c, Config.placement c)) [ cfg; H.m2_cfg () ] in
   Printf.printf "  %-10s %10s   %s\n" "" "occupancy" "selected mapping";
   List.iter
     (fun app ->
-      let r = H.run cfg ~optimized:true app in
-      let occ = H.avg_occupancy r in
+      let occ = H.avg_occupancy (H.get cfg ~optimized:true app) in
       let chosen, _ =
-        match
-          Core.Mapping_select.choose_opt (Config.topo cfg)
-            ~candidates:
-              [ (Config.cluster cfg, Config.placement cfg); (m2, m2p) ]
-            ~bank_pressure:occ
-        with
-        | Some c -> c
-        | None -> assert false
+        Option.get (Core.Mapping_select.choose_opt (Config.topo cfg) ~candidates ~bank_pressure:occ)
       in
       Printf.printf "  %-10s %10.2f   %-4s %s\n" app.App.name occ
         chosen.Core.Cluster.name (H.bar occ 8. 24))
     (H.apps ())
 
-let fig19 () =
-  H.header "Figure 19: different controller placements"
-    "(paper: P2 is slightly better than P1/P3 — about 20.7% average —\n\
-     because its average distance-to-controller is lower)";
-  let topo = Config.topo (H.line_cfg ()) in
-  let with_sites name sites =
-    let cfg = H.line_cfg () in
-    let placement =
-      H.or_fail (Core.Platform.placement_for ~sites topo (Config.cluster cfg))
-    in
-    ( name,
-      H.or_fail
-        (Config.with_placement cfg { placement with Noc.Placement.name }) )
+(* Figs. 19-21, 24 and sensitivity: one row per labelled config, its mean
+   execution-time gain over the apps.  [column] adds a heading and a
+   per-config value between the label and the gain. *)
+let gain_table ?apps ?column title paper (name, width) variants =
+  let gains =
+    List.map (fun (label, cfg) -> (label, cfg, H.mean_gain ~label ?apps cfg)) variants
   in
-  let coords nodes = Array.map (Noc.Topology.coord_of_node topo) nodes in
-  let placements =
-    [
-      ("P1", H.line_cfg ());
-      with_sites "P2" (coords (Noc.Placement.edge_centers topo).Noc.Placement.nodes);
-      with_sites "P3" (coords (Noc.Placement.top_bottom topo).Noc.Placement.nodes);
-    ]
-  in
-  Printf.printf "  %-6s %12s %10s\n" "" "avg distance" "exec gain";
+  let cell f = Option.fold ~none:"" ~some:f column in
+  H.section ~jobs:(List.concat_map (fun (_, _, (jobs, _)) -> jobs) gains) title paper
+  @@ fun () ->
+  Printf.printf "  %-*s%s %10s\n" width name (cell (fun (h, _) -> Printf.sprintf " %12s" h))
+    "exec gain";
   List.iter
-    (fun (name, cfg) ->
-      let gains =
-        List.map
-          (fun app ->
-            let o = H.run cfg ~optimized:false app in
-            let p = H.run cfg ~optimized:true app in
-            H.exec_improvement o p)
-          (H.apps ())
-      in
-      let avg =
-        List.fold_left ( +. ) 0. gains /. float_of_int (List.length gains)
-      in
-      Printf.printf "  %-6s %12.2f %+9.1f%%\n" name
-        (Noc.Placement.avg_distance (Config.placement cfg) (Config.topo cfg))
-        avg)
-    placements
+    (fun (label, cfg, (_, gain)) ->
+      Printf.printf "  %-*s%s %+9.1f%%\n" width label
+        (cell (fun (_, v) -> Printf.sprintf " %12.2f" (v cfg)))
+        (gain ()))
+    gains
+
+let fig19 () =
+  let cfg = H.line_cfg () in
+  let topo = Config.topo cfg in
+  let with_sites name placement =
+    let sites = Array.map (Noc.Topology.coord_of_node topo) placement.Noc.Placement.nodes in
+    let placement = H.or_fail (Core.Platform.placement_for ~sites topo (Config.cluster cfg)) in
+    (name, H.or_fail (Config.with_placement cfg { placement with Noc.Placement.name }))
+  in
+  gain_table "Figure 19: different controller placements"
+    "(paper: P2 is slightly better than P1/P3 — about 20.7% average —\n\
+     because its average distance-to-controller is lower)"
+    ~column:("avg distance", fun c -> Noc.Placement.avg_distance (Config.placement c) topo)
+    ("", 6)
+    [
+      ("P1", cfg);
+      with_sites "P2" (Noc.Placement.edge_centers topo);
+      with_sites "P3" (Noc.Placement.top_bottom topo);
+    ]
 
 let fig20 () =
-  H.header "Figure 20: different controller counts"
-    "(paper: savings grow with more controllers — better memory\n\
-     parallelism within each cluster)";
-  Printf.printf "  %-8s %10s\n" "MCs" "exec gain";
   let topo = Config.topo (H.line_cfg ()) in
-  List.iter
-    (fun mcs ->
-      let cfg =
-        if mcs = 4 then H.line_cfg ()
-        else
-          H.or_fail
-            (Result.bind
-               (Core.Cluster.with_mcs_result ~width:topo.Noc.Topology.width
-                  ~height:topo.Noc.Topology.height ~mcs)
-               (Config.with_cluster (H.line_cfg ())))
-      in
-      let gains =
-        List.map
-          (fun app ->
-            H.exec_improvement
-              (H.run cfg ~optimized:false app)
-              (H.run cfg ~optimized:true app))
-          (H.apps ())
-      in
-      Printf.printf "  %-8d %+9.1f%%\n" mcs
-        (List.fold_left ( +. ) 0. gains /. float_of_int (List.length gains)))
-    [ 4; 8; 16 ]
+  let with_mcs mcs =
+    if mcs = 4 then H.line_cfg ()
+    else
+      H.or_fail
+        (Result.bind
+           (Core.Cluster.with_mcs_result ~width:topo.Noc.Topology.width
+              ~height:topo.Noc.Topology.height ~mcs)
+           (Config.with_cluster (H.line_cfg ())))
+  in
+  gain_table "Figure 20: different controller counts"
+    "(paper: savings grow with more controllers — better memory\n\
+     parallelism within each cluster)"
+    ("MCs", 8)
+    (List.map (fun mcs -> (string_of_int mcs, with_mcs mcs)) [ 4; 8; 16 ])
 
 let fig21 () =
-  H.header "Figure 21: different core counts"
+  let mesh (w, h) =
+    (Printf.sprintf "%dx%d" w h, H.or_fail (Config.mesh ~width:w ~height:h (H.line_cfg ())))
+  in
+  gain_table "Figure 21: different core counts"
     "(paper: 14% on 4x4, 18% on 4x8, 20.5% on 8x8 — gains grow with the\n\
-     network diameter)";
-  Printf.printf "  %-8s %10s\n" "mesh" "exec gain";
-  List.iter
-    (fun (w, h) ->
-      let cfg = H.or_fail (Config.mesh ~width:w ~height:h (H.line_cfg ())) in
-      let gains =
-        List.map
-          (fun app ->
-            H.exec_improvement
-              (H.run cfg ~optimized:false app)
-              (H.run cfg ~optimized:true app))
-          (H.apps ())
-      in
-      Printf.printf "  %dx%-6d %+9.1f%%\n" w h
-        (List.fold_left ( +. ) 0. gains /. float_of_int (List.length gains)))
-    [ (4, 4); (4, 8); (8, 8) ]
+     network diameter)"
+    ("mesh", 8)
+    (List.map mesh [ (4, 4); (4, 8); (8, 8) ])
 
 let fig22 () =
   four_metric_figure "Figure 22: shared (SNUCA) L2"
@@ -324,17 +294,19 @@ let fig22 () =
     (H.shared_cfg ()) (H.shared_cfg ())
 
 let fig23 () =
-  H.header "Figure 23: improvement over the first-touch policy"
-    "(paper: 12.3% average; first-touch only places pages well for\n\
-     wupwise, gafort and minimd)";
   let ft = H.page_cfg ~policy:Config.First_touch () in
   let ours = H.page_cfg ~policy:Config.Mc_aware () in
+  H.section ~jobs:(H.pair_jobs ft ours)
+    "Figure 23: improvement over the first-touch policy"
+    "(paper: 12.3% average; first-touch only places pages well for\n\
+     wupwise, gafort and minimd)"
+  @@ fun () ->
   let gains =
     List.map
       (fun app ->
-        let o = H.run ft ~optimized:false app in
-        let p = H.run ours ~optimized:true app in
-        let g = H.exec_improvement o p in
+        let g =
+          H.exec_improvement (H.get ft ~optimized:false app) (H.get ours ~optimized:true app)
+        in
         H.csv_row app.App.name "exec" g;
         Printf.printf "  %-10s %+7.1f%%%s\n" app.App.name g
           (if app.App.first_touch_friendly then "   (first-touch friendly)"
@@ -342,35 +314,23 @@ let fig23 () =
         g)
       (H.apps ())
   in
-  Printf.printf "  %-10s %+7.1f%%\n" "AVERAGE"
-    (List.fold_left ( +. ) 0. gains /. float_of_int (List.length gains))
+  Printf.printf "  %-10s %+7.1f%%\n" "AVERAGE" (H.mean gains)
 
 let fig24 () =
-  H.header "Figure 24: more threads per core"
+  let tpc n = (string_of_int n, { (H.line_cfg ()) with Config.threads_per_core = n }) in
+  gain_table "Figure 24: more threads per core"
     "(paper: improvements grow with thread count as baseline contention\n\
-     intensifies)";
-  Printf.printf "  %-14s %10s\n" "threads/core" "exec gain";
-  List.iter
-    (fun tpc ->
-      let cfg = { (H.line_cfg ()) with Config.threads_per_core = tpc } in
-      let gains =
-        List.map
-          (fun app ->
-            H.exec_improvement
-              (H.run cfg ~optimized:false app)
-              (H.run cfg ~optimized:true app))
-          (H.apps ())
-      in
-      Printf.printf "  %-14d %+9.1f%%\n" tpc
-        (List.fold_left ( +. ) 0. gains /. float_of_int (List.length gains)))
-    [ 1; 2; 4 ]
+     intensifies)"
+    ("threads/core", 14)
+    (List.map tpc [ 1; 2; 4 ])
 
 let fig25 () =
-  H.header "Figure 25: multiprogrammed workloads (weighted speedup)"
+  H.section "Figure 25: multiprogrammed workloads (weighted speedup)"
     "(paper: improvements between 5.4% and 13.1% — the layouts are\n\
      compiled for the whole machine, so co-running halves their fit.\n\
      Optimized pairs run with OS assistance: the MC-aware policy places\n\
-     hinted pages on the compiler's controller, the rest by first touch)";
+     hinted pages on the compiler's controller, the rest by first touch)"
+  @@ fun () ->
   let pairs =
     [
       ("W1", "apsi", "swim");
@@ -389,21 +349,12 @@ let fig25 () =
     else H.page_cfg ()
   in
   let prep cfg optimized offset vbase (app : App.t) =
-    let c = H.ctx_of app in
-    if optimized then
-      Sim.Runner.prepare cfg ~optimized:true ~threads:32 ~core_offset:offset
-        ~vaddr_base:vbase ~name:app.App.name
-        ~warmup_phases:app.App.warmup_nests ~index_lookup:c.H.index_lookup
-        ~profile:c.H.profile c.H.program
-    else
-      Sim.Runner.prepare cfg ~optimized:false ~threads:32 ~core_offset:offset
-        ~vaddr_base:vbase ~name:app.App.name
-        ~warmup_phases:app.App.warmup_nests ~index_lookup:c.H.index_lookup
-        c.H.program
+    H.prepare cfg ~optimized ~threads:32 ~core_offset:offset ~vaddr_base:vbase
+      ~name:app.App.name app
   in
   let alone cfg optimized app =
     let p = prep cfg optimized 0 0 app in
-    (Sim.Runner.run_many cfg ~jobs:[ p ]).Engine.measured_time
+    (Sim.Runner.run_many cfg ~jobs:[ p ]).Sim.Engine.measured_time
   in
   Printf.printf "  %-4s %-22s %10s %10s %8s\n" "" "apps" "WS orig" "WS opt"
     "gain";
@@ -418,8 +369,8 @@ let fig25 () =
         let r = Sim.Runner.run_many cfg ~jobs:[ pa; pb ] in
         let ta = float_of_int (alone cfg optimized appa)
         and tb = float_of_int (alone cfg optimized appb) in
-        (ta /. float_of_int (max 1 r.Engine.job_measured.(0)))
-        +. (tb /. float_of_int (max 1 r.Engine.job_measured.(1)))
+        (ta /. float_of_int (max 1 r.Sim.Engine.job_measured.(0)))
+        +. (tb /. float_of_int (max 1 r.Sim.Engine.job_measured.(1)))
       in
       let wso = ws false and wsp = ws true in
       Printf.printf "  %-4s %-22s %10.3f %10.3f %+7.1f%%\n" wname (a ^ "+" ^ b)
@@ -428,10 +379,11 @@ let fig25 () =
     pairs
 
 let fig25serve () =
-  H.header "Figure 25 (serve): open-system consolidation (policy x load)"
+  H.section "Figure 25 (serve): open-system consolidation (policy x load)"
     "(weighted speedup and p95 completion latency of the serve smoke mix\n\
      under each placement policy as the arrival rate rises; each cell is\n\
-     one consolidation scenario, run as a fleet in pool workers)";
+     one consolidation scenario, run as a fleet in pool workers)"
+  @@ fun () ->
   let policies =
     [
       Serve.Scenario.Interleaved;
@@ -478,38 +430,36 @@ let fig25serve () =
     results
 
 let alternative () =
-  H.header "Alternative: loop restructuring vs / plus layout transformation"
+  let page_ft = H.page_cfg ~policy:Config.First_touch () in
+  let ours = H.page_cfg ~policy:Config.Mc_aware () in
+  H.section ~jobs:(H.pair_jobs page_ft ours)
+    "Alternative: loop restructuring vs / plus layout transformation"
     "(paper Section 1: loop transformations could aim at similar goals but\n\
      are constrained by dependences.  Interchange repairs cache-hostile\n\
      traversal orders where legal - an orthogonal, on-chip effect - while\n\
      the layout pass owns the Data-to-MC mapping; 'combined' runs the\n\
      layout pass on the restructured program.  Where dependences or\n\
-     imperfect nests block interchange (blk), only the layout pass helps)";
-  let page_ft = H.page_cfg ~policy:Config.First_touch () in
-  let ours = H.page_cfg ~policy:Config.Mc_aware () in
+     imperfect nests block interchange (blk), only the layout pass helps)"
+  @@ fun () ->
   Printf.printf "  %-10s %15s %10s %10s %10s\n" "" "perm/align/blk" "loop"
     "layout" "combined";
   List.iter
     (fun app ->
-      let c = H.ctx_of app in
-      let lt = Core.Loop_transform.run c.H.analysis in
-      let base = H.run page_ft ~optimized:false app in
-      (* loop-restructured program under the same first-touch OS *)
-      let restructured =
-        Sim.Runner.run page_ft ~optimized:false
-          ~warmup_phases:app.App.warmup_nests ~index_lookup:c.H.index_lookup
-          lt.Core.Loop_transform.program
+      let lt = Core.Loop_transform.run (H.analysis app) in
+      let program = lt.Core.Loop_transform.program in
+      (* a direct run, read the same way as a sweep job's result *)
+      let direct cfg p =
+        H.run_of_json
+          (Sweep.Exec.result_json ~app:app.App.name cfg (Sim.Runner.run_many cfg ~jobs:[ p ]))
       in
-      let layout = H.run ours ~optimized:true app in
+      let base = H.get page_ft ~optimized:false app in
+      (* loop-restructured program under the same first-touch OS *)
+      let restructured = direct page_ft (H.prepare page_ft ~optimized:false ~program app) in
+      let layout = H.get ours ~optimized:true app in
       let combined =
         (* the layout pass applied on top of the restructured program *)
-        let lt_analysis =
-          Lang.Analysis.analyze lt.Core.Loop_transform.program
-        in
-        let profile a = Workloads.Profile.for_transform app lt_analysis a in
-        Sim.Runner.run ours ~optimized:true
-          ~warmup_phases:app.App.warmup_nests ~index_lookup:c.H.index_lookup
-          ~profile lt.Core.Loop_transform.program
+        let profile = H.profile app (Lang.Analysis.analyze program) in
+        direct ours (H.prepare ours ~optimized:true ~profile ~program app)
       in
       Printf.printf "  %-10s %9d/%d/%d %+9.1f%% %+9.1f%% %+9.1f%%\n"
         app.App.name lt.Core.Loop_transform.permuted_nests
@@ -520,61 +470,48 @@ let alternative () =
     (H.apps ())
 
 let ablation () =
-  H.header "Ablation: model ingredients (apsi)"
-    "(DESIGN.md Section 5: how much of the improvement comes from link\n\
-     contention, thread decorrelation and channel bandwidth)";
   let app = Workloads.Suite.by_name "apsi" in
-  let show name cfg =
-    let o = H.run cfg ~optimized:false app in
-    let p = H.run cfg ~optimized:true app in
-    Printf.printf "  %-28s exec gain %+6.1f%%  (off-net %+6.1f%%)\n" name
-      (H.exec_improvement o p)
-      (H.four_metrics o p).H.offchip_net
+  let line = H.line_cfg () in
+  let variants =
+    [
+      ("default model", line);
+      ( "wide links (no contention)",
+        { line with Config.noc = { Noc.Network.per_hop_latency = 4; link_bytes = 4096 } } );
+      ("no issue jitter", { line with Config.jitter = false });
+      ("single DRAM channel", Config.with_channels_per_mc line 1);
+      ("FCFS scheduling (no FR)", { line with Config.mc_scheduler = Dram.Fr_fcfs.Fcfs });
+      ("closed-page DRAM", { line with Config.mc_row_policy = Dram.Fr_fcfs.Closed_page });
+    ]
   in
-  show "default model" (H.line_cfg ());
-  show "wide links (no contention)"
-    {
-      (H.line_cfg ()) with
-      Config.noc = { Noc.Network.per_hop_latency = 4; link_bytes = 4096 };
-    };
-  show "no issue jitter" { (H.line_cfg ()) with Config.jitter = false };
-  show "single DRAM channel" (Config.with_channels_per_mc (H.line_cfg ()) 1);
-  show "FCFS scheduling (no FR)"
-    { (H.line_cfg ()) with Config.mc_scheduler = Dram.Fr_fcfs.Fcfs };
-  show "closed-page DRAM"
-    { (H.line_cfg ()) with Config.mc_row_policy = Dram.Fr_fcfs.Closed_page }
+  H.section
+    ~jobs:(List.concat_map (fun (label, cfg) -> H.pair_jobs ~label ~apps:[ app ] cfg cfg) variants)
+    "Ablation: model ingredients (apsi)"
+    "(DESIGN.md Section 5: how much of the improvement comes from link\n\
+     contention, thread decorrelation and channel bandwidth)"
+  @@ fun () ->
+  List.iter
+    (fun (name, cfg) ->
+      let o = H.get cfg ~optimized:false app in
+      let p = H.get cfg ~optimized:true app in
+      Printf.printf "  %-28s exec gain %+6.1f%%  (off-net %+6.1f%%)\n" name
+        (H.exec_improvement o p)
+        (H.four_metrics o p).H.offchip_net)
+    variants
 
 let sensitivity () =
-  H.header "Sensitivity: link width, L2 capacity, compute intensity"
+  let line = H.line_cfg () in
+  let links link_bytes = { line with Config.noc = { Noc.Network.per_hop_latency = 4; link_bytes } } in
+  gain_table
+    ~apps:(List.map Workloads.Suite.by_name [ "apsi"; "swim"; "fma3d" ])
+    "Sensitivity: link width, L2 capacity, compute intensity"
     "(robustness of the execution-time gain to the scaled platform's\n\
-     parameters, averaged over apsi, swim and fma3d)";
-  let sample = [ "apsi"; "swim"; "fma3d" ] in
-  let avg_gain cfg =
-    let gains =
-      List.map
-        (fun name ->
-          let app = Workloads.Suite.by_name name in
-          H.exec_improvement
-            (H.run cfg ~optimized:false app)
-            (H.run cfg ~optimized:true app))
-        sample
-    in
-    List.fold_left ( +. ) 0. gains /. float_of_int (List.length gains)
-  in
-  Printf.printf "  %-24s %10s\n" "variant" "exec gain";
-  List.iter
-    (fun (name, cfg) -> Printf.printf "  %-24s %+9.1f%%\n" name (avg_gain cfg))
-    [
-      ("default", H.line_cfg ());
-      ( "8 B links",
-        { (H.line_cfg ()) with Config.noc = { Noc.Network.per_hop_latency = 4; link_bytes = 8 } } );
-      ( "32 B links",
-        { (H.line_cfg ()) with Config.noc = { Noc.Network.per_hop_latency = 4; link_bytes = 32 } } );
-      ("L2 8 KB/node", { (H.line_cfg ()) with Config.l2_size = 8192 });
-      ("L2 32 KB/node", { (H.line_cfg ()) with Config.l2_size = 32768 });
-      ("compute x0.5", { (H.line_cfg ()) with Config.compute_cycles = 8 });
-      ("compute x2", { (H.line_cfg ()) with Config.compute_cycles = 32 });
-    ]
+     parameters, averaged over apsi, swim and fma3d)"
+    ("variant", 24)
+    [ ("default", line); ("8 B links", links 8); ("32 B links", links 32);
+      ("L2 8 KB/node", { line with Config.l2_size = 8192 });
+      ("L2 32 KB/node", { line with Config.l2_size = 32768 });
+      ("compute x0.5", { line with Config.compute_cycles = 8 });
+      ("compute x2", { line with Config.compute_cycles = 32 }) ]
 
 let sections =
   [
@@ -601,52 +538,26 @@ let sections =
     ("sensitivity", sensitivity);
   ]
 
-(* --jobs N: shard the independent sections across N forked workers via
-   the sweep pool, capturing each worker's stdout and re-printing it in
-   section order as results arrive.  Per-process run memoization is not
-   shared between workers, so shared baselines are re-simulated in each —
-   the trade for running the sections concurrently.  (OFFCHIP_CSV is a
-   single shared file and is not supported in this mode; use --json.) *)
-let run_sections_parallel ~jobs selected =
-  let tasks = Array.of_list selected in
-  let f i =
-    let _, fn = tasks.(i) in
-    let tmp = Filename.temp_file "bench-section" ".out" in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-    flush stdout;
-    Unix.dup2 fd Unix.stdout;
-    Unix.close fd;
-    fn ();
-    Format.pp_print_flush Format.std_formatter ();
-    flush stdout;
-    H.flush_json_section ();
-    let ic = open_in_bin tmp in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Sys.remove tmp;
-    Ok s
+(* Builds the selected sections, runs all their simulations (deduped)
+   and renders the sections in order; exit 3, like `sweep run`, when a
+   simulation failed. *)
+let run_sections ~workers selected =
+  let selected =
+    List.map
+      (fun (key, make) ->
+        let s = make () in
+        let prefix j = { j with Sweep.Spec.id = key ^ "/" ^ j.Sweep.Spec.id } in
+        (key, { s with H.jobs = List.map prefix s.H.jobs }))
+      selected
   in
-  let results = Array.make (Array.length tasks) None in
-  let next = ref 0 in
-  let flush_ready () =
-    while !next < Array.length tasks && results.(!next) <> None do
-      (match results.(!next) with
-      | Some (Sweep.Pool.Completed { payload; _ }) -> print_string payload
-      | Some (Sweep.Pool.Failed { reason; _ }) ->
-        Printf.printf "\n=== %s === FAILED: %s\n" (fst tasks.(!next)) reason
-      | None -> ());
-      incr next
-    done;
-    flush stdout
-  in
-  ignore
-    (Sweep.Pool.run ~workers:jobs ~timeout_s:3600. ~retries:0
-       ~on_outcome:(fun i o ->
-         results.(i) <- Some o;
-         flush_ready ())
-       ~jobs:(Array.length tasks) f);
-  flush_ready ()
+  H.run_jobs ~workers (List.concat_map (fun (_, s) -> s.H.jobs) selected);
+  List.fold_left
+    (fun code (key, s) ->
+      H.header key s.H.title s.H.paper;
+      match H.first_failure s with
+      | None -> s.H.render (); code
+      | Some (id, reason) -> Printf.printf "FAILED: %s: %s\n" id reason; 3)
+    Cli.ok selected
 
 let main only more_sections platform json jobs =
   Cli.guard ~name:"bench" @@ fun () ->
@@ -667,19 +578,19 @@ let main only more_sections platform json jobs =
       (String.concat ", " (List.map fst sections))
   | None when jobs < 1 -> fail "--jobs must be at least 1 (got %d)" jobs
   | None -> (
-    match if platform = "" then Ok () else H.set_platform platform with
+    match if platform = "" then Ok None else Result.map Option.some (Core.Platform.of_spec platform) with
     | Error e -> fail "--platform %s: %s" platform e
-    | Ok () ->
+    | Ok p ->
+      H.platform_override := p;
       Option.iter H.set_json_dir json;
       let t0 = Unix.gettimeofday () in
-      let selected =
-        if only = None then sections
-        else List.filter (fun (name, _) -> List.mem name names) sections
+      let code =
+        run_sections
+          ~workers:(if jobs = 1 then 0 else jobs)
+          (List.filter (fun (name, _) -> only = None || List.mem name names) sections)
       in
-      if jobs > 1 then run_sections_parallel ~jobs selected
-      else List.iter (fun (_, f) -> f ()) selected;
       Printf.printf "\n(total wall time: %.0f s)\n" (Unix.gettimeofday () -. t0);
-      Cli.ok)
+      code)
 
 open Cmdliner
 
@@ -709,9 +620,7 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Run the sections in N forked workers, printing each section's \
-           output in order (use --json, not OFFCHIP_CSV, with N > 1).")
+        ~doc:"Run the distinct simulations in N forked workers (1: in this process).")
 
 let cmd =
   Cmd.v

@@ -50,14 +50,11 @@ let run_job (job : Spec.job) =
   let analysis = Lang.Analysis.analyze program in
   let index_lookup = Workloads.App.index_lookup app in
   let cfg = job.Spec.config in
+  (* the profile only steers the layout pass, which only optimized runs use *)
+  let profile a = Workloads.Profile.for_transform app analysis a in
   let r =
-    if job.Spec.optimized then
-      let profile a = Workloads.Profile.for_transform app analysis a in
-      Sim.Runner.run cfg ~optimized:true
-        ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup ~profile
-        program
-    else
-      Sim.Runner.run cfg ~optimized:false
-        ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup program
+    Sim.Runner.run cfg ~optimized:job.Spec.optimized
+      ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup ~profile
+      program
   in
   result_json ~app:job.Spec.app cfg r

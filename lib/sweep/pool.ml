@@ -94,8 +94,9 @@ let run ?(workers = 4) ?(timeout_s = 300.) ?(retries = 2) ?(backoff_s = 0.5)
       end
     in
     let spawn () =
-      flush stdout;
-      flush stderr;
+      (* a child inherits every unflushed output buffer and would write
+         it again when it exits: empty them all first *)
+      flush_all ();
       let req_r, req_w = Unix.pipe () in
       let resp_r, resp_w = Unix.pipe () in
       match Unix.fork () with

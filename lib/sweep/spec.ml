@@ -2,7 +2,6 @@ module Json = Obs.Json
 
 type job = {
   id : string;
-  config_name : string;
   config : Sim.Config.t;
   app : string;
   optimized : bool;
@@ -198,7 +197,6 @@ let of_json j =
                     id =
                       Printf.sprintf "%s/%s/%s" config_name app
                         (if opt then "opt" else "orig");
-                    config_name;
                     config;
                     app;
                     optimized = opt;
@@ -223,10 +221,20 @@ let load path =
   let* j = Result.map_error (fun e -> path ^ ": " ^ e) (Json.of_string text) in
   Result.map_error (fun e -> path ^ ": " ^ e) (of_json j)
 
+(* [Config.to_json] is the result documents' config summary: it names the
+   placement and cluster but omits their geometry, the NoC and the DRAM
+   timing, so the identity adds those explicitly *)
 let job_identity job =
+  let cfg = job.config in
+  let ints l = Json.list (fun v -> Json.Int v) l in
+  let { Noc.Network.per_hop_latency; link_bytes } = cfg.Sim.Config.noc in
+  let { Dram.Timing.row_hit; row_empty; row_conflict; burst } = cfg.Sim.Config.timing in
   Json.obj
     [
-      ("config", Sim.Config.to_json job.config);
+      ("config", Sim.Config.to_json cfg);
+      ("platform", Core.Platform.to_json (Sim.Config.platform cfg));
+      ("noc", ints [ per_hop_latency; link_bytes ]);
+      ("timing", ints [ row_hit; row_empty; row_conflict; burst ]);
       ("app", Json.String job.app);
       ("optimized", Json.Bool job.optimized);
     ]

@@ -36,7 +36,6 @@
 
 type job = {
   id : string;  (** ["<config>/<app>/<orig|opt>"], unique within a spec *)
-  config_name : string;
   config : Sim.Config.t;
   app : string;  (** a {!Workloads.Suite} name, validated at load time *)
   optimized : bool;
@@ -57,6 +56,7 @@ val load : string -> (t, string) result
     value) is a one-line [Error]. *)
 
 val job_identity : job -> Obs.Json.t
-(** The canonical description of what a job computes — full platform
-    configuration, app and optimization flag — hashed (together with the
-    code version) into its result-cache key. *)
+(** The canonical description of what a job computes — every
+    {!Sim.Config.t} field (the platform's full geometry, NoC and DRAM
+    timing included), app and optimization flag — hashed (together with
+    the code version) into its result-cache key. *)

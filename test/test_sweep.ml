@@ -25,13 +25,6 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* Children duplicate any unflushed parent output on exit; keep the
-   alcotest progress lines out of the workers. *)
-let pool_run ?workers ?timeout_s ?retries ?backoff_s ?on_outcome ~jobs f =
-  flush stdout;
-  flush stderr;
-  Sweep.Pool.run ?workers ?timeout_s ?retries ?backoff_s ?on_outcome ~jobs f
-
 let spec_of_string s =
   match Result.bind (Json.of_string s) Sweep.Spec.of_json with
   | Ok spec -> spec
@@ -101,6 +94,34 @@ let test_spec_malformed () =
   expect_error ~message:{|unknown sweep field "domains"|}
     {|{"apps":["apsi"],"domains":2}|}
 
+(* The cache identity covers every Config field, including the ones the
+   result document's config summary leaves out: two jobs that differ only
+   in NoC link width, or only in controller sites, must never share a
+   cached result. *)
+let test_identity_covers_config () =
+  let job = (tiny_spec ()).Sweep.Spec.jobs.(0) in
+  let cfg = job.Sweep.Spec.config in
+  let noc = { cfg.Sim.Config.noc with Noc.Network.link_bytes = 32 } in
+  let wide = { job with Sweep.Spec.config = { cfg with Sim.Config.noc } } in
+  Alcotest.(check bool) "link widths: distinct keys" false
+    (Sweep.Cache.key job = Sweep.Cache.key wide);
+  with_dir (fun dir ->
+      Sweep.Cache.ensure ~dir;
+      let path = Filename.concat dir "platform.json" in
+      (* unnamed placements: both are named "custom" *)
+      let key sites =
+        Out_channel.with_open_bin path (fun oc ->
+            Printf.fprintf oc
+              {|{"mesh_width":8,"mesh_height":8,"placement":{"sites":%s}}|} sites);
+        let spec =
+          spec_of_string
+            (Printf.sprintf {|{"apps":["apsi"],"configs":[{"platform":%S}]}|} path)
+        in
+        Sweep.Cache.key spec.Sweep.Spec.jobs.(0)
+      in
+      Alcotest.(check bool) "controller sites: distinct keys" false
+        (key "[[0,0],[7,0],[0,7],[7,7]]" = key "[[3,0],[7,3],[0,4],[4,7]]"))
+
 let test_example_specs_load () =
   let dir = "../examples/sweeps" in
   let specs =
@@ -120,7 +141,7 @@ let test_example_specs_load () =
 
 let test_pool_payloads () =
   let outcomes =
-    pool_run ~workers:2 ~timeout_s:30. ~retries:0 ~jobs:5 (fun i ->
+    Sweep.Pool.run ~workers:2 ~timeout_s:30. ~retries:0 ~jobs:5 (fun i ->
         Ok (Printf.sprintf "job-%d:%d" i (i * i)))
   in
   Array.iteri
@@ -135,7 +156,7 @@ let test_pool_payloads () =
 
 let test_pool_timeout () =
   let outcomes =
-    pool_run ~workers:1 ~timeout_s:0.25 ~retries:0 ~backoff_s:0.01 ~jobs:1
+    Sweep.Pool.run ~workers:1 ~timeout_s:0.25 ~retries:0 ~backoff_s:0.01 ~jobs:1
       (fun _ ->
         Unix.sleepf 30.;
         Ok "never")
@@ -151,7 +172,7 @@ let test_pool_timeout () =
 
 let test_pool_crash_retry_exhaustion () =
   let outcomes =
-    pool_run ~workers:1 ~timeout_s:30. ~retries:2 ~backoff_s:0.01 ~jobs:1
+    Sweep.Pool.run ~workers:1 ~timeout_s:30. ~retries:2 ~backoff_s:0.01 ~jobs:1
       (fun _ -> Stdlib.exit 7)
   in
   match outcomes.(0) with
@@ -167,7 +188,7 @@ let test_pool_error_payload () =
   List.iter
     (fun workers ->
       let outcomes =
-        pool_run ~workers ~timeout_s:30. ~retries:1 ~backoff_s:0.01 ~jobs:1
+        Sweep.Pool.run ~workers ~timeout_s:30. ~retries:1 ~backoff_s:0.01 ~jobs:1
           (fun _ -> Error "nope")
       in
       match outcomes.(0) with
@@ -336,6 +357,8 @@ let suite =
           `Quick test_spec_search_knob;
         Alcotest.test_case "malformed specs are one-line errors" `Quick
           test_spec_malformed;
+        Alcotest.test_case "cache key covers every config field" `Quick
+          test_identity_covers_config;
         Alcotest.test_case "example specs load" `Quick test_example_specs_load;
         Alcotest.test_case "pool transports payloads" `Quick
           test_pool_payloads;
