@@ -103,9 +103,13 @@ let results : (string, (run, string) result) Hashtbl.t = Hashtbl.create 512
    carry the binary's digest. *)
 let results_dir = Filename.concat (Filename.get_temp_dir_name ()) "offchip-bench"
 
-(* Runs each distinct job once — [workers] forked pool workers, or in
-   process when 0 — and records every job's run or failure. *)
-let run_jobs ~workers jobs =
+(* --jobs N: pool workers for bench's simulations, 0 (--jobs 1) running
+   them in process *)
+let workers = ref 0
+
+(* Runs each distinct job once on [!workers] and records every job's run
+   or failure. *)
+let run_jobs jobs =
   let seen = Hashtbl.create 512 in
   let fresh j =
     let k = Sweep.Cache.key j in
@@ -115,7 +119,7 @@ let run_jobs ~workers jobs =
   | [] -> ()
   | unique ->
     let spec = { Sweep.Spec.name = "bench"; jobs = Array.of_list unique; timeout_s = 3600.; retries = 0 } in
-    let report = Sweep.Orchestrate.run_sweep ~workers ~out:results_dir spec in
+    let report = Sweep.Orchestrate.run_sweep ~workers:!workers ~out:results_dir spec in
     Array.iter
       (fun (e : Sweep.Manifest.entry) ->
         Hashtbl.replace results e.key
@@ -177,12 +181,7 @@ let page_cfg ?(policy = Config.Hardware) () =
 let shared_cfg () = { (base ()) with Config.l2_org = Config.Shared_l2 }
 
 let m2_cfg () =
-  let topo = Config.topo (base ()) in
-  or_fail
-    (Result.bind
-       (Core.Cluster.m2 ~width:topo.Noc.Topology.width
-          ~height:topo.Noc.Topology.height)
-       (Config.with_cluster (base ())))
+  or_fail (Result.map (Config.with_platform (base ())) (Core.Platform.with_mapping (platform ()) "M2"))
 
 (* --- metrics --- *)
 

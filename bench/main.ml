@@ -386,7 +386,7 @@ let fig25serve () =
   @@ fun () ->
   let policies =
     [
-      Serve.Scenario.Interleaved;
+      Serve.Scenario.Hardware;
       Serve.Scenario.First_touch;
       Serve.Scenario.Mc_aware;
     ]
@@ -410,7 +410,7 @@ let fig25serve () =
            q.Serve.Server.p95_latency q.Serve.Server.total_fallbacks)
   in
   let results =
-    Sweep.Pool.run ~workers:4 ~timeout_s:600. ~retries:0
+    Sweep.Pool.run ~workers:!H.workers ~timeout_s:600. ~retries:0
       ~jobs:(Array.length grid) f
   in
   Printf.printf "  %-12s %12s %8s %12s %10s\n" "policy" "mean interarr" "WS"
@@ -541,7 +541,7 @@ let sections =
 (* Builds the selected sections, runs all their simulations (deduped)
    and renders the sections in order; exit 3, like `sweep run`, when a
    simulation failed. *)
-let run_sections ~workers selected =
+let run_sections selected =
   let selected =
     List.map
       (fun (key, make) ->
@@ -550,7 +550,7 @@ let run_sections ~workers selected =
         (key, { s with H.jobs = List.map prefix s.H.jobs }))
       selected
   in
-  H.run_jobs ~workers (List.concat_map (fun (_, s) -> s.H.jobs) selected);
+  H.run_jobs (List.concat_map (fun (_, s) -> s.H.jobs) selected);
   List.fold_left
     (fun code (key, s) ->
       H.header key s.H.title s.H.paper;
@@ -582,11 +582,11 @@ let main only more_sections platform json jobs =
     | Error e -> fail "--platform %s: %s" platform e
     | Ok p ->
       H.platform_override := p;
+      H.workers := if jobs = 1 then 0 else jobs;
       Option.iter H.set_json_dir json;
       let t0 = Unix.gettimeofday () in
       let code =
         run_sections
-          ~workers:(if jobs = 1 then 0 else jobs)
           (List.filter (fun (name, _) -> only = None || List.mem name names) sections)
       in
       Printf.printf "\n(total wall time: %.0f s)\n" (Unix.gettimeofday () -. t0);
@@ -629,16 +629,4 @@ let cmd =
       const main $ only_arg $ more_sections_arg $ Cli.platform $ json_arg
       $ jobs_arg)
 
-(* cmdliner reports a bad flag or value as a message, a usage line and a
-   hint; keep the message alone and exit with the user-error code *)
-let () =
-  let buf = Buffer.create 256 in
-  let err = Format.formatter_of_buffer buf in
-  Format.pp_set_margin err 10_000;
-  match Cmd.eval_value ~err cmd with
-  | Ok (`Ok code) -> exit code
-  | Ok (`Version | `Help) -> exit Cli.ok
-  | Error _ ->
-    Format.pp_print_flush err ();
-    prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
-    exit Cli.user_error
+let () = exit (Cli.eval cmd)

@@ -98,7 +98,7 @@ let write_diag_json ?src path diags =
   output_char oc '\n';
   if not (String.equal path "-") then close_out oc
 
-let run file app platform l2 interleave mapping width height calibrate
+let run file app platform l2 interleave mapping calibrate
     search_out search_pool search_seed report layouts explain timings emit_c
     emit verify diag_json =
   Cli.guard ~name:"occ" @@ fun () ->
@@ -132,8 +132,7 @@ let run file app platform l2 interleave mapping width height calibrate
     let searching = String.equal mapping "search" in
     let cfg_result =
       Sim.Config.build ~scaled:false ~platform ~l2 ~interleave
-        ~mapping:(if auto || searching then "" else mapping)
-        ~width ~height ()
+        ~mapping:(if auto || searching then "" else mapping) ()
     in
     let pressure_result =
       match calibrate with
@@ -381,8 +380,8 @@ let cmd =
     (Cmd.info "occ" ~doc)
     Term.(
       const run $ file_arg $ app_arg $ Cli.platform $ Cli.l2 $ Cli.interleave
-      $ mapping $ Cli.width $ Cli.height $ calibrate $ search_out
+      $ mapping $ calibrate $ search_out
       $ search_pool $ search_seed $ report $ layouts $ explain $ timings
       $ emit_c $ emit $ verify $ diag_json)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -106,4 +106,4 @@ let cmd =
     (Cmd.info "report" ~doc)
     Term.(const run $ stats_arg $ diag_arg $ format_arg $ out_arg $ title_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

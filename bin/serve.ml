@@ -187,4 +187,4 @@ let cmd =
       const run_cmd $ scenario_arg $ smoke_arg $ policy_arg $ seed_arg
       $ attr_arg $ progress_arg $ stats_json_arg $ Cli.domains)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

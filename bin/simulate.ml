@@ -9,8 +9,8 @@
 
 open Cmdliner
 
-let run name optimized platform l2 interleave policy mapping width height tpc
-    optimal full_scale seed show_map dump_trace stats_json trace_out
+let run name optimized platform l2 interleave policy mapping tpc optimal
+    full_scale seed show_map dump_trace stats_json trace_out
     trace_sample attr_on domains replicate =
   Cli.guard ~name:"simulate" @@ fun () ->
   if trace_sample < 1 then (
@@ -31,7 +31,7 @@ let run name optimized platform l2 interleave policy mapping width height tpc
   | app -> (
     match
       Sim.Config.build ~scaled:(not full_scale) ~platform ~l2 ~interleave
-        ~policy ~mapping ~width ~height ~tpc ~optimal ~seed ()
+        ~policy ~mapping ~tpc ~optimal ~seed ()
     with
     | Error e ->
       prerr_endline ("simulate: " ^ e);
@@ -227,8 +227,8 @@ let cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const run $ name_arg $ optimized $ Cli.platform $ Cli.l2 $ Cli.interleave
-      $ Cli.policy $ Cli.mapping $ Cli.width $ Cli.height $ tpc $ optimal
+      $ Cli.policy $ Cli.mapping $ tpc $ optimal
       $ full_scale $ seed $ show_map $ dump_trace $ stats_json $ trace_out
       $ trace_sample $ attr_arg $ Cli.domains $ replicate_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -260,4 +260,4 @@ let cmd =
   let doc = "parallel experiment orchestration for the offchip simulator" in
   Cmd.group (Cmd.info "sweep" ~doc) [ run_c; status_c; merge_c ]
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -6,6 +6,20 @@ let user_error = 1
 
 let internal_error = 2
 
+(* cmdliner reports a bad flag or value as a message, a usage line and a
+   hint; keep the message alone *)
+let eval ?argv cmd =
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err 10_000;
+  match Cmd.eval_value ?argv ~err cmd with
+  | Ok (`Ok code) -> code
+  | Ok (`Version | `Help) -> ok
+  | Error e ->
+    Format.pp_print_flush err ();
+    prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+    if e = `Exn then internal_error else user_error
+
 let guard ~name f =
   try f ()
   with e ->
@@ -21,8 +35,9 @@ let l2 =
 
 let interleave =
   Arg.(
-    value & opt string "line"
-    & info [ "interleave" ] ~docv:"GRAN" ~doc:"Interleaving: line or page.")
+    value & opt string ""
+    & info [ "interleave" ] ~docv:"GRAN"
+        ~doc:"Interleaving: line or page.  Default: the platform's own.")
 
 let policy =
   Arg.(
@@ -47,14 +62,9 @@ let platform =
            mesh8x8-mc16, mesh8x8-m2, or the hierarchical chiplet2x2-mc4 \
            and chiplet2x2-mc8 — a 2x2 grid of 4x4-core chiplets joined by \
            12-cycle 8-byte inter-chiplet links) or a platform JSON file.  \
-           Default: mesh8x8-mc4, the Table 1 machine.  Overrides \
-           --width/--height; --mapping still re-maps it.")
-
-let width =
-  Arg.(value & opt int 8 & info [ "width" ] ~docv:"W" ~doc:"Mesh width.")
-
-let height =
-  Arg.(value & opt int 8 & info [ "height" ] ~docv:"H" ~doc:"Mesh height.")
+           Default: mesh8x8-mc4, the Table 1 machine; mesh<W>x<H>-mc4 \
+           names another mesh size.  --mapping and --interleave still \
+           re-configure it.")
 
 let domains =
   Arg.(

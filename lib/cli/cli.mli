@@ -1,5 +1,5 @@
 (** Conventions shared by the command-line drivers (occ, simulate,
-    offchip-sweep).
+    offchip-serve, offchip-sweep, offchip-report, bench).
 
     Exit codes: [0] success, [1] user error (bad flags, malformed input,
     compile errors), [2] internal error (a bug — an unexpected
@@ -10,6 +10,13 @@ val ok : int
 val user_error : int
 
 val internal_error : int
+
+val eval : ?argv:string array -> int Cmdliner.Cmd.t -> int
+(** Evaluates a driver's command line ([argv] defaults to
+    [Sys.argv]) and returns its exit code: the body's own code, {!ok}
+    for [--help]/[--version], {!user_error} for a bad flag or value
+    (reported as one line on stderr) and {!internal_error} for an
+    exception escaping an unguarded body. *)
 
 val guard : name:string -> (unit -> int) -> int
 (** Runs the driver body; an escaping exception is reported as
@@ -26,7 +33,8 @@ val l2 : string Cmdliner.Term.t
 (** [--l2 private|shared] *)
 
 val interleave : string Cmdliner.Term.t
-(** [--interleave line|page] *)
+(** [--interleave line|page]; [""] (the default) keeps the platform's
+    own interleaving. *)
 
 val policy : string Cmdliner.Term.t
 (** [--policy hardware|first-touch|mc-aware] *)
@@ -37,13 +45,8 @@ val mapping : string Cmdliner.Term.t
 
 val platform : string Cmdliner.Term.t
 (** [--platform PRESET|FILE] — a {!Core.Platform} preset name or JSON
-    file; [""] (the default) is the [mesh8x8-mc4] preset. *)
-
-val width : int Cmdliner.Term.t
-(** [--width W] *)
-
-val height : int Cmdliner.Term.t
-(** [--height H] *)
+    file, the only way to name the machine; [""] (the default) is the
+    [mesh8x8-mc4] preset. *)
 
 val domains : int Cmdliner.Term.t
 (** [--domains N] — worker-domain count for the parallel engine. *)

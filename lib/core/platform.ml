@@ -1,4 +1,6 @@
-type interleaving = Line_interleaved | Page_interleaved
+type interleaving = Dram.Address_map.interleaving =
+  | Line_interleaved
+  | Page_interleaved
 
 type t = {
   name : string;
@@ -306,15 +308,6 @@ let default () =
 
 (* --- JSON (de)serialization -------------------------------------------- *)
 
-let interleaving_to_string = function
-  | Line_interleaved -> "line"
-  | Page_interleaved -> "page"
-
-let interleaving_of_string = function
-  | "line" -> Ok Line_interleaved
-  | "page" -> Ok Page_interleaved
-  | s -> Error ("unknown interleaving " ^ s)
-
 let to_json t =
   let open Obs.Json in
   let coord n =
@@ -364,7 +357,8 @@ let to_json t =
                 (Array.to_list
                    (Array.map coord t.placement.Noc.Placement.nodes)) );
           ] );
-      ("interleaving", String (interleaving_to_string t.interleaving));
+      ( "interleaving",
+        String (Dram.Address_map.interleaving_to_string t.interleaving) );
       ("line_bytes", Int t.line_bytes);
       ("page_bytes", Int t.page_bytes);
       ("elem_bytes", Int t.elem_bytes);
@@ -448,7 +442,7 @@ let of_json j =
   in
   let* interleaving =
     let* s = str_field ~default:"line" j "interleaving" in
-    interleaving_of_string s
+    Dram.Address_map.interleaving_of_string s
   in
   let* line_bytes = int_field ~default:256 j "line_bytes" in
   let* page_bytes = int_field ~default:4096 j "page_bytes" in
@@ -492,5 +486,5 @@ let pp ppf t =
      lines, %d B pages), %d banks/MC, %d channels/MC@]"
     t.name t.topo.Noc.Topology.width t.topo.Noc.Topology.height hierarchy
     Cluster.pp t.cluster t.placement.Noc.Placement.name
-    (interleaving_to_string t.interleaving)
+    (Dram.Address_map.interleaving_to_string t.interleaving)
     t.line_bytes t.page_bytes t.banks_per_mc t.channels_per_mc

@@ -11,11 +11,12 @@
 
     All fallible constructors are Result-first. *)
 
-type interleaving = Line_interleaved | Page_interleaved
+type interleaving = Dram.Address_map.interleaving =
+  | Line_interleaved
+  | Page_interleaved
 (** Physical-address interleaving granule: consecutive L2 lines or
-    consecutive OS pages rotate over the controllers.  (A platform-level
-    re-statement of the DRAM layer's address-map choice: [Core] cannot
-    depend on [Dram], so the simulator converts.) *)
+    consecutive OS pages rotate over the controllers — the DRAM layer's
+    own address-map choice, so compiler and simulator share one type. *)
 
 type t = {
   name : string;

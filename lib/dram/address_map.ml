@@ -1,5 +1,14 @@
 type interleaving = Line_interleaved | Page_interleaved
 
+let interleaving_to_string = function
+  | Line_interleaved -> "line"
+  | Page_interleaved -> "page"
+
+let interleaving_of_string = function
+  | "line" -> Ok Line_interleaved
+  | "page" -> Ok Page_interleaved
+  | s -> Error ("unknown interleaving " ^ s)
+
 type t = {
   interleaving : interleaving;
   line_bytes : int;

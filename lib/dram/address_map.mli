@@ -8,6 +8,12 @@
 
 type interleaving = Line_interleaved | Page_interleaved
 
+val interleaving_to_string : interleaving -> string
+(** ["line"] or ["page"]: the spelling of platform files, flags and
+    stats documents. *)
+
+val interleaving_of_string : string -> (interleaving, string) result
+
 type t = {
   interleaving : interleaving;
   line_bytes : int;  (** L2 line size — the interleaving unit, 256 B *)

@@ -1,6 +1,6 @@
 module Json = Obs.Json
 
-type policy = Interleaved | First_touch | Mc_aware
+type policy = Sim.Config.page_policy = Hardware | First_touch | Mc_aware
 
 type t = {
   name : string;
@@ -17,7 +17,7 @@ type t = {
 }
 
 let policy_of_string = function
-  | "interleaved" | "hardware" -> Ok Interleaved
+  | "interleaved" | "hardware" -> Ok Hardware
   | "first-touch" -> Ok First_touch
   | "mc-aware" -> Ok Mc_aware
   | s ->
@@ -26,14 +26,7 @@ let policy_of_string = function
          "unknown policy %S (expected interleaved, first-touch or mc-aware)" s)
 
 let policy_to_string = function
-  | Interleaved -> "interleaved"
-  | First_touch -> "first-touch"
-  | Mc_aware -> "mc-aware"
-
-(* the Config.build spelling of each serving policy (all run under page
-   interleaving — the only granularity where placement policies exist) *)
-let config_policy = function
-  | Interleaved -> "hardware"
+  | Hardware -> "interleaved"
   | First_touch -> "first-touch"
   | Mc_aware -> "mc-aware"
 
@@ -194,10 +187,13 @@ let to_json t =
 
 let config t =
   let ( let* ) = Result.bind in
+  (* page interleaving: the only granularity where placement policies
+     exist *)
   let* cfg =
     Sim.Config.build ~scaled:true ~platform:t.platform ~interleave:"page"
-      ~policy:(config_policy t.policy) ~seed:t.seed ()
+      ~seed:t.seed ()
   in
+  let cfg = { cfg with Sim.Config.page_policy = t.policy } in
   Ok
     (match t.frames_per_mc with
     | Some frames_per_mc -> { cfg with Sim.Config.frames_per_mc }

@@ -6,10 +6,11 @@
     budget per tenant.  Scenarios are plain JSON documents so they can be
     committed next to sweep specs and replayed bit-identically. *)
 
-type policy = Interleaved | First_touch | Mc_aware
+type policy = Sim.Config.page_policy = Hardware | First_touch | Mc_aware
 (** The shared-pool placement policy tenants allocate under:
-    hardware page interleaving, OS first touch, or OS first touch guided
-    by each tenant's compiler hints (the paper's MC-aware placement). *)
+    hardware page interleaving (spelt ["interleaved"] in scenario
+    files), OS first touch, or OS first touch guided by each tenant's
+    compiler hints (the paper's MC-aware placement). *)
 
 type t = {
   name : string;

@@ -1,4 +1,4 @@
-type l2_org = Private_l2 | Shared_l2
+type l2_org = Core.Customize.l2_kind = Private_l2 | Shared_l2
 
 type page_policy = Hardware | First_touch | Mc_aware
 
@@ -37,10 +37,7 @@ let cluster t = t.platform.Core.Platform.cluster
 
 let placement t = t.platform.Core.Platform.placement
 
-let interleaving t =
-  match t.platform.Core.Platform.interleaving with
-  | Core.Platform.Line_interleaved -> Dram.Address_map.Line_interleaved
-  | Core.Platform.Page_interleaved -> Dram.Address_map.Page_interleaved
+let interleaving t = t.platform.Core.Platform.interleaving
 
 let l2_line t = t.platform.Core.Platform.line_bytes
 
@@ -102,12 +99,7 @@ let with_placement t placement =
          (Core.Platform.num_mcs p))
   else Ok { t with platform = { p with Core.Platform.placement } }
 
-let with_interleaving t i =
-  let interleaving =
-    match i with
-    | Dram.Address_map.Line_interleaved -> Core.Platform.Line_interleaved
-    | Dram.Address_map.Page_interleaved -> Core.Platform.Page_interleaved
-  in
+let with_interleaving t interleaving =
   { t with platform = { t.platform with Core.Platform.interleaving } }
 
 let with_channels_per_mc t channels_per_mc =
@@ -123,45 +115,41 @@ let customize_config t =
     Core.Customize.cluster = cluster t;
     topo = topo t;
     placement = placement t;
-    l2 =
-      (match t.l2_org with
-      | Private_l2 -> Core.Customize.Private_l2
-      | Shared_l2 -> Core.Customize.Shared_l2);
+    l2 = t.l2_org;
     p_elems = Core.Platform.granule_bytes t.platform / elem_bytes t;
     elem_bytes = elem_bytes t;
   }
 
+(* the mesh<W>x<H>-mc4 machine, keeping [t]'s address-map parameters *)
 let mesh ~width ~height t =
   let ( let* ) = Result.bind in
   let topo = Noc.Topology.make ~width ~height () in
   let* cluster = Core.Cluster.m1 ~width ~height in
-  let* platform =
-    Core.Platform.make_result
-      ~interleaving:t.platform.Core.Platform.interleaving
-      ~line_bytes:t.platform.Core.Platform.line_bytes
-      ~page_bytes:t.platform.Core.Platform.page_bytes
-      ~elem_bytes:t.platform.Core.Platform.elem_bytes
-      ~banks_per_mc:t.platform.Core.Platform.banks_per_mc
-      ~channels_per_mc:t.platform.Core.Platform.channels_per_mc
-      ~name:(Printf.sprintf "mesh%dx%d-mc4" width height)
-      ~topo ~cluster ()
-  in
-  Ok { t with platform }
+  let* placement = Core.Platform.placement_for topo cluster in
+  let name = Printf.sprintf "mesh%dx%d-mc4" width height in
+  Ok { t with platform = { t.platform with name; topo; cluster; placement } }
+
+(* the one spelling of each simulation-side choice *)
+let l2_orgs = [ ("private", Private_l2); ("shared", Shared_l2) ]
+
+let page_policies =
+  [ ("hardware", Hardware); ("first-touch", First_touch); ("mc-aware", Mc_aware) ]
+
+let of_name what table s =
+  match List.assoc_opt s table with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "unknown %s %s" what s)
+
+let name_of table v = fst (List.find (fun (_, x) -> x = v) table)
 
 (* Shared CLI/spec-facing builder: every choice is a plain string or scalar
    so `simulate`, `occ` and sweep specs validate configurations the same
-   way and report the same one-line errors.  [platform] ("" = the default
-   preset) takes precedence over [width]/[height]; [mapping] "" keeps the
-   platform's own mapping. *)
+   way and report the same one-line errors.  [platform] "" is the default
+   preset; [interleave] and [mapping] "" keep the platform's own. *)
 let build ?(scaled = true) ?(platform = "") ?(l2 = "private")
-    ?(interleave = "line") ?(policy = "hardware") ?(mapping = "")
-    ?(width = 8) ?(height = 8) ?(tpc = 1) ?(optimal = false) ?(seed = 0) () =
+    ?(interleave = "") ?(policy = "hardware") ?(mapping = "") ?(tpc = 1)
+    ?(optimal = false) ?(seed = 0) () =
   let ( let* ) = Result.bind in
-  let* () =
-    if width < 1 || height < 1 then
-      Error (Printf.sprintf "bad mesh %dx%d" width height)
-    else Ok ()
-  in
   let* () =
     if tpc < 1 then Error (Printf.sprintf "threads-per-core must be >= 1 (got %d)" tpc)
     else Ok ()
@@ -170,38 +158,20 @@ let build ?(scaled = true) ?(platform = "") ?(l2 = "private")
     if scaled then make_default ~l1_size:4096 ~l2_size:16384
     else make_default ~l1_size:(16 * 1024) ~l2_size:(256 * 1024)
   in
-  let* cfg =
-    if platform = "" then mesh ~width ~height base
+  let* platform =
+    if platform = "" then Ok base.platform else Core.Platform.of_spec platform
+  in
+  let* platform = Core.Platform.with_mapping platform mapping in
+  let* platform =
+    if interleave = "" then Ok platform
     else
-      Result.map (with_platform base) (Core.Platform.of_spec platform)
+      Result.map
+        (fun interleaving -> { platform with Core.Platform.interleaving })
+        (Dram.Address_map.interleaving_of_string interleave)
   in
-  (* "" keeps the platform's own mapping (M1 unless a platform says
-     otherwise); an explicit M1/M2/MC-count overrides it *)
-  let* cfg =
-    Result.map (with_platform cfg)
-      (Core.Platform.with_mapping cfg.platform mapping)
-  in
-  let* l2_org =
-    match l2 with
-    | "private" -> Ok Private_l2
-    | "shared" -> Ok Shared_l2
-    | s -> Error ("unknown L2 organization " ^ s)
-  in
-  let* interleaving =
-    match interleave with
-    | "line" -> Ok Dram.Address_map.Line_interleaved
-    | "page" -> Ok Dram.Address_map.Page_interleaved
-    | s -> Error ("unknown interleaving " ^ s)
-  in
-  let* page_policy =
-    match policy with
-    | "hardware" -> Ok Hardware
-    | "first-touch" -> Ok First_touch
-    | "mc-aware" -> Ok Mc_aware
-    | s -> Error ("unknown policy " ^ s)
-  in
-  let cfg = with_interleaving cfg interleaving in
-  Ok { cfg with l2_org; page_policy; threads_per_core = tpc; optimal; seed }
+  let* l2_org = of_name "L2 organization" l2_orgs l2 in
+  let* page_policy = of_name "policy" page_policies policy in
+  Ok { base with platform; l2_org; page_policy; threads_per_core = tpc; optimal; seed }
 
 let to_json t =
   let open Obs.Json in
@@ -229,21 +199,10 @@ let to_json t =
     ]
     @ hierarchy
     @ [
-      ( "l2_org",
-        String
-          (match t.l2_org with Private_l2 -> "private" | Shared_l2 -> "shared")
-      );
+      ("l2_org", String (name_of l2_orgs t.l2_org));
       ( "interleaving",
-        String
-          (match interleaving t with
-          | Dram.Address_map.Line_interleaved -> "line"
-          | Dram.Address_map.Page_interleaved -> "page") );
-      ( "page_policy",
-        String
-          (match t.page_policy with
-          | Hardware -> "hardware"
-          | First_touch -> "first-touch"
-          | Mc_aware -> "mc-aware") );
+        String (Dram.Address_map.interleaving_to_string (interleaving t)) );
+      ("page_policy", String (name_of page_policies t.page_policy));
       ("num_mcs", Int (num_mcs t));
       ("cluster", String (cluster t).Core.Cluster.name);
       ("placement", String (placement t).Noc.Placement.name);
@@ -290,8 +249,7 @@ let pp ppf t =
         Format.fprintf ppf " (%dx%d chiplets)" g.Noc.Topology.grid_x
           g.Noc.Topology.grid_y)
     Core.Cluster.pp (cluster t)
-    (match t.l2_org with Private_l2 -> "private" | Shared_l2 -> "shared")
-    t.l2_size (l2_line t) t.l1_size
+    (name_of l2_orgs t.l2_org) t.l2_size (l2_line t) t.l1_size
     (match interleaving t with
     | Dram.Address_map.Line_interleaved -> "cache-line interleaved"
     | Dram.Address_map.Page_interleaved -> "page interleaved")

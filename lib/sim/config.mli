@@ -19,7 +19,7 @@
     hours; every experiment uses it unless stated otherwise.  Relative
     results are what the paper's evaluation is about. *)
 
-type l2_org = Private_l2 | Shared_l2
+type l2_org = Core.Customize.l2_kind = Private_l2 | Shared_l2
 
 type page_policy = Hardware | First_touch | Mc_aware
 
@@ -71,7 +71,6 @@ val cluster : t -> Core.Cluster.t
 val placement : t -> Noc.Placement.t
 
 val interleaving : t -> Dram.Address_map.interleaving
-(** The platform's interleaving, as the DRAM layer's variant. *)
 
 val l2_line : t -> int
 (** The platform's [line_bytes]. *)
@@ -121,8 +120,6 @@ val build :
   ?interleave:string ->
   ?policy:string ->
   ?mapping:string ->
-  ?width:int ->
-  ?height:int ->
   ?tpc:int ->
   ?optimal:bool ->
   ?seed:int ->
@@ -130,11 +127,12 @@ val build :
   (t, string) result
 (** Builds a configuration from the string/scalar knobs the CLIs and
     sweep specs expose ([platform] a preset name or JSON file per
-    {!Core.Platform.of_spec}, taking precedence over [width]/[height];
-    [l2] private|shared, [interleave] line|page, [policy]
-    hardware|first-touch|mc-aware, [mapping] M1|M2|MC-count, or [""] to
-    keep the platform's own mapping).  Returns a one-line error instead
-    of raising on invalid values. *)
+    {!Core.Platform.of_spec}, [""] for the [mesh8x8-mc4] preset; [l2]
+    private|shared; [interleave] line|page, or [""] to keep the
+    platform's own interleaving; [policy] hardware|first-touch|mc-aware;
+    [mapping] M1|M2|MC-count, or [""] to keep the platform's own
+    mapping).  Returns a one-line error instead of raising on invalid
+    values. *)
 
 val to_json : t -> Obs.Json.t
 (** Scalar platform parameters (mesh, caches, controllers, policies) —

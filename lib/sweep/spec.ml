@@ -90,7 +90,7 @@ let config_of_json ~default_seed ~index j =
     let* () =
       check_known ~what:"config"
         [ "name"; "platform"; "scaled"; "l2"; "interleave"; "policy";
-          "mapping"; "width"; "height"; "tpc"; "optimal"; "seed"; "search" ]
+          "mapping"; "tpc"; "optimal"; "seed"; "search" ]
         fields
     in
     let* name =
@@ -101,12 +101,11 @@ let config_of_json ~default_seed ~index j =
     let* platform = str "platform" "" in
     let* scaled = opt_field bool_of ~default:true "scaled" j in
     let* l2 = str "l2" "private" in
-    let* interleave = str "interleave" "line" in
+    (* "" keeps the platform's own interleaving and mapping (line and
+       M1 on the default platform) *)
+    let* interleave = str "interleave" "" in
     let* policy = str "policy" "hardware" in
-    (* "" keeps the platform's own mapping (M1 on the default platform) *)
     let* mapping = str "mapping" "" in
-    let* width = opt_field int_of ~default:8 "width" j in
-    let* height = opt_field int_of ~default:8 "height" j in
     let* tpc = opt_field int_of ~default:1 "tpc" j in
     let* optimal = opt_field bool_of ~default:false "optimal" j in
     let* seed = opt_field int_of ~default:default_seed "seed" j in
@@ -115,7 +114,7 @@ let config_of_json ~default_seed ~index j =
       Result.map_error
         (fun e -> ctx ^ ": " ^ e)
         (Sim.Config.build ~scaled ~platform ~l2 ~interleave ~policy ~mapping
-           ~width ~height ~tpc ~optimal ~seed ())
+           ~tpc ~optimal ~seed ())
     in
     let* config =
       match search with

@@ -15,17 +15,18 @@
       "configs": [
         { "name": "line-private", "platform": "mesh8x8-mc4",
           "interleave": "line", "l2": "private", "policy": "hardware",
-          "mapping": "M1", "width": 8, "height": 8, "tpc": 1,
-          "optimal": false, "scaled": true, "seed": 0 }
+          "mapping": "M1", "tpc": 1, "optimal": false, "scaled": true,
+          "seed": 0 }
       ]
     }
     v}
 
     Every config field is optional and defaults to the scaled baseline
     platform ({!Sim.Config.scaled} semantics); [platform] is a
-    {!Core.Platform} preset name or JSON file and takes precedence over
-    [width]/[height] ([mapping] still re-maps it; [""] keeps the
-    platform's own mapping); [search] ([true] or
+    {!Core.Platform} preset name or JSON file — the only way to name the
+    machine ([mesh<W>x<H>-mc4] for another mesh size); [interleave] and
+    [mapping] re-configure it, and [""] (their default) keeps the
+    platform's own; [search] ([true] or
     [{"seed", "pool", "restarts", "pressure"}]) runs the deterministic
     {!Core.Place_search} and substitutes the searched machine for the
     config's platform — the searched placement name embeds a site digest,

@@ -162,6 +162,14 @@ let test_check_domains () =
         (Cli.check_domains n = Ok ()))
     [ 1; 8 ]
 
+(* a bad flag is a user error, like every other bad input *)
+let test_cli_eval () =
+  let open Cmdliner in
+  let cmd = Cmd.v (Cmd.info "t") Term.(const 7) in
+  Alcotest.(check int) "the body's code" 7 (Cli.eval ~argv:[| "t" |] cmd);
+  Alcotest.(check int) "unknown flag" Cli.user_error
+    (Cli.eval ~argv:[| "t"; "--bogus" |] cmd)
+
 (* --- access functions --- *)
 
 let test_access_transform () =
@@ -194,6 +202,7 @@ let suite =
         Alcotest.test_case "codegen emit" `Quick test_codegen_emit;
         Alcotest.test_case "argument validation" `Quick test_validation;
         Alcotest.test_case "check_domains" `Quick test_check_domains;
+        Alcotest.test_case "Cli.eval" `Quick test_cli_eval;
         Alcotest.test_case "access transform" `Quick test_access_transform;
       ] );
   ]

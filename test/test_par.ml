@@ -12,8 +12,9 @@ module Json = Obs.Json
 let cfg_of ?(interleave = "page") ?(policy = "first-touch") ?(l2 = "private")
     ?(width = 4) ?(height = 4) ?(seed = 0) () =
   match
-    Config.build ~scaled:true ~platform:"" ~l2 ~interleave ~policy ~mapping:""
-      ~width ~height ~tpc:1 ~optimal:false ~seed ()
+    Config.build ~scaled:true
+      ~platform:(Printf.sprintf "mesh%dx%d-mc4" width height)
+      ~l2 ~interleave ~policy ~mapping:"" ~tpc:1 ~optimal:false ~seed ()
   with
   | Ok c -> c
   | Error e -> Alcotest.failf "config: %s" e
@@ -72,8 +73,8 @@ let test_plan_merges_by_chiplet () =
   let cfg =
     match
       Config.build ~scaled:true ~platform:"chiplet2x2-mc8" ~l2:"private"
-        ~interleave:"page" ~policy:"first-touch" ~mapping:"" ~width:8 ~height:8
-        ~tpc:1 ~optimal:false ~seed:0 ()
+        ~interleave:"page" ~policy:"first-touch" ~mapping:"" ~tpc:1
+        ~optimal:false ~seed:0 ()
     with
     | Ok c -> c
     | Error e -> Alcotest.failf "config: %s" e

@@ -294,6 +294,23 @@ let test_of_file () =
   Alcotest.(check string) "of_file restores" p.Platform.name q.Platform.name;
   Alcotest.(check string) "of_spec takes a path" p.Platform.name r.Platform.name
 
+(* A platform file's interleaving reaches the simulator and the pass
+   (p = one page in elements) unless --interleave overrides it. *)
+let test_build_keeps_file_interleaving () =
+  let page = { (Platform.default ()) with interleaving = Page_interleaved } in
+  let path = Filename.temp_file "platform" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      Obs.Json.to_channel oc (Platform.to_json page));
+  let check ?interleave expected p_elems =
+    let cfg = ok (Sim.Config.build ~platform:path ?interleave ()) in
+    Alcotest.(check bool) "interleaving" true (Sim.Config.interleaving cfg = expected);
+    Alcotest.(check int) "p in elements" p_elems
+      (Sim.Config.customize_config cfg).Core.Customize.p_elems
+  in
+  check Platform.Page_interleaved (4096 / 8);
+  check ~interleave:"line" Platform.Line_interleaved (256 / 8);
+  Sys.remove path
+
 let test_of_json_garbage () =
   match Platform.of_json (Obs.Json.String "nope") with
   | Ok _ -> Alcotest.fail "garbage JSON must be rejected"
@@ -382,6 +399,8 @@ let suite =
         Alcotest.test_case "1x1 hierarchy is the flat machine" `Quick
           test_degenerate_hierarchy_is_flat;
         Alcotest.test_case "of_file / of_spec path" `Quick test_of_file;
+        Alcotest.test_case "Config.build keeps the file's interleaving" `Quick
+          test_build_keeps_file_interleaving;
         Alcotest.test_case "garbage JSON rejected" `Quick test_of_json_garbage;
         Alcotest.test_case "bank pressure from stats" `Quick
           test_bank_pressure_of_stats;

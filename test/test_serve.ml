@@ -21,7 +21,7 @@ let run_exn sc =
 let smoke_run = lazy (run_exn (Scenario.smoke ()))
 
 let smoke_interleaved =
-  lazy (run_exn (Scenario.smoke ~policy:Scenario.Interleaved ()))
+  lazy (run_exn (Scenario.smoke ~policy:Scenario.Hardware ()))
 
 let one_tenant app seed =
   {

@@ -35,7 +35,7 @@ let tiny_spec ?(name = "tiny") ?(apps = [ "apsi" ]) ?(optimized = [ false ])
   spec_of_string
     (Printf.sprintf
        {|{"name":"%s","apps":[%s],"optimized":[%s],
-          "configs":[{"name":"base","width":4,"height":4,"seed":%d}]}|}
+          "configs":[{"name":"base","platform":"mesh4x4-mc4","seed":%d}]}|}
        name
        (String.concat "," (List.map (Printf.sprintf "%S") apps))
        (String.concat "," (List.map string_of_bool optimized))
@@ -89,8 +89,11 @@ let test_spec_malformed () =
   expect_error {|{"apps":[]}|};
   expect_error {|{"apps":["nope"]}|};
   expect_error {|{"apps":["apsi"],"retries":-1}|};
-  expect_error ~message:{|unknown config field "bogus"|}
-    {|{"apps":["apsi"],"configs":[{"bogus":1}]}|};
+  List.iter
+    (fun k ->
+      expect_error ~message:(Printf.sprintf "unknown config field %S" k)
+        (Printf.sprintf {|{"apps":["apsi"],"configs":[{%S:1}]}|} k))
+    [ "bogus"; "width"; "height" ];
   expect_error ~message:{|unknown sweep field "domains"|}
     {|{"apps":["apsi"],"domains":2}|}
 
