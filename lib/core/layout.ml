@@ -76,11 +76,30 @@ let rec eval_dim e a' =
   | Mod (e, k) -> eval_dim e a' mod k
   | Perm (e, t) -> t.(eval_dim e a')
 
-let offset_of_index l a =
-  let a' = Vec.add (Matrix.mul_vec l.u a) l.a_shift in
-  let off = ref 0 in
-  Array.iter (fun d -> off := (!off * d.extent) + eval_dim d.expr a') l.out;
-  !off
+(* [a' = U·a + a_shift] goes into one scratch vector owned by the returned
+   function, so a call allocates nothing. *)
+let offset_fn l =
+  let u = l.u and shift = l.a_shift and out = l.out in
+  let rows = Matrix.rows u and cols = Matrix.cols u in
+  if Array.length shift <> rows then invalid_arg "Vec.add";
+  let a' = Array.make rows 0 in
+  fun a ->
+    if Array.length a <> cols then invalid_arg "Matrix.mul_vec";
+    for i = 0 to rows - 1 do
+      let r = u.(i) and s = ref shift.(i) in
+      for j = 0 to cols - 1 do
+        s := !s + (r.(j) * a.(j))
+      done;
+      a'.(i) <- !s
+    done;
+    let off = ref 0 in
+    for k = 0 to Array.length out - 1 do
+      let d = out.(k) in
+      off := (!off * d.extent) + eval_dim d.expr a'
+    done;
+    !off
+
+let offset_of_index l a = offset_fn l a
 
 let rec pp_dim_expr ~names ppf = function
   | D i -> Format.pp_print_string ppf (List.nth names i)

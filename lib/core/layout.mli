@@ -67,9 +67,17 @@ val size_bytes : t -> int
 
 val eval_dim : dim_expr -> Affine.Vec.t -> int
 
+val offset_fn : t -> Affine.Vec.t -> int
+(** [offset_fn l] stages {!offset_of_index} for repeated use: it reads
+    [U], the shift and the output dimensions once, and the returned
+    function allocates nothing per call.  The returned function keeps a
+    private scratch vector, so it is not re-entrant: keep one per caller
+    (or per domain) and never share one globally. *)
+
 val offset_of_index : t -> Affine.Vec.t -> int
 (** Element offset (within the array allocation) of an {e original} data
-    vector.  Injective on the original data space. *)
+    vector.  Injective on the original data space.  Same as
+    [offset_fn l a]. *)
 
 val pp_dim_expr : names:string list -> Format.formatter -> dim_expr -> unit
 (** Prints with [D i] rendered as the [i]-th of [names]. *)

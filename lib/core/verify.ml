@@ -455,22 +455,25 @@ let check_codegen ~report:(report_ : Transform.report)
   let trans_extents = decl_extents transformed in
   let orig_extents = decl_extents original in
   (* what the emitted C computes: row-major over the padded declaration *)
-  let addr_c name idx =
-    if String.equal name "__home" then home_marker
+  let addr_c name =
+    if String.equal name "__home" then fun _ -> home_marker
     else
+      let b = base name in
       match List.assoc_opt name trans_extents with
-      | Some e -> base name + row_major e idx
-      | None -> base name
+      | Some e -> fun idx -> b + row_major e idx
+      | None -> fun _ -> b
   in
   (* what the compiler intends: the customized layout's offset *)
-  let addr_intended name idx =
+  let addr_intended name =
+    let b = base name in
     match decision_of name with
     | Some d when d.Transform.optimized ->
-      base name + Layout.offset_of_index d.Transform.layout idx
+      let offset = Layout.offset_fn d.Transform.layout in
+      fun idx -> b + offset idx
     | _ -> (
       match List.assoc_opt name orig_extents with
-      | Some e -> base name + row_major e idx
-      | None -> base name)
+      | Some e -> fun idx -> b + row_major e idx
+      | None -> fun _ -> b)
   in
   let lookup_home name idx =
     if String.equal name "__home" then

@@ -239,7 +239,7 @@ let analyze_result (p : Ast.program) =
       (fun (d : Ast.decl) ->
         if List.exists (fun e -> const_expr p.params e = None) d.extents then
           Some
-            (Diag.error ~code:"S006" d.decl_span
+            (Diag.error ~code:"S008" d.decl_span
                ("non-constant extent for " ^ d.name))
         else None)
       p.decls
@@ -249,7 +249,7 @@ let analyze_result (p : Ast.program) =
     match analyze p with
     | t -> Ok t
     | exception Unsupported msg ->
-      Error [ Diag.error ~code:"S006" Span.dummy msg ]
+      Error [ Diag.error ~code:"S008" Span.dummy msg ]
 
 let array_info t name =
   List.find (fun a -> String.equal a.decl.name name) t.arrays

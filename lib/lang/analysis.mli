@@ -41,7 +41,7 @@ val analyze : Ast.program -> t
 (** Raises {!Unsupported} if an extent is not constant. *)
 
 val analyze_result : Ast.program -> (t, Diag.t list) result
-(** Like {!analyze}, but returns one located diagnostic ([S006]) per
+(** Like {!analyze}, but returns one located diagnostic ([S008]) per
     declaration whose extents are not constant. *)
 
 val array_info : t -> string -> array_info

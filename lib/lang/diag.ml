@@ -86,6 +86,17 @@ let pp ?src ppf d =
 
 let to_string ?src d = Format.asprintf "%a" (pp ?src) d
 
+(* An escaped [Fatal] prints as its diagnostic, without the dummy span's
+   "<none>:0-0" prefix. *)
+let () =
+  Printexc.register_printer (function
+    | Fatal d when Span.is_dummy d.span ->
+      Some
+        (Printf.sprintf "%s[%s]: %s" (severity_string d.severity) d.code
+           d.message)
+    | Fatal d -> Some (to_string d)
+    | _ -> None)
+
 let span_json ?src (s : Span.t) =
   let base =
     [

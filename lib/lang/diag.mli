@@ -22,7 +22,9 @@ type t = {
 
 exception Fatal of t
 (** Internal carrier used inside [_result] entry points (parser, codegen)
-    to abort to the nearest handler; it never escapes the public API. *)
+    to abort to the nearest handler; it never escapes the public API
+    except from {!Interp.trace}.  [Printexc.to_string] renders it as its
+    diagnostic, e.g. [error[I001]: unbound variable x]. *)
 
 val make :
   ?severity:severity -> ?code:string -> ?notes:note list -> Span.t -> string -> t

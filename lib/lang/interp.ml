@@ -30,6 +30,35 @@ let chunk_bounds n chunks index =
   let len = base + if index < rem then 1 else 0 in
   (start, start + len - 1)
 
+(* Loop nesting depth of a statement list: loop indices take one slot
+   per depth after the parameters' slots. *)
+let rec depth ss =
+  List.fold_left
+    (fun d -> function
+      | Ast.Assign _ -> d
+      | Ast.Loop l -> max d (1 + depth l.body)
+      | Ast.If c -> max d (max (depth c.then_) (depth c.else_)))
+    0 ss
+
+(* What the staged code writes to: the current phase's buffers and the
+   running thread's pair.  Outside a parfor the running thread is 0. *)
+type sink = {
+  mutable bufs : buf array;
+  mutable sbufs : buf array;
+  mutable cur : buf;
+  mutable scur : buf;
+}
+
+let unbound x () =
+  raise
+    (Diag.Fatal (Diag.error ~code:"I001" Span.dummy ("unbound variable " ^ x)))
+
+(* The program is staged once into closures over an integer environment
+   (parameters first, then one slot per loop depth), then each top-level
+   nest runs as one phase.  Evaluation order is the one the trace
+   encodes: a binary operator runs its right operand first, an [if] its
+   lhs first, an assignment its rhs before the lhs subscripts, and
+   subscripts run left to right. *)
 let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
     ?(index_lookup = fun _ _ -> 0) ?site_of (p : Ast.program) =
   if threads <= 0 || threads_per_core <= 0 || threads mod threads_per_core <> 0
@@ -38,58 +67,100 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
   let site_id =
     match site_of with Some f -> f | None -> fun (_ : Ast.ref_) -> -1
   in
-  let index_arrays =
-    List.filter_map
-      (fun (d : Ast.decl) -> if d.index_array then Some d.name else None)
+  let is_index a =
+    List.exists
+      (fun (d : Ast.decl) -> d.index_array && String.equal d.name a)
       p.decls
   in
-  let is_index a = List.exists (String.equal a) index_arrays in
-  let env : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace env n v) p.params;
-  let run_phase nest =
-    let bufs = Array.init threads (fun _ -> buf_make ()) in
-    (* side-band site streams, index-parallel to the access streams: the
-       access encoding's high bits belong to synthetic replay addresses
-       (verify's V007), so ids cannot be packed into the access int *)
-    let sbufs =
-      if tagging then Array.init threads (fun _ -> buf_make ()) else [||]
-    in
-    let emit t (r : Ast.ref_) write subs =
-      let v = Array.of_list subs in
-      let addr = addr_of r.array v in
-      buf_push bufs.(t) ((addr lsl 1) lor if write then 1 else 0);
-      if tagging then buf_push sbufs.(t) (site_id r)
-    in
-    let rec eval t e =
-      match e with
-      | Ast.Int n -> n
-      | Ast.Var x -> (
-        match Hashtbl.find_opt env x with
-        | Some v -> v
-        | None ->
-          raise
-            (Diag.Fatal
-               (Diag.error ~code:"I001" Span.dummy ("unbound variable " ^ x))))
-      | Ast.Neg a -> -eval t a
-      | Ast.Add (a, b) -> eval t a + eval t b
-      | Ast.Sub (a, b) -> eval t a - eval t b
-      | Ast.Mul (a, b) -> eval t a * eval t b
-      | Ast.Div (a, b) -> eval t a / eval t b
-      | Ast.Mod (a, b) -> eval t a mod eval t b
-      | Ast.Load r ->
-        let subs = List.map (eval t) r.subs in
-        emit t r false subs;
-        if is_index r.array then index_lookup r.array (Array.of_list subs)
-        else 0
-    in
-    (* [who]: None = outside any parallel region (statements run once, on
-       thread 0; a parfor fans out); Some t = inside thread t's chunk. *)
-    let rec exec who stmt =
-      match stmt with
-      | Ast.If c ->
-        let t = Option.value who ~default:0 in
+  let nparams = List.length p.params in
+  let env = Array.make (nparams + depth p.nests) 0 in
+  List.iteri (fun i (_, v) -> env.(i) <- v) p.params;
+  (* innermost binding first; a repeated parameter name keeps its last
+     value *)
+  let params = List.rev (List.mapi (fun i (n, _) -> (n, i)) p.params) in
+  let none = buf_make () in
+  let sink = { bufs = [||]; sbufs = [||]; cur = none; scur = none } in
+  let set_thread t =
+    sink.cur <- sink.bufs.(t);
+    if tagging then sink.scur <- sink.sbufs.(t)
+  in
+  let rec expr scope e : unit -> int =
+    match e with
+    | Ast.Int n -> fun () -> n
+    | Ast.Var x -> (
+      match List.assoc_opt x scope with
+      | Some s -> fun () -> env.(s)
+      | None -> unbound x)
+    | Ast.Neg a ->
+      let a = expr scope a in
+      fun () -> -a ()
+    | Ast.Add (a, b) ->
+      let a = expr scope a and b = expr scope b in
+      fun () ->
+        let y = b () in
+        a () + y
+    | Ast.Sub (a, b) ->
+      let a = expr scope a and b = expr scope b in
+      fun () ->
+        let y = b () in
+        a () - y
+    | Ast.Mul (a, b) ->
+      let a = expr scope a and b = expr scope b in
+      fun () ->
+        let y = b () in
+        a () * y
+    | Ast.Div (a, b) ->
+      let a = expr scope a and b = expr scope b in
+      fun () ->
+        let y = b () in
+        a () / y
+    | Ast.Mod (a, b) ->
+      let a = expr scope a and b = expr scope b in
+      fun () ->
+        let y = b () in
+        a () mod y
+    | Ast.Load r ->
+      let read = reference scope r 0 in
+      if is_index r.array then fun () ->
+        index_lookup r.array (Array.copy (read ()))
+      else fun () ->
+        ignore (read ());
+        0
+  (* One access per run: evaluates the subscripts into the reference's
+     own buffer, emits, and returns the buffer.  [addr_of r.array] is
+     applied on the first run only. *)
+  and reference scope (r : Ast.ref_) w : unit -> Affine.Vec.t =
+    let subs = Array.of_list (List.map (expr scope) r.subs) in
+    let n = Array.length subs in
+    let v = Array.make n 0 in
+    let site = ref (-1) in
+    let addr = ref (fun _ -> 0) in
+    (addr :=
+       fun v ->
+         let f = addr_of r.array in
+         site := site_id r;
+         addr := f;
+         f v);
+    fun () ->
+      for k = 0 to n - 1 do
+        v.(k) <- subs.(k) ()
+      done;
+      buf_push sink.cur ((!addr v lsl 1) lor w);
+      if tagging then buf_push sink.scur !site;
+      v
+  in
+  (* [inside]: statically within a parfor, where a nested parfor runs
+     sequentially on its owner; outside, a parfor fans out. *)
+  let rec stmt scope ~inside ~slot s : unit -> unit =
+    match s with
+    | Ast.If c ->
+      let lhs = expr scope c.Ast.lhs and rhs = expr scope c.Ast.rhs in
+      let then_ = body scope ~inside ~slot c.Ast.then_
+      and else_ = body scope ~inside ~slot c.Ast.else_ in
+      fun () ->
+        let l = lhs () in
+        let r = rhs () in
         let taken =
-          let l = eval t c.Ast.lhs and r = eval t c.Ast.rhs in
           match c.Ast.op with
           | Ast.Lt -> l < r
           | Ast.Le -> l <= r
@@ -98,18 +169,21 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
           | Ast.Eq -> l = r
           | Ast.Ne -> l <> r
         in
-        List.iter (exec who) (if taken then c.Ast.then_ else c.Ast.else_)
-      | Ast.Assign (lhs, rhs) ->
-        let t = Option.value who ~default:0 in
-        ignore (eval t rhs);
-        let subs = List.map (eval t) lhs.subs in
-        emit t lhs true subs
-      | Ast.Loop l -> (
-        let lo = eval (Option.value who ~default:0) l.lo
-        and hi = eval (Option.value who ~default:0) l.hi in
-        match (l.parallel, who) with
-        | true, None ->
+        if taken then then_ () else else_ ()
+    | Ast.Assign (lhs, rhs) ->
+      let rhs = expr scope rhs and lhs = reference scope lhs 1 in
+      fun () ->
+        ignore (rhs ());
+        ignore (lhs ())
+    | Ast.Loop l ->
+      let lo = expr scope l.lo and hi = expr scope l.hi in
+      let scope = (l.index, slot) :: scope in
+      if l.parallel && not inside then begin
+        let b = body scope ~inside:true ~slot:(slot + 1) l.body in
+        fun () ->
           (* fan out: split [lo..hi] per core, then per thread of a core *)
+          let lo = lo () in
+          let hi = hi () in
           let n = max 0 (hi - lo + 1) in
           let cores = threads / threads_per_core in
           for t = 0 to threads - 1 do
@@ -117,25 +191,42 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
             let cst, cen = chunk_bounds n cores core in
             let w = max 0 (cen - cst + 1) in
             let sst, sen = chunk_bounds w threads_per_core sub in
+            set_thread t;
             for x = lo + cst + sst to lo + cst + sen do
-              Hashtbl.replace env l.index x;
-              List.iter (exec (Some t)) l.body
-            done;
-            Hashtbl.remove env l.index
-          done
-        | _ ->
-          (* sequential execution (nested parfor runs on its owner) *)
-          for x = lo to hi do
-            Hashtbl.replace env l.index x;
-            List.iter (exec who) l.body
+              env.(slot) <- x;
+              b ()
+            done
           done;
-          Hashtbl.remove env l.index)
-    in
-    exec None nest;
-    ( Array.map buf_contents bufs,
-      if tagging then Array.map buf_contents sbufs else [||] )
+          set_thread 0
+      end
+      else begin
+        let b = body scope ~inside ~slot:(slot + 1) l.body in
+        fun () ->
+          let lo = lo () in
+          let hi = hi () in
+          for x = lo to hi do
+            env.(slot) <- x;
+            b ()
+          done
+      end
+  and body scope ~inside ~slot ss =
+    let ss = Array.of_list (List.map (stmt scope ~inside ~slot) ss) in
+    fun () -> Array.iter (fun s -> s ()) ss
   in
-  List.map run_phase p.nests
+  let nests = List.map (stmt params ~inside:false ~slot:nparams) p.nests in
+  List.map
+    (fun run ->
+      sink.bufs <- Array.init threads (fun _ -> buf_make ());
+      (* side-band site streams, index-parallel to the access streams:
+         the access encoding's high bits belong to synthetic replay
+         addresses (verify's V007), so ids cannot be packed into the
+         access int *)
+      if tagging then sink.sbufs <- Array.init threads (fun _ -> buf_make ());
+      set_thread 0;
+      run ();
+      ( Array.map buf_contents sink.bufs,
+        if tagging then Array.map buf_contents sink.sbufs else [||] ))
+    nests
 
 let trace ~threads ?threads_per_core ~addr_of ?index_lookup p =
   List.map fst (trace_gen ~threads ?threads_per_core ~addr_of ?index_lookup p)

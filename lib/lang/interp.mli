@@ -9,7 +9,23 @@
     transformation plugs in).
 
     A top-level nest is a {e phase}; phases are separated by barriers
-    (OpenMP join), which the downstream engine honours. *)
+    (OpenMP join), which the downstream engine honours.
+
+    The program is staged once before it runs: parameters and loop
+    indices are resolved to integer slots and every expression and
+    reference becomes a closure, so no name is looked up per access.
+    Accesses are emitted in this evaluation order, which the trace (and
+    every golden built from it) encodes:
+    - a binary operator evaluates its {e right} operand first;
+    - an [if] evaluates its lhs before its rhs;
+    - an assignment evaluates its rhs before the lhs subscripts;
+    - subscripts are evaluated left to right, each reference's nested
+      loads before the reference itself.
+
+    Names resolve statically, so a program should pass
+    {!Parser.check_result} (no unbound variable, no shadowing loop
+    index).  An unbound variable still fails only when it is evaluated,
+    with a [Diag.Fatal] carrying [I001]. *)
 
 type access = int
 (** [(vaddr lsl 1) lor w] with [w = 1] for writes. *)
@@ -31,9 +47,16 @@ val trace :
   phase list
 (** [trace ~threads ~addr_of p] runs [p] with [threads] threads.
     [addr_of array index_vector] must give the virtual address of an array
-    element (layout-dependent).  [index_lookup] supplies the {e values} of
-    index arrays (default: 0), used to resolve indexed subscripts; reads
-    of index arrays still appear in the trace via [addr_of].
+    element (layout-dependent).  [addr_of array] is applied once per
+    reference, on that reference's first run (a reference that never runs
+    never resolves), and the function it returns is reused for every
+    later access of that reference — so resolve the array there, not per
+    call.  The index vector it receives is the reference's own buffer,
+    overwritten on the next access: read it, never retain it.
+    [index_lookup] supplies the {e values} of index arrays (default: 0),
+    used to resolve indexed subscripts; it receives a fresh copy of the
+    index vector.  Reads of index arrays still appear in the trace via
+    [addr_of].
 
     [threads_per_core] (default 1) only affects how a [parfor] is split:
     with [t] threads per core, threads [c·t .. c·t+t-1] share core [c] and

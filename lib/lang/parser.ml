@@ -263,9 +263,13 @@ let program st =
   items ();
   { Ast.params = !params; decls = !decls; nests = !nests }
 
-(* Scope checking: every referenced array declared, with matching rank.
-   All violations are collected — one located diagnostic per offending
-   reference — instead of dying at the first. *)
+(* Scope checking: every referenced array declared, with matching rank;
+   every variable a parameter or an enclosing loop index; no loop index
+   shadowing either.  All violations are collected — one located
+   diagnostic per offending reference or loop header — instead of dying
+   at the first.  A checked program binds each name to exactly one
+   parameter or loop, which is what lets the interpreter resolve names
+   to slots statically. *)
 let check_result (p : Ast.program) =
   let ranks = Hashtbl.create 16 in
   List.iter
@@ -288,32 +292,52 @@ let check_result (p : Ast.program) =
              (Printf.sprintf "array %s has rank %d, used with %d subscripts"
                 r.array rk (List.length r.subs)))
   in
-  let rec check_expr = function
-    | Ast.Int _ | Ast.Var _ -> ()
-    | Ast.Neg a -> check_expr a
+  (* [scope]: the names in scope, innermost first, each with what binds
+     it; [span]: the enclosing reference or header an unbound variable is
+     reported at.  (String.equal, not the polymorphic List.assoc: the
+     built-in apps are parsed on every set-up.) *)
+  let rec binder x = function
+    | [] -> None
+    | (n, b) :: rest -> if String.equal n x then Some b else binder x rest
+  in
+  let rec check_expr scope span = function
+    | Ast.Int _ -> ()
+    | Ast.Var x ->
+      if binder x scope = None then
+        emit (Diag.error ~code:"S006" span ("unbound variable " ^ x))
+    | Ast.Neg a -> check_expr scope span a
     | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b) | Ast.Div (a, b) | Ast.Mod (a, b) ->
-      check_expr a;
-      check_expr b
+      check_expr scope span a;
+      check_expr scope span b
     | Ast.Load r ->
       check_ref r;
-      List.iter check_expr r.subs
+      List.iter (check_expr scope r.ref_span) r.subs
   in
-  let rec check_stmt = function
+  let rec check_stmt scope = function
     | Ast.Assign (r, e) ->
       check_ref r;
-      List.iter check_expr r.subs;
-      check_expr e
+      List.iter (check_expr scope r.ref_span) r.subs;
+      check_expr scope r.ref_span e
     | Ast.Loop l ->
-      check_expr l.lo;
-      check_expr l.hi;
-      List.iter check_stmt l.body
+      check_expr scope l.loop_span l.lo;
+      check_expr scope l.loop_span l.hi;
+      (match binder l.index scope with
+      | Some binder ->
+        emit
+          (Diag.error ~code:"S007" l.loop_span
+             (Printf.sprintf "loop index %s shadows %s %s" l.index binder
+                l.index))
+      | None -> ());
+      let scope = (l.index, "an enclosing loop index") :: scope in
+      List.iter (check_stmt scope) l.body
     | Ast.If c ->
-      check_expr c.Ast.lhs;
-      check_expr c.Ast.rhs;
-      List.iter check_stmt c.Ast.then_;
-      List.iter check_stmt c.Ast.else_
+      check_expr scope c.Ast.cond_span c.Ast.lhs;
+      check_expr scope c.Ast.cond_span c.Ast.rhs;
+      List.iter (check_stmt scope) c.Ast.then_;
+      List.iter (check_stmt scope) c.Ast.else_
   in
-  List.iter check_stmt p.nests;
+  let params = List.map (fun (n, _) -> (n, "the parameter")) p.params in
+  List.iter (check_stmt params) p.nests;
   match List.rev !diags with [] -> Ok p | ds -> Result.Error ds
 
 let parse_program_result ?(file = "<input>") src =

@@ -26,13 +26,18 @@ val parse_program_result :
 
 val parse_result :
   ?file:string -> string -> (Ast.program, Diag.t list) result
-(** Parses a full source string and scope-checks it: every referenced
-    array must be declared with a matching subscript count.  Lexical and
-    syntax errors stop at the first diagnostic; semantic checking
-    collects one located diagnostic per offending reference. *)
+(** Parses a full source string and scope-checks it (see
+    {!check_result}).  Lexical and syntax errors stop at the first
+    diagnostic; semantic checking collects one located diagnostic per
+    offending reference or loop header. *)
 
 val parse_file_result : string -> (Ast.program, Diag.t list) result
 (** Reads and parses a file; an unreadable file is a [P000] diagnostic. *)
 
 val check_result : Ast.program -> (Ast.program, Diag.t list) result
-(** Scope check alone, for programmatically constructed programs. *)
+(** Scope check alone, for programmatically constructed programs: every
+    referenced array declared with a matching subscript count ([S004],
+    [S005]); every variable a parameter or an enclosing loop index
+    ([S006], at the enclosing reference, loop header or [if] header);
+    no loop index shadowing a parameter or an enclosing loop index
+    ([S007], at the loop header). *)

@@ -53,9 +53,11 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
         (info.Analysis.decl.Lang.Ast.name, base))
       analysis.Analysis.arrays
   in
-  let addr_of array index =
+  let addr_of array =
     let base, layout = Hashtbl.find table array in
-    base + (Core.Layout.offset_of_index layout index * (Config.elem_bytes cfg))
+    let offset = Core.Layout.offset_fn layout
+    and elem = Config.elem_bytes cfg in
+    fun index -> base + (offset index * elem)
   in
   let cores_total = Noc.Topology.nodes (Config.topo cfg) in
   let tpc = cfg.threads_per_core in

@@ -190,6 +190,38 @@ let test_identity_layout () =
   Alcotest.(check int) "size" 60 (Layout.size_elems l);
   Alcotest.(check int) "bytes" 480 (Layout.size_bytes l)
 
+(* [offset_fn] stages [offset_of_index]'s arithmetic: one staged function,
+   reused across many indices, must agree with [U·a + shift] laid out
+   from scratch, on every layout the pass picks for the suite. *)
+let test_offset_fn_reuse () =
+  let ccfg = Sim.Config.customize_config (Sim.Config.scaled ()) in
+  List.iter
+    (fun app ->
+      let analysis = Lang.Analysis.analyze (Workloads.App.program app) in
+      List.iter
+        (fun (d : Transform.decision) ->
+          let l = d.Transform.layout in
+          let f = Layout.offset_fn l in
+          for k = 0 to 63 do
+            let a =
+              Array.mapi
+                (fun i e -> k * ((2 * i) + 3) * 7919 mod e)
+                l.Layout.orig_extents
+            in
+            let a' = Vec.add (Matrix.mul_vec l.Layout.u a) l.Layout.a_shift in
+            let want =
+              Array.fold_left
+                (fun off (o : Layout.out_dim) ->
+                  (off * o.Layout.extent) + Layout.eval_dim o.Layout.expr a')
+                0 l.Layout.out
+            in
+            Alcotest.(check int)
+              (app.Workloads.App.name ^ " " ^ l.Layout.array)
+              want (f a)
+          done)
+        (Transform.run ccfg analysis).Transform.decisions)
+    Workloads.Suite.all
+
 let test_private_layout_bijective () =
   let u = Matrix.identity 2 in
   let layout = Customize.customize cfg_private ~array:"A" ~extents:[| 128; 128 |] ~u ~v:0 in
@@ -606,6 +638,7 @@ let suite =
     ( "core.layout",
       [
         Alcotest.test_case "identity" `Quick test_identity_layout;
+        Alcotest.test_case "offset_fn reuse" `Quick test_offset_fn_reuse;
         Alcotest.test_case "private bijective" `Quick test_private_layout_bijective;
         Alcotest.test_case "private MC rotation" `Quick test_private_layout_mc_rotation;
         Alcotest.test_case "M2 rotation" `Quick test_private_layout_m2_rotation;

@@ -7,7 +7,9 @@ module Gen = QCheck.Gen
 
 (* --- random affine kernel generator --- *)
 
-(* Subscript templates over the iterators (i outer, j inner). *)
+(* Subscript templates over the iterators (i outer, j inner); the last
+   two are non-affine ([/] and [%]), which the analysis treats like an
+   indexed reference. *)
 let subscript_choices_2d =
   [
     (fun () -> (Ast.Var "i", Ast.Var "j"));
@@ -15,23 +17,33 @@ let subscript_choices_2d =
     (fun () -> (Ast.Add (Ast.Var "i", Ast.Int 1), Ast.Var "j"));
     (fun () -> (Ast.Var "i", Ast.Sub (Ast.Var "j", Ast.Int 1)));
     (fun () -> (Ast.Var "i", Ast.Add (Ast.Var "j", Ast.Int 2)));
+    (fun () -> (Ast.Div (Ast.Var "i", Ast.Int 2), Ast.Var "j"));
+    (fun () -> (Ast.Var "i", Ast.Mod (Ast.Var "j", Ast.Int 4)));
   ]
 
 type kernel = { src : string; n : int }
 
+(* One statement per array, [A[s] = B[r] + 1], optionally widened with
+   the shapes the trace generator must order exactly: a second load in
+   the right operand of the [+], an [if] with loads on both sides of its
+   condition, and a reference subscripted through an index array. *)
 let gen_kernel : kernel Gen.t =
   let open Gen in
   let* n_arrays = int_range 1 3 in
   let* n = map (fun k -> 8 * k) (int_range 4 8) in
-  let* refs_per_stmt = int_range 1 3 in
+  (* one subscript choice per load until they run out, then (i, j) *)
   let* sub_choices =
-    list_size (return (n_arrays * refs_per_stmt)) (int_range 0 4)
+    list_size (int_range n_arrays ((3 * n_arrays) + 5)) (int_range 0 6)
   in
   let* par_inner = bool in
+  let* two_loads = bool in
+  let* guarded = bool in
+  let* indexed = bool in
   let arrays = List.init n_arrays (fun i -> Printf.sprintf "A%d" i) in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "param N = %d;\n" n);
   List.iter (fun a -> Buffer.add_string buf (Printf.sprintf "array %s[N][N];\n" a)) arrays;
+  if indexed then Buffer.add_string buf "index IX[N][N];\n";
   let outer, inner = if par_inner then ("for", "parfor") else ("parfor", "for") in
   Buffer.add_string buf
     (Printf.sprintf "%s i = 2 to N-3 {\n  %s j = 2 to N-3 {\n" outer inner);
@@ -43,15 +55,33 @@ let gen_kernel : kernel Gen.t =
       choice := rest;
       (List.nth subscript_choices_2d c) ()
   in
+  let load a =
+    let s1, s2 = next_sub () in
+    Format.asprintf "%s[%a][%a]" a Ast.pp_expr s1 Ast.pp_expr s2
+  in
   List.iteri
     (fun k a ->
-      let s1, s2 = next_sub () in
-      let rhs_arr = List.nth arrays ((k + 1) mod n_arrays) in
-      let r1, r2 = next_sub () in
-      Buffer.add_string buf
-        (Format.asprintf "    %s[%a][%a] = %s[%a][%a] + 1;\n" a Ast.pp_expr s1
-           Ast.pp_expr s2 rhs_arr Ast.pp_expr r1 Ast.pp_expr r2))
+      let lhs = load a in
+      let rhs = load (List.nth arrays ((k + 1) mod n_arrays)) in
+      let rhs =
+        if two_loads then
+          rhs ^ " + " ^ load (List.nth arrays ((k + 2) mod n_arrays))
+        else rhs ^ " + 1"
+      in
+      Buffer.add_string buf (Printf.sprintf "    %s = %s;\n" lhs rhs))
     arrays;
+  if guarded then
+    Buffer.add_string buf
+      (Printf.sprintf
+         "    if (%s < %s) {\n      %s = 1;\n    } else {\n      %s = 2;\n    }\n"
+         (load (List.hd arrays))
+         (load (List.nth arrays (n_arrays - 1)))
+         (load (List.hd arrays))
+         (load (List.nth arrays (n_arrays - 1))));
+  if indexed then
+    Buffer.add_string buf
+      (Printf.sprintf "    A0[IX[i][j]][j] = %s + 1;\n"
+         (load (List.hd arrays)));
   Buffer.add_string buf "  }\n}\n";
   return { src = Buffer.contents buf; n }
 

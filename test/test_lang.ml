@@ -316,6 +316,82 @@ for t = 0 to 1 { parfor i = 0 to 5 { A[i] = t; } }
   let total = Array.fold_left (fun a s -> a + Array.length s) 0 (List.hd phases) in
   Alcotest.(check int) "both time steps traced" 12 total
 
+(* [addr_of] is applied to the array name once per reference, on that
+   reference's first run; a reference that never runs never resolves. *)
+let test_interp_addr_of_once () =
+  let p =
+    parse
+      {|
+param N = 10;
+array A[N];
+array B[N];
+parfor i = 0 to N-1 { A[i] = B[i] + B[N-1-i]; }
+for i = 1 to 0 { B[i] = 1; }
+|}
+  in
+  let resolved = ref [] in
+  let addr_of name =
+    resolved := name :: !resolved;
+    fun v -> v.(0)
+  in
+  let phases = Interp.trace ~threads:2 ~addr_of p in
+  Alcotest.(check (list string)) "one resolution per executed reference"
+    [ "B"; "B"; "A" ] (List.rev !resolved);
+  Alcotest.(check int) "every access traced" 30
+    (Array.fold_left (fun a s -> a + Array.length s) 0 (List.hd phases))
+
+(* [index_lookup] gets a vector of its own, never the reference's
+   reused subscript buffer. *)
+let test_interp_index_lookup_copy () =
+  let p =
+    parse
+      {|
+param N = 4;
+array X[N];
+index IDX[N];
+for i = 0 to N-1 { X[IDX[i]] = 1; }
+|}
+  in
+  let kept = ref [] in
+  let index_lookup _ v =
+    kept := v :: !kept;
+    0
+  in
+  ignore (Interp.trace ~threads:1 ~addr_of:(fun _ v -> v.(0)) ~index_lookup p);
+  Alcotest.(check (list int)) "lookups keep their indices" [ 0; 1; 2; 3 ]
+    (List.rev_map (fun v -> v.(0)) !kept)
+
+(* An unchecked program with an unbound variable fails with I001, and
+   the exception prints as its diagnostic. *)
+let test_interp_unbound_prints () =
+  let p =
+    {
+      Ast.params = [];
+      decls = [ Ast.mk_decl ~name:"A" ~extents:[ Ast.Int 4 ] () ];
+      nests =
+        [
+          Ast.Loop
+            {
+              Ast.index = "i";
+              lo = Ast.Int 0;
+              hi = Ast.Int 3;
+              parallel = true;
+              body =
+                [
+                  Ast.Assign
+                    (Ast.mk_ref ~array:"A" ~subs:[ Ast.Var "x" ] (), Ast.Int 1);
+                ];
+              loop_span = Lang.Span.dummy;
+            };
+        ];
+    }
+  in
+  match Interp.trace ~threads:2 ~addr_of:(fun _ v -> v.(0)) p with
+  | _ -> Alcotest.fail "unbound variable traced"
+  | exception e ->
+    Alcotest.(check string) "printed" "error[I001]: unbound variable x"
+      (Printexc.to_string e)
+
 let suite =
   [
     ( "lang.lexer",
@@ -353,5 +429,11 @@ let suite =
         Alcotest.test_case "threads per core" `Quick test_interp_threads_per_core;
         Alcotest.test_case "index arrays" `Quick test_interp_index_arrays;
         Alcotest.test_case "sequential outer nest" `Quick test_interp_sequential_nest;
+        Alcotest.test_case "addr_of once per reference" `Quick
+          test_interp_addr_of_once;
+        Alcotest.test_case "index_lookup gets a copy" `Quick
+          test_interp_index_lookup_copy;
+        Alcotest.test_case "unbound variable prints" `Quick
+          test_interp_unbound_prints;
       ] );
   ]

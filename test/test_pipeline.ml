@@ -414,6 +414,45 @@ let test_undeclared_array_located () =
       (String.index src 'B')
       d.Diag.span.Span.lo
 
+(* Programs the replay used to reject with an unlocated
+   "V007 ... Lang.Diag.Fatal(_)": the scope check now stops them at the
+   offending reference or loop header, before any pass runs. *)
+let check_scope_error ~code ~at src =
+  let r =
+    Pipeline.compile ~codegen:"kernel" ~cfg:(default_cfg ())
+      (Pipeline.Source { file = "t.mc"; src })
+  in
+  Alcotest.(check bool) "pipeline fails" false r.Pipeline.ok;
+  Alcotest.(check (list string))
+    "the scope error is the only diagnostic"
+    [ code ]
+    (List.map (fun (d : Diag.t) -> d.Diag.code) r.Pipeline.diags);
+  let d = List.hd r.Pipeline.diags in
+  Alcotest.(check int) "located"
+    (Option.get (Astring.String.find_sub ~sub:at src))
+    d.Diag.span.Span.lo
+
+let test_unbound_variable_located () =
+  check_scope_error ~code:"S006" ~at:"A[i][k] ="
+    "param N = 16;\narray A[N][N];\n\
+     parfor i = 0 to N-1 {\n  for j = 0 to N-1 {\n    A[i][k] = A[i][j] + 1;\n  }\n}\n"
+
+let test_shadowing_loop_located () =
+  check_scope_error ~code:"S007" ~at:"for i = 0 to N-1 {\n    A[i][i]"
+    "param N = 16;\narray A[N][N];\n\
+     parfor i = 0 to N-1 {\n  for i = 0 to N-1 {\n    A[i][i] = 1;\n  }\n\
+    \  A[i][0] = 2;\n}\n"
+
+let test_shadowing_parameter_located () =
+  let src = "param N = 16;\narray A[N];\nparfor N = 0 to 3 { A[N] = 1; }" in
+  match Lang.Parser.parse_result ~file:"t.mc" src with
+  | Ok _ -> Alcotest.fail "shadowed parameter not reported"
+  | Error ds ->
+    Alcotest.(check (list (pair string string)))
+      "diagnostic"
+      [ ("S007", "loop index N shadows the parameter N") ]
+      (List.map (fun (d : Diag.t) -> (d.Diag.code, d.Diag.message)) ds)
+
 (* --- parse ∘ print round-trip ----------------------------------------- *)
 
 (* Random ASTs restricted to the shapes the printer represents
@@ -507,7 +546,7 @@ let prop_roundtrip =
     (QCheck.make ~print:Ast.program_to_string gen_program)
     (fun p ->
       let printed = Ast.program_to_string p in
-      match Lang.Parser.parse_result printed with
+      match Lang.Parser.parse_program_result printed with
       | Error ds ->
         QCheck.Test.fail_reportf "printed program does not re-parse: %s"
           (Diag.to_string (List.hd ds))
@@ -542,6 +581,12 @@ let suite =
           test_stray_character_located;
         Alcotest.test_case "undeclared array is located" `Quick
           test_undeclared_array_located;
+        Alcotest.test_case "unbound variable is located (S006)" `Quick
+          test_unbound_variable_located;
+        Alcotest.test_case "shadowing loop index is located (S007)" `Quick
+          test_shadowing_loop_located;
+        Alcotest.test_case "loop index shadowing a parameter (S007)" `Quick
+          test_shadowing_parameter_located;
         QCheck_alcotest.to_alcotest prop_roundtrip;
       ] );
   ]
