@@ -6,23 +6,56 @@ type completion = {
   row_hit : bool;
 }
 
-type request = { rid : int; arrival : int; bank : int; row : int; write : bool }
+type request = { rid : int; arrival : int; row : int }
 
 type scheduler = Fr_fcfs | Fcfs
 
 type row_policy = Open_page | Closed_page
 
+(* One bank's read or write queue, oldest first: an array plus a count.
+   Row hits leave from the middle, so removal shifts the younger tail
+   down one slot. *)
+type queue = { mutable reqs : request array; mutable len : int }
+
+let no_request = { rid = -1; arrival = 0; row = -1 }
+
+let make_queue () = { reqs = Array.make 4 no_request; len = 0 }
+
+let push q r =
+  if q.len = Array.length q.reqs then begin
+    let a = Array.make (2 * q.len) no_request in
+    Array.blit q.reqs 0 a 0 q.len;
+    q.reqs <- a
+  end;
+  q.reqs.(q.len) <- r;
+  q.len <- q.len + 1
+
+let remove q i =
+  Array.blit q.reqs (i + 1) q.reqs i (q.len - i - 1);
+  q.len <- q.len - 1;
+  q.reqs.(q.len) <- no_request
+
+type bank = {
+  channel : int;  (** bank mod channels *)
+  reads : queue;
+  writes : queue;
+  mutable open_row : int;  (** -1 = no open row *)
+  mutable free : int;  (** cycle the bank's last access finishes *)
+  mutable pool : queue;  (** the candidate's queue, valid when [pick >= 0] *)
+  mutable pick : int;  (** the candidate's index in [pool]; -1 = stale *)
+}
+
 type t = {
   timing : Timing.t;
-  banks : int;
-  channels : int;
   scheduler : scheduler;
   row_policy : row_policy;
   depth_hook : (now:int -> depth:int -> unit) option;
-  open_row : int array;  (** -1 = no open row *)
-  bank_free : int array;
-  bus_free : int array;  (** per channel; a bank belongs to bank mod channels *)
-  queues : request list array;  (** per bank, oldest first *)
+  banks : bank array;
+  bus_free : int array;  (** per channel *)
+  (* the last scan's result, valid until the next enqueue or issue *)
+  mutable scanned : bool;
+  mutable first_bank : int;  (** -1 = nothing queued *)
+  mutable first_start : int;
   mutable num_pending : int;
   mutable num_writes : int;  (** pending writes, across banks *)
   mutable num_served : int;
@@ -39,15 +72,25 @@ let create ?(timing = Timing.ddr3_1600) ?(channels = 1) ?(scheduler = Fr_fcfs)
   if banks <= 0 || channels <= 0 then invalid_arg "Fr_fcfs.create";
   {
     timing;
-    banks;
-    channels;
     scheduler;
     row_policy;
     depth_hook;
-    open_row = Array.make banks (-1);
-    bank_free = Array.make banks 0;
+    banks =
+      Array.init banks (fun b ->
+          let reads = make_queue () in
+          {
+            channel = b mod channels;
+            reads;
+            writes = make_queue ();
+            open_row = -1;
+            free = 0;
+            pool = reads;
+            pick = -1;
+          });
     bus_free = Array.make channels 0;
-    queues = Array.make banks [];
+    scanned = true;
+    first_bank = -1;
+    first_start = 0;
     num_pending = 0;
     num_writes = 0;
     num_served = 0;
@@ -73,72 +116,99 @@ let occ_touch t now =
 
 let write_drain_watermark = 16
 
+(* Crossing the watermark flips the pool choice of every bank that holds
+   both reads and writes. *)
+let invalidate_picks t = Array.iter (fun b -> b.pick <- -1) t.banks
+
 let enqueue t ~now ~bank ~row ?(write = false) ~id () =
-  if bank < 0 || bank >= t.banks then invalid_arg "Fr_fcfs.enqueue";
+  if bank < 0 || bank >= Array.length t.banks || row < 0 then
+    invalid_arg "Fr_fcfs.enqueue";
   occ_touch t now;
   t.occ_count <- t.occ_count + 1;
   t.num_pending <- t.num_pending + 1;
-  if write then t.num_writes <- t.num_writes + 1;
-  t.queues.(bank) <- t.queues.(bank) @ [ { rid = id; arrival = now; bank; row; write } ];
+  let b = t.banks.(bank) in
+  let r = { rid = id; arrival = now; row } in
+  if write then begin
+    push b.writes r;
+    t.num_writes <- t.num_writes + 1;
+    if t.num_writes = write_drain_watermark then invalidate_picks t
+  end
+  else push b.reads r;
+  b.pick <- -1;
+  t.scanned <- false;
   note_depth t now
 
-let service_time t bank row =
-  if t.open_row.(bank) = row then (t.timing.Timing.row_hit, true)
-  else if t.open_row.(bank) = -1 then (t.timing.Timing.row_empty, false)
-  else (t.timing.Timing.row_conflict, false)
+let service_time t b row =
+  if b.open_row = row then t.timing.Timing.row_hit
+  else if b.open_row = -1 then t.timing.Timing.row_empty
+  else t.timing.Timing.row_conflict
 
-(* FR-FCFS choice for one bank: among reads, the oldest row hit, else the
-   oldest read.  Writes are drained only when the bank has no pending read
-   or the write queue exceeds the drain watermark (read priority with
-   opportunistic write drain, as in real controllers). *)
-let pick_for_bank t bank =
-  let mine = t.queues.(bank) in
-  match mine with
-  | [] -> None
-  | _ ->
-    let reads = List.filter (fun r -> not r.write) mine in
-    let writes = List.filter (fun r -> r.write) mine in
+let oldest_hit q row =
+  let rec go i = if i = q.len then 0 else if q.reqs.(i).row = row then i else go (i + 1) in
+  go 0
+
+(* FR-FCFS choice for a non-empty bank, cached in [pool]/[pick]: among
+   reads, the oldest row hit, else the oldest read.  Writes are drained
+   only when the bank has no pending read or the write queue exceeds the
+   drain watermark (read priority with opportunistic write drain, as in
+   real controllers); in drain mode the pool with the older head wins. *)
+let candidate t b =
+  if b.pick < 0 then begin
+    let rs = b.reads and ws = b.writes in
     let pool =
-      match (reads, writes) with
-      | [], ws -> ws
-      | rs, [] -> rs
-      | rs, _ when t.num_writes < write_drain_watermark -> rs
-      | rs, ws ->
-        (* drain mode: writes are as old as anything; serve oldest pool *)
-        if (List.hd ws).arrival < (List.hd rs).arrival then ws else rs
+      if rs.len = 0 then ws
+      else if ws.len = 0 then rs
+      else if t.num_writes < write_drain_watermark then rs
+      else if ws.reqs.(0).arrival < rs.reqs.(0).arrival then ws
+      else rs
     in
-    (match pool with
-    | [] -> None
-    | oldest :: _ -> (
-      match t.scheduler with
-      | Fcfs -> Some oldest
-      | Fr_fcfs -> (
-        match List.find_opt (fun r -> r.row = t.open_row.(bank)) pool with
-        | Some r -> Some r
-        | None -> Some oldest)))
+    b.pool <- pool;
+    b.pick <- (match t.scheduler with Fcfs -> 0 | Fr_fcfs -> oldest_hit pool b.open_row)
+  end;
+  b.pool.reqs.(b.pick)
 
-(* Earliest feasible start of the FR-FCFS candidate for [bank], accounting
-   for the bank being busy and the data bus serializing the final burst. *)
-let earliest_start t bank =
-  match pick_for_bank t bank with
-  | None -> None
-  | Some r ->
-    let service, _hit = service_time t bank r.row in
-    let s = max r.arrival t.bank_free.(bank) in
-    (* the burst occupies the channel bus during the last [burst] cycles *)
-    let ch = bank mod t.channels in
-    let s = max s (t.bus_free.(ch) - (service - t.timing.Timing.burst)) in
-    Some (r, s, service)
+(* Earliest feasible start of [b]'s candidate, accounting for the bank
+   being busy and the data bus serializing the final burst.  Recomputed on
+   every scan: another bank's issue on the same channel moves [bus_free]. *)
+let earliest_start t b =
+  let r = candidate t b in
+  let service = service_time t b r.row in
+  max (max r.arrival b.free) (t.bus_free.(b.channel) - (service - t.timing.Timing.burst))
 
-let issue t r s service hit =
-  t.queues.(r.bank) <- List.filter (fun q -> q != r) t.queues.(r.bank);
+(* The bank whose candidate can start earliest, the lowest on a tie. *)
+let scan t =
+  let best = ref (-1) and best_start = ref 0 in
+  for i = 0 to Array.length t.banks - 1 do
+    let b = t.banks.(i) in
+    if b.reads.len + b.writes.len > 0 then begin
+      let s = earliest_start t b in
+      if !best < 0 || s < !best_start then begin
+        best := i;
+        best_start := s
+      end
+    end
+  done;
+  t.first_bank <- !best;
+  t.first_start <- !best_start;
+  t.scanned <- true
+
+let issue t b s =
+  let q = b.pool and i = b.pick in
+  let r = q.reqs.(i) in
+  let service = service_time t b r.row in
+  let hit = b.open_row = r.row in
+  remove q i;
+  b.pick <- -1;
+  t.scanned <- false;
   t.num_pending <- t.num_pending - 1;
-  if r.write then t.num_writes <- t.num_writes - 1;
+  if q == b.writes then begin
+    t.num_writes <- t.num_writes - 1;
+    if t.num_writes = write_drain_watermark - 1 then invalidate_picks t
+  end;
   let finish = s + service in
-  t.open_row.(r.bank) <-
-    (match t.row_policy with Open_page -> r.row | Closed_page -> -1);
-  t.bank_free.(r.bank) <- finish;
-  t.bus_free.(r.bank mod t.channels) <- finish;
+  b.open_row <- (match t.row_policy with Open_page -> r.row | Closed_page -> -1);
+  b.free <- finish;
+  t.bus_free.(b.channel) <- finish;
   t.num_served <- t.num_served + 1;
   if hit then t.num_row_hits <- t.num_row_hits + 1;
   occ_touch t s;
@@ -148,38 +218,16 @@ let issue t r s service hit =
 
 let advance t ~now =
   let rec loop acc =
-    (* find the bank whose candidate can start earliest; empty banks are
-       skipped in O(1) via the per-bank queues *)
-    let best = ref None in
-    for b = 0 to t.banks - 1 do
-      if t.queues.(b) <> [] then
-        match earliest_start t b with
-        | None -> ()
-        | Some (r, s, service) -> (
-          match !best with
-          | Some (_, s', _, _) when s' <= s -> ()
-          | _ -> best := Some (r, s, service, b))
-    done;
-    match !best with
-    | Some (r, s, service, bank) when s <= now ->
-      let _, hit = service_time t bank r.row in
-      loop (issue t r s service hit :: acc)
-    | _ -> List.rev acc
+    if not t.scanned then scan t;
+    if t.first_bank >= 0 && t.first_start <= now then
+      loop (issue t t.banks.(t.first_bank) t.first_start :: acc)
+    else List.rev acc
   in
   loop []
 
 let next_wake t =
-  let best = ref None in
-  for b = 0 to t.banks - 1 do
-    if t.queues.(b) <> [] then
-      match earliest_start t b with
-      | None -> ()
-      | Some (_, s, _) -> (
-        match !best with
-        | Some s' when s' <= s -> ()
-        | _ -> best := Some s)
-  done;
-  !best
+  if not t.scanned then scan t;
+  if t.first_bank < 0 then None else Some t.first_start
 
 let pending t = t.num_pending
 
@@ -196,17 +244,3 @@ let occupancy t ~at =
 let occ_integral_at t ~at =
   occ_touch t at;
   t.occ_integral
-
-let reset t =
-  Array.fill t.open_row 0 t.banks (-1);
-  Array.fill t.bank_free 0 t.banks 0;
-  Array.fill t.bus_free 0 t.channels 0;
-  Array.fill t.queues 0 t.banks [];
-  t.num_pending <- 0;
-  t.num_writes <- 0;
-  t.num_served <- 0;
-  t.num_row_hits <- 0;
-  t.max_pending <- 0;
-  t.occ_integral <- 0.;
-  t.occ_last_t <- 0;
-  t.occ_count <- 0

@@ -8,7 +8,19 @@
     The controller is driven by a discrete-event engine: requests are
     {!enqueue}d with their arrival time; {!advance} issues everything that
     can start by the given time and reports completions; {!next_wake} says
-    when issuing could next make progress. *)
+    when issuing could next make progress.
+
+    Cost: O(banks) per issued request, one request record per enqueue and
+    no allocation per scan.  Each bank keeps its reads and its writes in
+    two arrays, oldest first, and caches its candidate (which queue, which
+    index).  The cache is dropped when the bank receives a request, when
+    it issues, and, for every bank, when the controller's pending-write
+    count crosses the drain watermark in either direction; rebuilding it,
+    like erasing an issued request, is one pass over that bank's queue.
+    A scan recomputes each candidate's earliest start in O(1), since
+    another bank's issue on the same channel moves the bus.  {!next_wake}
+    returns what the last scan found; that result is dropped on enqueue
+    and on issue. *)
 
 type completion = {
   id : int;  (** caller's request identifier *)
@@ -52,7 +64,10 @@ val enqueue :
 (** [write] requests (writebacks) have lower priority: they are drained
     when their bank has no pending read, or when the controller's write
     queue exceeds a drain watermark — so they do not close the rows that
-    pending reads are streaming from. *)
+    pending reads are streaming from.
+
+    @raise Invalid_argument if [bank] is out of range or [row] is
+    negative. *)
 
 val advance : t -> now:int -> completion list
 (** Issues, in feasible-start order, every pending request whose start time
@@ -65,7 +80,7 @@ val next_wake : t -> int option
 val pending : t -> int
 
 val max_pending : t -> int
-(** High-water mark of the total queue depth since creation/reset. *)
+(** High-water mark of the total queue depth since creation. *)
 
 val served : t -> int
 
@@ -80,5 +95,3 @@ val occ_integral_at : t -> at:int -> float
     [occupancy] is this divided by [at].  The parallel engine carries the
     integral so a partition's occupancy can be re-based onto the merged
     run's global horizon without a lossy double division. *)
-
-val reset : t -> unit

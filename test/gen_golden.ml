@@ -4,10 +4,12 @@
      dune exec test/gen_golden.exe -- golden/seed0_stats.json
      dune exec test/gen_golden.exe -- --attr golden/seed0_attr.txt
      dune exec test/gen_golden.exe -- --emits test/golden
+     dune exec test/gen_golden.exe -- --dram test/golden
 
    The seed-0 stats golden pins the simulator's observable behavior: the
    engine refactors (event heap, request pool, route memoization) must
-   keep it byte-identical.  The --emits goldens pin the compiler
+   keep it byte-identical.  The --dram goldens pin the same run under
+   the memory controller's non-default paths.  The --emits goldens pin the compiler
    pipeline's stage dumps (occ --emit) for jacobi and hpccg.
    Regenerating either is legitimate only when a change intentionally
    alters the simulated timing model or the pass artifacts — never to
@@ -64,6 +66,26 @@ let attr_golden path =
     close_out oc;
     Printf.printf "golden written to %s\n" path
   | None -> print_string table
+
+(* The seed-0 stats run under each non-default DRAM path: strict FCFS,
+   closed-page rows and a single channel per controller.  The ablation
+   rows are the only other runs that take these paths. *)
+let dram_goldens dir =
+  let base = Sim.Config.scaled () in
+  let program = parse small_src in
+  List.iter
+    (fun (name, cfg) ->
+      let r = Sim.Runner.run cfg ~optimized:false program in
+      let path = Filename.concat dir (Printf.sprintf "dram_%s.json" name) in
+      let oc = open_out path in
+      Obs.Json.to_channel oc (Sweep.Exec.result_json ~app:"golden-small" cfg r);
+      close_out oc;
+      Printf.printf "golden written to %s\n" path)
+    [
+      ("fcfs", { base with Sim.Config.mc_scheduler = Dram.Fr_fcfs.Fcfs });
+      ("closed_page", { base with Sim.Config.mc_row_policy = Dram.Fr_fcfs.Closed_page });
+      ("one_channel", Sim.Config.with_channels_per_mc base 1);
+    ]
 
 (* The pipeline stage dumps the test suite compares against
    (test_pipeline.ml): default platform, same stages as occ --emit. *)
@@ -128,5 +150,6 @@ let () =
   | _ :: "--emits" :: dir :: _ -> emit_goldens dir
   | _ :: "--attr" :: rest -> attr_golden (List.nth_opt rest 0)
   | _ :: "--serve" :: dir :: _ -> serve_goldens dir
+  | _ :: "--dram" :: dir :: _ -> dram_goldens dir
   | _ :: path :: _ -> stats_golden (Some path)
   | _ -> stats_golden None

@@ -168,6 +168,278 @@ let prop_all_served =
            completions
       (* start >= arrival (= id here) *))
 
+(* --- the list scheduler as oracle, and the physics of a run --- *)
+
+module Naive = Naive_fr_fcfs
+
+type op =
+  | Enq of { dt : int; bank : int; row : int; write : bool }
+      (** enqueue [dt] cycles after the clock *)
+  | Adv of int  (** [advance] [dt] cycles after the clock *)
+  | Wake  (** [next_wake], then advance to it *)
+
+type case = {
+  scheduler : Fr_fcfs.scheduler;
+  row_policy : Fr_fcfs.row_policy;
+  channels : int;
+  banks : int;
+  ops : op list;
+}
+
+let print_case c =
+  let op = function
+    | Enq { dt; bank; row; write } ->
+      Printf.sprintf "%s(+%d b%d r%d)" (if write then "W" else "R") dt bank row
+    | Adv dt -> Printf.sprintf "adv(+%d)" dt
+    | Wake -> "wake"
+  in
+  Printf.sprintf "%s %s channels=%d banks=%d [%s]"
+    (match c.scheduler with Fr_fcfs.Fr_fcfs -> "fr-fcfs" | Fcfs -> "fcfs")
+    (match c.row_policy with Fr_fcfs.Open_page -> "open" | Closed_page -> "closed")
+    c.channels c.banks
+    (String.concat " " (List.map op c.ops))
+
+(* Bursts of same-cycle enqueues against a 40-cycle burst per channel
+   build queues deep enough that write-heavy cases cross the 16-write
+   drain watermark both ways (checked by [test_watermark_coverage]). *)
+let gen_case =
+  let open QCheck.Gen in
+  let* scheduler = oneofl [ Fr_fcfs.Fr_fcfs; Fr_fcfs.Fcfs ] in
+  let* row_policy = oneofl [ Fr_fcfs.Open_page; Fr_fcfs.Closed_page ] in
+  let* channels = oneofl [ 1; 2; 4 ] in
+  let* banks = int_range 1 16 in
+  let* write_pct = oneofl [ 0; 30; 70; 100 ] in
+  let enq =
+    let* dt = frequency [ (3, return 0); (2, int_range 1 20); (1, int_range 21 200) ] in
+    let* bank = int_range 0 (banks - 1) in
+    let* row = int_range 0 3 in
+    let+ w = int_range 0 99 in
+    Enq { dt; bank; row; write = w < write_pct }
+  in
+  let op =
+    frequency [ (6, enq); (1, map (fun dt -> Adv dt) (int_range 0 300)); (2, return Wake) ]
+  in
+  let+ ops = list_size (int_range 1 200) op in
+  { scheduler; row_policy; channels; banks; ops }
+
+(* One controller behind closures, so the constant-cost scheduler and the
+   list oracle run the same driver. *)
+type sched = {
+  enqueue : now:int -> bank:int -> row:int -> write:bool -> id:int -> unit;
+  advance : now:int -> Fr_fcfs.completion list;
+  next_wake : unit -> int option;
+  counters : unit -> int * int * int * int;  (** pending, served, row hits, max pending *)
+  occ_integral_at : at:int -> float;
+}
+
+let fast c ~depth_hook =
+  let mc =
+    Fr_fcfs.create ~channels:c.channels ~scheduler:c.scheduler ~row_policy:c.row_policy
+      ~depth_hook ~banks:c.banks ()
+  in
+  {
+    enqueue = (fun ~now ~bank ~row ~write ~id -> Fr_fcfs.enqueue mc ~now ~bank ~row ~write ~id ());
+    advance = (fun ~now -> Fr_fcfs.advance mc ~now);
+    next_wake = (fun () -> Fr_fcfs.next_wake mc);
+    counters =
+      (fun () ->
+        (Fr_fcfs.pending mc, Fr_fcfs.served mc, Fr_fcfs.row_hits mc, Fr_fcfs.max_pending mc));
+    occ_integral_at = (fun ~at -> Fr_fcfs.occ_integral_at mc ~at);
+  }
+
+let naive c ~depth_hook =
+  let mc =
+    Naive.create ~channels:c.channels
+      ~scheduler:(match c.scheduler with Fr_fcfs.Fr_fcfs -> Naive.Fr_fcfs | Fcfs -> Naive.Fcfs)
+      ~row_policy:
+        (match c.row_policy with
+        | Fr_fcfs.Open_page -> Naive.Open_page
+        | Closed_page -> Naive.Closed_page)
+      ~depth_hook ~banks:c.banks ()
+  in
+  {
+    enqueue = (fun ~now ~bank ~row ~write ~id -> Naive.enqueue mc ~now ~bank ~row ~write ~id ());
+    advance =
+      (fun ~now ->
+        List.map
+          (fun (n : Naive.completion) ->
+            {
+              Fr_fcfs.id = n.id;
+              start = n.start;
+              finish = n.finish;
+              queue_delay = n.queue_delay;
+              row_hit = n.row_hit;
+            })
+          (Naive.advance mc ~now));
+    next_wake = (fun () -> Naive.next_wake mc);
+    counters =
+      (fun () -> (Naive.pending mc, Naive.served mc, Naive.row_hits mc, Naive.max_pending mc));
+    occ_integral_at = (fun ~at -> Naive.occ_integral_at mc ~at);
+  }
+
+(* Drives [s] through [c.ops] and then drains it; request [i] is the
+   [i]-th enqueue.  [step] sees each op's completions (none for an
+   enqueue).  Returns the enqueued requests (arrival, bank, row) in id
+   order and the final clock. *)
+let drive c s ~step =
+  let clock = ref 0 and reqs = ref [] and next_id = ref 0 in
+  let advance_to now =
+    clock := now;
+    step (s.advance ~now)
+  in
+  let wake () =
+    let w = s.next_wake () in
+    (match w with Some w -> advance_to (max w !clock) | None -> step []);
+    w <> None
+  in
+  List.iter
+    (function
+      | Enq { dt; bank; row; write } ->
+        clock := !clock + dt;
+        s.enqueue ~now:!clock ~bank ~row ~write ~id:!next_id;
+        reqs := (!clock, bank, row) :: !reqs;
+        incr next_id;
+        step []
+      | Adv dt -> advance_to (!clock + dt)
+      | Wake -> ignore (wake ()))
+    c.ops;
+  while wake () do () done;
+  (Array.of_list (List.rev !reqs), !clock)
+
+(* Everything a run shows: after each op, the completions, [next_wake] and
+   the counters; then the occupancy integral and every depth-hook call. *)
+let observe c make =
+  let depths = ref [] and steps = ref [] in
+  let s = make c ~depth_hook:(fun ~now ~depth -> depths := (now, depth) :: !depths) in
+  let _, clock =
+    drive c s ~step:(fun cs -> steps := (cs, s.next_wake (), s.counters ()) :: !steps)
+  in
+  (List.rev !steps, s.occ_integral_at ~at:clock, List.rev !depths)
+
+let prop_oracle =
+  QCheck.Test.make ~name:"constant-cost scheduler matches the list oracle" ~count:2000
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let steps, occ, depths = observe c fast in
+      let steps', occ', depths' = observe c naive in
+      if List.length steps <> List.length steps' then
+        QCheck.Test.fail_report "different number of steps";
+      List.iteri
+        (fun k (o, o') ->
+          if o <> o' then
+            QCheck.Test.fail_reportf "op %d: completions, next_wake or counters differ" k)
+        (List.combine steps steps');
+      if occ <> occ' then QCheck.Test.fail_report "occ_integral_at differs";
+      if depths <> depths' then QCheck.Test.fail_report "depth_hook calls differ";
+      true)
+
+(* Physics of the constant-cost scheduler's completions, on the same
+   generated sequences: conservation, causality, bank and bus exclusion,
+   and service times that agree with the open-row state. *)
+let prop_physics =
+  QCheck.Test.make ~name:"completions obey the DRAM model's physics" ~count:1000
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let timing = Timing.ddr3_1600 in
+      let s = fast c ~depth_hook:(fun ~now:_ ~depth:_ -> ()) in
+      let done_ = ref [] in
+      let reqs, _ = drive c s ~step:(fun cs -> done_ := List.rev_append cs !done_) in
+      let comps = List.rev !done_ in
+      let seen = Array.make (Array.length reqs) 0 in
+      List.iter (fun (cp : Fr_fcfs.completion) -> seen.(cp.id) <- seen.(cp.id) + 1) comps;
+      Array.iteri
+        (fun id k -> if k <> 1 then QCheck.Test.fail_reportf "request %d completed %d times" id k)
+        seen;
+      List.iter
+        (fun (cp : Fr_fcfs.completion) ->
+          let arrival, _, _ = reqs.(cp.id) in
+          if cp.start < arrival || cp.queue_delay <> cp.start - arrival then
+            QCheck.Test.fail_reportf "request %d starts at %d, arrived at %d" cp.id cp.start
+              arrival)
+        comps;
+      let bank_of (cp : Fr_fcfs.completion) =
+        let _, b, _ = reqs.(cp.id) in
+        b
+      in
+      let by key l = List.sort (fun a b -> compare (key a) (key b)) l in
+      (* per bank, in start order: busy intervals are disjoint and each
+         service time follows from the row the previous access left open *)
+      for b = 0 to c.banks - 1 do
+        ignore
+          (List.fold_left
+             (fun (open_row, busy_until) (cp : Fr_fcfs.completion) ->
+               let _, _, row = reqs.(cp.id) in
+               if cp.start < busy_until then
+                 QCheck.Test.fail_reportf "bank %d: request %d starts at %d, busy until %d" b
+                   cp.id cp.start busy_until;
+               let expected =
+                 if open_row = Some row then timing.Timing.row_hit
+                 else if open_row = None then timing.Timing.row_empty
+                 else timing.Timing.row_conflict
+               in
+               if cp.finish - cp.start <> expected then
+                 QCheck.Test.fail_reportf "bank %d: request %d served in %d cycles, expected %d"
+                   b cp.id (cp.finish - cp.start) expected;
+               if cp.row_hit <> (expected = timing.Timing.row_hit) then
+                 QCheck.Test.fail_reportf "request %d: row_hit flag disagrees with its service"
+                   cp.id;
+               let left_open =
+                 match c.row_policy with Fr_fcfs.Open_page -> Some row | Closed_page -> None
+               in
+               (left_open, cp.finish))
+             (None, 0)
+             (by (fun (cp : Fr_fcfs.completion) -> cp.start)
+                (List.filter (fun cp -> bank_of cp = b) comps)))
+      done;
+      (* per channel, in finish order: burst windows are disjoint *)
+      for ch = 0 to c.channels - 1 do
+        ignore
+          (List.fold_left
+             (fun bus_free (cp : Fr_fcfs.completion) ->
+               if cp.finish - timing.Timing.burst < bus_free then
+                 QCheck.Test.fail_reportf "channel %d: burst of request %d overlaps the last"
+                   ch cp.id;
+               cp.finish)
+             0
+             (by (fun (cp : Fr_fcfs.completion) -> cp.finish)
+                (List.filter (fun cp -> bank_of cp mod c.channels = ch) comps)))
+      done;
+      true)
+
+(* The generator must exercise the write-drain watermark: enough
+   sequences reach 16 pending writes and later fall back below it. *)
+let test_watermark_coverage () =
+  let crosses c =
+    let s = fast c ~depth_hook:(fun ~now:_ ~depth:_ -> ()) in
+    let writes = ref 0 and up = ref false and down = ref false in
+    let is_write = Hashtbl.create 64 in
+    let counted =
+      {
+        s with
+        enqueue =
+          (fun ~now ~bank ~row ~write ~id ->
+            Hashtbl.replace is_write id write;
+            if write then incr writes;
+            if !writes >= 16 then up := true;
+            s.enqueue ~now ~bank ~row ~write ~id);
+      }
+    in
+    let (_ : _ * int) =
+      drive c counted ~step:(fun cs ->
+          List.iter
+            (fun (cp : Fr_fcfs.completion) ->
+              if Hashtbl.find is_write cp.id then decr writes;
+              if !up && !writes < 16 then down := true)
+            cs)
+    in
+    !up && !down
+  in
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:200 gen_case in
+  let n = List.length (List.filter crosses cases) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 200 sequences cross the watermark both ways" n)
+    true (n >= 10)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -189,6 +461,8 @@ let suite =
         Alcotest.test_case "FCFS baseline" `Quick test_fcfs_scheduler;
         Alcotest.test_case "closed page" `Quick test_closed_page;
         Alcotest.test_case "queue accounting" `Quick test_queue_accounting;
+        Alcotest.test_case "generator crosses the write watermark" `Quick
+          test_watermark_coverage;
       ]
-      @ qsuite [ prop_all_served ] );
+      @ qsuite [ prop_all_served; prop_oracle; prop_physics ] );
   ]

@@ -133,6 +133,12 @@ let test_validation () =
     (fun () ->
       Dram.Fr_fcfs.enqueue (Dram.Fr_fcfs.create ~banks:2 ()) ~now:0 ~bank:7
         ~row:0 ~id:0 ());
+  (* row -1 is the "no open row" sentinel: accepting it would charge a
+     precharged bank a row hit *)
+  Alcotest.check_raises "fr_fcfs negative row" (Invalid_argument "Fr_fcfs.enqueue")
+    (fun () ->
+      Dram.Fr_fcfs.enqueue (Dram.Fr_fcfs.create ~banks:2 ()) ~now:0 ~bank:0
+        ~row:(-1) ~id:0 ());
   Alcotest.check_raises "interp bad threads"
     (Invalid_argument "Interp.trace: bad thread configuration") (fun () ->
       ignore

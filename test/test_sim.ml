@@ -346,8 +346,7 @@ let test_heap_next_time_pop_payload () =
 
 (* The exact JSON document the committed golden pins (also what
    test/gen_golden.ml emits). *)
-let seed0_json () =
-  let cfg = Config.scaled () in
+let seed0_json ?(cfg = Config.scaled ()) () =
   let r = Runner.run cfg ~optimized:false small_program in
   Obs.Json.to_string (Sweep.Exec.result_json ~app:"golden-small" cfg r)
 
@@ -357,16 +356,33 @@ let test_engine_seed_identical_json () =
   Alcotest.(check string) "same seed, byte-identical stats JSON"
     (seed0_json ()) (seed0_json ())
 
-let test_engine_seed0_golden () =
-  let path = "golden/seed0_stats.json" in
+let read_golden path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let golden = really_input_string ic n in
   close_in ic;
+  golden
+
+let test_engine_seed0_golden () =
   (* [to_channel] (used by gen_golden) appends one newline *)
   Alcotest.(check string) "byte-identical to committed golden"
-    golden
+    (read_golden "golden/seed0_stats.json")
     (seed0_json () ^ "\n")
+
+(* The same run under each non-default memory-controller path
+   (gen_golden --dram): strict FCFS, closed-page rows, one channel. *)
+let test_engine_dram_goldens () =
+  let base = Config.scaled () in
+  List.iter
+    (fun (name, cfg) ->
+      let path = Printf.sprintf "golden/dram_%s.json" name in
+      Alcotest.(check string) (path ^ " byte-identical") (read_golden path)
+        (seed0_json ~cfg () ^ "\n"))
+    [
+      ("fcfs", { base with Config.mc_scheduler = Dram.Fr_fcfs.Fcfs });
+      ("closed_page", { base with Config.mc_row_policy = Dram.Fr_fcfs.Closed_page });
+      ("one_channel", Config.with_channels_per_mc base 1);
+    ]
 
 let test_engine_degenerate_chiplet_golden () =
   (* the 1-chiplet hierarchical machine IS the flat machine: a platform
@@ -465,6 +481,7 @@ let suite =
         Alcotest.test_case "seed-identical stats JSON" `Quick
           test_engine_seed_identical_json;
         Alcotest.test_case "seed-0 golden" `Quick test_engine_seed0_golden;
+        Alcotest.test_case "seed-0 DRAM path goldens" `Quick test_engine_dram_goldens;
         Alcotest.test_case "degenerate chiplet = flat golden" `Quick
           test_engine_degenerate_chiplet_golden;
         Alcotest.test_case "phase advance guard" `Quick
