@@ -382,7 +382,7 @@ let check_equivalence diags report_ (original : Ast.program)
    declaration's (padded) extents.  Replay that addressing convention on
    the transformed program and compare, access by access and thread by
    thread, with the trace the compiler intends: the original program under
-   [Layout.offset_of_index].  V006 checks the subscript algebra at sampled
+   [Layout.offset_fn].  V006 checks the subscript algebra at sampled
    points; this replays whole nests through the interpreter, so the
    parallel chunking, loop structure and write bits are compared too. *)
 
@@ -391,17 +391,12 @@ let check_equivalence diags report_ (original : Ast.program)
    without modelling real allocation. *)
 let id_shift = 40
 
-(* [__home] reads appear only in the transformed trace (the rewrite
-   introduces the lookup); tag them so they can be dropped before the
-   comparison. *)
-let home_marker = 1 lsl 60
-
 let row_major extents idx =
+  let n = Array.length idx in
   let off = ref 0 in
-  Array.iteri
-    (fun i e ->
-      off := (!off * e) + if i < Array.length idx then idx.(i) else 0)
-    extents;
+  for i = 0 to Array.length extents - 1 do
+    off := (!off * extents.(i)) + if i < n then idx.(i) else 0
+  done;
   !off
 
 let decl_extents (p : Ast.program) =
@@ -415,7 +410,7 @@ let decl_extents (p : Ast.program) =
     p.Ast.decls
 
 (* Cap on element-wise comparison per thread per nest; stream lengths are
-   always compared in full. *)
+   always compared in full, so only this prefix is ever stored. *)
 let replay_cap = 1 lsl 16
 
 let check_codegen ~report:(report_ : Transform.report)
@@ -456,12 +451,10 @@ let check_codegen ~report:(report_ : Transform.report)
   let orig_extents = decl_extents original in
   (* what the emitted C computes: row-major over the padded declaration *)
   let addr_c name =
-    if String.equal name "__home" then fun _ -> home_marker
-    else
-      let b = base name in
-      match List.assoc_opt name trans_extents with
-      | Some e -> fun idx -> b + row_major e idx
-      | None -> fun _ -> b
+    let b = base name in
+    match List.assoc_opt name trans_extents with
+    | Some e -> fun idx -> b + row_major e idx
+    | None -> fun _ -> b
   in
   (* what the compiler intends: the customized layout's offset *)
   let addr_intended name =
@@ -475,8 +468,9 @@ let check_codegen ~report:(report_ : Transform.report)
       | Some e -> fun idx -> b + row_major e idx
       | None -> fun _ -> b)
   in
+  let is_home name = String.equal name "__home" in
   let lookup_home name idx =
-    if String.equal name "__home" then
+    if is_home name then
       match (home, idx) with
       | Some t, [| x |] when x >= 0 && x < Array.length t -> t.(x)
       | _ -> 0
@@ -485,83 +479,74 @@ let check_codegen ~report:(report_ : Transform.report)
   (* a handful of threads exercises the parfor chunk arithmetic; the
      trace length itself does not depend on the thread count *)
   let threads = 4 in
-  let diags = ref [] in
   let nest_span k =
     match List.nth_opt original.Ast.nests k with
     | Some s -> Ast.span_of_stmt s
     | None -> Span.dummy
   in
-  let not_home a = Lang.Interp.addr_of_access a lsr 1 <> home_marker lsr 1 in
-  (match
-     ( Lang.Interp.trace ~threads ~addr_of:addr_intended original,
-       Lang.Interp.trace ~threads ~addr_of:addr_c ~index_lookup:lookup_home
-         transformed )
-   with
+  let trace = Lang.Interp.trace_capped ~threads ~cap:replay_cap in
+  (* the first violation of thread [t] in nest [k]: its length, then its
+     stored prefix; equal counts mean equally long prefixes *)
+  let violation k t (sw, nw) (sg, ng) =
+    if nw <> ng then
+      Some
+        (Printf.sprintf
+           "emitted C replays %d accesses on thread %d of nest %d, the \
+            compiler's layout implies %d"
+           ng t k nw)
+    else
+      let dir a = if Lang.Interp.is_write a then "write" else "read" in
+      let rec at i =
+        if i >= Array.length sw then None
+        else if sw.(i) <> sg.(i) then
+          Some
+            (Printf.sprintf
+               "emitted C diverges from the chosen layout at access %d of \
+                thread %d, nest %d: C performs a %s of %s, the layout \
+                implies a %s of %s"
+               i t k (dir sg.(i))
+               (name_of_addr (Lang.Interp.addr_of_access sg.(i)))
+               (dir sw.(i))
+               (name_of_addr (Lang.Interp.addr_of_access sw.(i))))
+        else at (i + 1)
+      in
+      at 0
+  in
+  let rec first k = function
+    | [] -> []
+    | ((sw, nw), (sg, ng)) :: nests ->
+      let rec thread t =
+        if t = threads then first (k + 1) nests
+        else
+          match violation k t (sw.(t), nw.(t)) (sg.(t), ng.(t)) with
+          | Some msg -> [ Diag.error ~code:"V007" (nest_span k) msg ]
+          | None -> thread (t + 1)
+      in
+      thread 0
+  in
+  (* the emitted side is traced first: when both sides fail, its failure
+     is the one reported *)
+  match
+    let got =
+      trace ~exclude:is_home ~addr_of:addr_c ~index_lookup:lookup_home
+        transformed
+    in
+    (trace ~addr_of:addr_intended original, got)
+  with
   | exception e ->
-    diags :=
-      [
-        Diag.error ~code:"V007" Span.dummy
-          ("codegen replay failed to trace: " ^ Printexc.to_string e);
-      ]
+    [
+      Diag.error ~code:"V007" Span.dummy
+        ("codegen replay failed to trace: " ^ Printexc.to_string e);
+    ]
   | want, got ->
     if List.length want <> List.length got then
-      diags :=
-        [
-          Diag.error ~code:"V007" Span.dummy
-            (Printf.sprintf
-               "emitted program has %d top-level nests, original has %d"
-               (List.length got) (List.length want));
-        ]
-    else
-      List.iteri
-        (fun k (pw, pg) ->
-          if !diags = [] then begin
-            let pg =
-              Array.map
-                (fun s -> Array.of_seq (Seq.filter not_home (Array.to_seq s)))
-                pg
-            in
-            Array.iteri
-              (fun t sw ->
-                if !diags = [] then begin
-                  let sg = pg.(t) in
-                  if Array.length sw <> Array.length sg then
-                    diags :=
-                      Diag.error ~code:"V007" (nest_span k)
-                        (Printf.sprintf
-                           "emitted C replays %d accesses on thread %d of nest \
-                            %d, the compiler's layout implies %d"
-                           (Array.length sg) t k (Array.length sw))
-                      :: !diags
-                  else begin
-                    let n = min (Array.length sw) replay_cap in
-                    let i = ref 0 in
-                    while !i < n && !diags = [] do
-                      if sw.(!i) <> sg.(!i) then begin
-                        let dir a =
-                          if Lang.Interp.is_write a then "write" else "read"
-                        in
-                        diags :=
-                          Diag.error ~code:"V007" (nest_span k)
-                            (Printf.sprintf
-                               "emitted C diverges from the chosen layout at \
-                                access %d of thread %d, nest %d: C performs a \
-                                %s of %s, the layout implies a %s of %s"
-                               !i t k
-                               (dir sg.(!i))
-                               (name_of_addr (Lang.Interp.addr_of_access sg.(!i)))
-                               (dir sw.(!i))
-                               (name_of_addr (Lang.Interp.addr_of_access sw.(!i))))
-                          :: !diags
-                      end;
-                      incr i
-                    done
-                  end
-                end)
-              pw
-          end)
-        (List.combine want got));
-  List.rev !diags
+      [
+        Diag.error ~code:"V007" Span.dummy
+          (Printf.sprintf
+             "emitted program has %d top-level nests, original has %d"
+             (List.length got) (List.length want));
+      ]
+    else first 0 (List.combine want got)
 
 let run ~cfg ~solved ~report ~original ~transformed =
   let diags = ref [] in

@@ -14,11 +14,12 @@
     - [V006] the transformed program is semantically equivalent to the
       original on sampled iterations: every statement-level reference
       evaluates to the element [Layout.offset_of_index] predicts;
-    - [V007] the emitted C program's access sequence — row-major
-      addressing over the padded declarations, [__home] resolved through
-      the permutation table — replayed through the interpreter matches,
-      access by access, the trace the chosen layouts imply for the
-      original program ({!check_codegen}, run when codegen is enabled).
+    - [V007] the emitted C program's access sequence — the transformed
+      program traced under row-major addressing over the padded
+      declarations, [__home] resolved through the permutation table —
+      matches, access by access, the original program traced under the
+      chosen layouts' [Layout.offset_fn] ({!check_codegen}, run when
+      codegen is enabled).
 
     Violations come back as located diagnostics (span of the offending
     declaration or reference), never exceptions. *)
@@ -38,7 +39,10 @@ val check_codegen :
   Lang.Diag.t list
 (** The V007 replay alone.  Traces both programs with a small thread
     count (the chunk arithmetic is exercised; trace length is
-    thread-independent), drops the transformed side's [__home] reads, and
-    compares per-nest per-thread streams — lengths in full, elements up
-    to a cap.  The first divergence is reported at the offending nest's
+    thread-independent) through {!Lang.Interp.trace_capped}, the
+    transformed side with its [__home] reads excluded, and compares
+    per-nest per-thread streams — access counts in full, elements up to
+    65536 per thread per nest, the only prefix either side stores or
+    addresses.  The first violation, in nest, then thread, then
+    length-before-elements order, is reported at the offending nest's
     span. *)

@@ -6,10 +6,15 @@ let is_write a = a land 1 = 1
 
 type phase = access array array
 
-(* Growable int buffer: per-thread access stream under construction. *)
-type buf = { mutable data : int array; mutable len : int }
+(* Growable int buffer: per-thread access stream under construction.
+   [dropped] counts the accesses past the caller's storage cap. *)
+type buf = {
+  mutable data : int array;
+  mutable len : int;
+  mutable dropped : int;
+}
 
-let buf_make () = { data = Array.make 1024 0; len = 0 }
+let buf_make () = { data = Array.make 1024 0; len = 0; dropped = 0 }
 
 let buf_push b x =
   if b.len = Array.length b.data then begin
@@ -58,9 +63,13 @@ let unbound x () =
    nest runs as one phase.  Evaluation order is the one the trace
    encodes: a binary operator runs its right operand first, an [if] its
    lhs first, an assignment its rhs before the lhs subscripts, and
-   subscripts run left to right. *)
-let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
-    ?(index_lookup = fun _ _ -> 0) ?site_of (p : Ast.program) =
+   subscripts run left to right.  An integer literal emits nothing, so a
+   constant operand is folded into its operator's closure without moving
+   any access.  Each thread stores at most [cap] accesses and counts the
+   rest; a reference to an [exclude]d array emits nothing at all. *)
+let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
+    ?(exclude = fun _ -> false) ~addr_of ?(index_lookup = fun _ _ -> 0) ?site_of
+    (p : Ast.program) =
   if threads <= 0 || threads_per_core <= 0 || threads mod threads_per_core <> 0
   then invalid_arg "Interp.trace: bad thread configuration";
   let tagging = site_of <> None in
@@ -87,6 +96,30 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
   let rec expr scope e : unit -> int =
     match e with
     | Ast.Int n -> fun () -> n
+    | Ast.Add (a, Ast.Int k) ->
+      let a = expr scope a in
+      fun () -> a () + k
+    | Ast.Sub (a, Ast.Int k) ->
+      let a = expr scope a in
+      fun () -> a () - k
+    | Ast.Mul (Ast.Int k, a) ->
+      let a = expr scope a in
+      fun () -> k * a ()
+    | Ast.Mul (a, Ast.Int k) ->
+      let a = expr scope a in
+      fun () -> a () * k
+    | Ast.Div (Ast.Var x, Ast.Int k) when List.mem_assoc x scope ->
+      let s = List.assoc x scope in
+      fun () -> env.(s) / k
+    | Ast.Mod (Ast.Var x, Ast.Int k) when List.mem_assoc x scope ->
+      let s = List.assoc x scope in
+      fun () -> env.(s) mod k
+    | Ast.Div (a, Ast.Int k) ->
+      let a = expr scope a in
+      fun () -> a () / k
+    | Ast.Mod (a, Ast.Int k) ->
+      let a = expr scope a in
+      fun () -> a () mod k
     | Ast.Var x -> (
       match List.assoc_opt x scope with
       | Some s -> fun () -> env.(s)
@@ -128,26 +161,37 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
         0
   (* One access per run: evaluates the subscripts into the reference's
      own buffer, emits, and returns the buffer.  [addr_of r.array] is
-     applied on the first run only. *)
+     applied on the first stored run only. *)
   and reference scope (r : Ast.ref_) w : unit -> Affine.Vec.t =
     let subs = Array.of_list (List.map (expr scope) r.subs) in
     let n = Array.length subs in
     let v = Array.make n 0 in
-    let site = ref (-1) in
-    let addr = ref (fun _ -> 0) in
-    (addr :=
-       fun v ->
-         let f = addr_of r.array in
-         site := site_id r;
-         addr := f;
-         f v);
-    fun () ->
+    if exclude r.array then fun () ->
       for k = 0 to n - 1 do
         v.(k) <- subs.(k) ()
       done;
-      buf_push sink.cur ((!addr v lsl 1) lor w);
-      if tagging then buf_push sink.scur !site;
       v
+    else begin
+      let site = ref (-1) in
+      let addr = ref (fun _ -> 0) in
+      (addr :=
+         fun v ->
+           let f = addr_of r.array in
+           site := site_id r;
+           addr := f;
+           f v);
+      fun () ->
+        for k = 0 to n - 1 do
+          v.(k) <- subs.(k) ()
+        done;
+        let b = sink.cur in
+        if b.len < cap then begin
+          buf_push b ((!addr v lsl 1) lor w);
+          if tagging then buf_push sink.scur !site
+        end
+        else b.dropped <- b.dropped + 1;
+        v
+    end
   in
   (* [inside]: statically within a parfor, where a nested parfor runs
      sequentially on its owner; outside, a parfor fans out. *)
@@ -225,11 +269,21 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
       set_thread 0;
       run ();
       ( Array.map buf_contents sink.bufs,
-        if tagging then Array.map buf_contents sink.sbufs else [||] ))
+        (if tagging then Array.map buf_contents sink.sbufs else [||]),
+        Array.map (fun b -> b.len + b.dropped) sink.bufs ))
     nests
 
 let trace ~threads ?threads_per_core ~addr_of ?index_lookup p =
-  List.map fst (trace_gen ~threads ?threads_per_core ~addr_of ?index_lookup p)
+  List.map
+    (fun (ph, _, _) -> ph)
+    (trace_gen ~threads ?threads_per_core ~addr_of ?index_lookup p)
 
 let trace_tagged ~threads ?threads_per_core ~addr_of ?index_lookup ~site_of p =
-  trace_gen ~threads ?threads_per_core ~addr_of ?index_lookup ~site_of p
+  List.map
+    (fun (ph, sites, _) -> (ph, sites))
+    (trace_gen ~threads ?threads_per_core ~addr_of ?index_lookup ~site_of p)
+
+let trace_capped ~threads ~cap ?exclude ~addr_of ?index_lookup p =
+  List.map
+    (fun (ph, _, counts) -> (ph, counts))
+    (trace_gen ~threads ~cap ?exclude ~addr_of ?index_lookup p)

@@ -14,8 +14,12 @@
     The program is staged once before it runs: parameters and loop
     indices are resolved to integer slots and every expression and
     reference becomes a closure, so no name is looked up per access.
-    Accesses are emitted in this evaluation order, which the trace (and
-    every golden built from it) encodes:
+    An operator with an integer-literal operand ([e + k], [e - k],
+    [k * e], [e * k], [e / k], [e mod k]) becomes one closure, and so
+    does [x / k] or [x mod k] on a bound name [x]; a literal emits no
+    access, so this moves nothing in the order below.  Accesses are
+    emitted in this evaluation order, which the trace (and every golden
+    built from it) encodes:
     - a binary operator evaluates its {e right} operand first;
     - an [if] evaluates its lhs before its rhs;
     - an assignment evaluates its rhs before the lhs subscripts;
@@ -81,3 +85,23 @@ val trace_tagged :
     {!Sites.id_of_ref}).  Site ids travel in this side band — not in the
     access encoding — because the verifier's synthetic replay addresses
     own the access int's high bits. *)
+
+val trace_capped :
+  threads:int ->
+  cap:int ->
+  ?exclude:(string -> bool) ->
+  addr_of:(string -> Affine.Vec.t -> int) ->
+  ?index_lookup:(string -> Affine.Vec.t -> int) ->
+  Ast.program ->
+  (phase * int array) list
+(** Like {!trace}, but each thread stores only its first [cap] accesses
+    of a phase: [(streams, counts)] where [counts.(t)] is the number of
+    accesses thread [t] performed and [streams.(t)] the first
+    [min cap counts.(t)] of them.  Past the cap a reference still
+    evaluates its subscripts (and [index_lookup] still runs), but
+    [addr_of] is not called, so a reference whose first run lies past
+    the cap never resolves.  A reference to an array for which
+    [exclude] (default: none) holds emits nothing and is not counted;
+    its subscripts and [index_lookup] still run.  The stored prefix is
+    exactly the head of what {!trace} would give with the excluded
+    arrays' accesses removed. *)

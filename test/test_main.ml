@@ -8,4 +8,4 @@ let () =
    @ Test_extensions.suite @ Test_fuzz.suite @ Test_misc.suite
    @ Test_sweep.suite @ Test_pipeline.suite @ Test_platform.suite
    @ Test_attr.suite @ Test_serve.suite @ Test_par.suite
-   @ Test_place_search.suite @ Test_interp.suite)
+   @ Test_place_search.suite @ Test_interp.suite @ Test_codegen_replay.suite)

@@ -338,7 +338,13 @@ let test_codegen_replay_catches_mismatch () =
     (fun (d : Diag.t) ->
       Alcotest.(check string) "code" "V007" d.Diag.code;
       Alcotest.(check bool) "is error" true (Diag.is_error d))
-    diags
+    diags;
+  Alcotest.(check (list string))
+    "capped replay = materializing replay"
+    (List.map Diag.to_string
+       (Naive_codegen_replay.check_codegen ~report ~original:program
+          ~transformed:program))
+    (List.map Diag.to_string diags)
 
 (* --- golden --emit stage dumps ---------------------------------------- *)
 
