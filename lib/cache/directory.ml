@@ -1,50 +1,77 @@
-(* Holder sets as pairs of 62-bit words: word 0 covers nodes 0..61, word 1
-   nodes 62..123.  124 nodes is ample for every configuration evaluated. *)
+(* Holder sets are bitsets of [Sys.int_size]-bit words — node [n] is bit
+   [n mod int_size] of word [n / int_size] — sized to the machine, so any
+   node count works.  Each tracked line keys its own mutable set in an
+   int-keyed table; adding or dropping a holder of a tracked line updates
+   the set in place. *)
 
-type t = { nodes : int; table : (int, int * int) Hashtbl.t }
+module Line_tbl = Hashtbl.Make (struct
+  type t = int
 
-let bits_per_word = 62
+  let equal (a : int) b = a = b
+
+  (* Line addresses are multiples of the line size and the table indexes
+     its buckets by the low bits of the hash: a multiplicative mix (odd
+     constant, high product bits) brings the varying bits down. *)
+  let hash x = (x * 0x1E3779B97F4A7C15) lsr 32
+end)
+
+type t = { nodes : int; words : int; table : int array Line_tbl.t }
+
+let bits = Sys.int_size
 
 let create ~nodes =
-  if nodes <= 0 || nodes > 2 * bits_per_word then invalid_arg "Directory.create";
-  { nodes; table = Hashtbl.create 4096 }
-
-let mask node =
-  if node < bits_per_word then (1 lsl node, 0) else (0, 1 lsl (node - bits_per_word))
+  if nodes <= 0 then invalid_arg "Directory.create";
+  { nodes; words = (nodes + bits - 1) / bits; table = Line_tbl.create 4096 }
 
 let add_holder d ~line ~node =
   if node < 0 || node >= d.nodes then invalid_arg "Directory.add_holder";
-  let m0, m1 = mask node in
-  let w0, w1 = Option.value (Hashtbl.find_opt d.table line) ~default:(0, 0) in
-  Hashtbl.replace d.table line (w0 lor m0, w1 lor m1)
+  let w = node / bits and b = 1 lsl (node mod bits) in
+  match Line_tbl.find d.table line with
+  | set -> set.(w) <- set.(w) lor b
+  | exception Not_found ->
+    let set = Array.make d.words 0 in
+    set.(w) <- b;
+    Line_tbl.add d.table line set
+
+let is_empty set =
+  let rec go w = w = Array.length set || (set.(w) = 0 && go (w + 1)) in
+  go 0
 
 let remove_holder d ~line ~node =
-  match Hashtbl.find_opt d.table line with
-  | None -> ()
-  | Some (w0, w1) ->
-    let m0, m1 = mask node in
-    let w0 = w0 land lnot m0 and w1 = w1 land lnot m1 in
-    if w0 = 0 && w1 = 0 then Hashtbl.remove d.table line
-    else Hashtbl.replace d.table line (w0, w1)
+  if node >= 0 && node < d.nodes then
+    match Line_tbl.find d.table line with
+    | exception Not_found -> ()
+    | set ->
+      let w = node / bits in
+      set.(w) <- set.(w) land lnot (1 lsl (node mod bits));
+      if is_empty set then Line_tbl.remove d.table line
 
 let holders d ~line =
-  match Hashtbl.find_opt d.table line with
-  | None -> []
-  | Some (w0, w1) ->
+  match Line_tbl.find d.table line with
+  | exception Not_found -> []
+  | set ->
     let acc = ref [] in
     for n = d.nodes - 1 downto 0 do
-      let m0, m1 = mask n in
-      if w0 land m0 <> 0 || w1 land m1 <> 0 then acc := n :: !acc
+      if set.(n / bits) land (1 lsl (n mod bits)) <> 0 then acc := n :: !acc
     done;
     !acc
 
-let closest_holder d ~line ?(excluding = -1) ~distance () =
-  let ns = List.filter (fun n -> n <> excluding) (holders d ~line) in
-  List.fold_left
-    (fun b n ->
-      match b with
-      | None -> Some n
-      | Some m -> if distance n < distance m then Some n else Some m)
-    None ns
+(* Holders in ascending node order, keeping the first strict minimum:
+   among equally distant holders the lowest-numbered wins. *)
+let closest_holder d ~line ~excluding ~distance =
+  match Line_tbl.find d.table line with
+  | exception Not_found -> -1
+  | set ->
+    let best = ref (-1) and best_dist = ref 0 in
+    for n = 0 to d.nodes - 1 do
+      if n <> excluding && set.(n / bits) land (1 lsl (n mod bits)) <> 0 then begin
+        let dist = distance.(n) in
+        if !best < 0 || dist < !best_dist then begin
+          best := n;
+          best_dist := dist
+        end
+      end
+    done;
+    !best
 
-let clear d = Hashtbl.reset d.table
+let clear d = Line_tbl.reset d.table

@@ -4,26 +4,30 @@
     cached at the memory controller that owns the line (paper, Fig. 2a).
     The directory knows which private L2s hold a copy and either forwards
     the request to a sharer (on-chip transfer) or issues an off-chip
-    access.  Holders are tracked as a bitmask, supporting up to 63 nodes
-    in a native int and arbitrarily many via the two-word representation
-    used here (the default platform has 64 nodes). *)
+    access.  Holders are tracked per line as a bitset sized to the node
+    count, so any mesh works; an update or a lookup allocates nothing
+    once the line is tracked. *)
 
 type t
 
 val create : nodes:int -> t
+(** Raises [Invalid_argument] unless [nodes] is positive. *)
 
 val add_holder : t -> line:int -> node:int -> unit
+(** Raises [Invalid_argument] unless [0 <= node < nodes]. *)
 
 val remove_holder : t -> line:int -> node:int -> unit
+(** No effect when [node] does not hold the line. *)
 
 val holders : t -> line:int -> int list
 (** Nodes currently holding the line, ascending. *)
 
-val closest_holder :
-  t -> line:int -> ?excluding:int -> distance:(int -> int) -> unit -> int option
-(** The holder minimizing [distance] (e.g. hops from the requester), or
-    [None] if no other L2 holds the line.  [excluding] removes the
-    requester itself from consideration (it is registered as a holder as
-    soon as its fill is in flight). *)
+val closest_holder : t -> line:int -> excluding:int -> distance:int array -> int
+(** The holder [h] minimizing [distance.(h)] (e.g. the requester's row of
+    hop counts), the lowest-numbered one among equally distant holders,
+    or [-1] if no L2 but [excluding] holds the line.  [excluding] removes
+    the requester itself from consideration (it is registered as a holder
+    as soon as its fill is in flight); pass [-1] to exclude nobody.
+    [distance] must cover every node. *)
 
 val clear : t -> unit

@@ -4,6 +4,8 @@ type t = {
   line_bytes : int;
   line_shift : int;
   num_sets : int;
+  set_shift : int;  (** [log2 num_sets] *)
+  set_mask : int;  (** [num_sets - 1] *)
   hash_sets : bool;
   ways : int;
   tags : int array;  (** [(set * ways) + way] -> line address, or -1 *)
@@ -26,10 +28,13 @@ let create ?(hash_sets = false) ~size_bytes ~line_bytes ~ways () =
   let lines = size_bytes / line_bytes in
   let num_sets = lines / ways in
   if num_sets <= 0 then invalid_arg "Sacache.create: geometry too small";
+  if not (is_pow2 num_sets) then invalid_arg "Sacache.create";
   {
     line_bytes;
     line_shift = log2 line_bytes;
     num_sets;
+    set_shift = log2 num_sets;
+    set_mask = num_sets - 1;
     hash_sets;
     ways;
     tags = Array.make (num_sets * ways) (-1);
@@ -46,34 +51,43 @@ let sets c = c.num_sets
 
 let line_addr c addr = addr land lnot (c.line_bytes - 1)
 
-let set_of c line =
+(* With a power-of-two set count the hashed index — the line index XORed
+   with its quotients by [sets] and [sets²] — is shifts and one mask. *)
+let set_base c line =
   let idx = line lsr c.line_shift in
-  let idx = if c.hash_sets then idx lxor (idx / c.num_sets) lxor (idx / (c.num_sets * c.num_sets)) else idx in
-  ((idx mod c.num_sets) + c.num_sets) mod c.num_sets
-
-let find c line =
-  let s = set_of c line in
-  let base = s * c.ways in
-  let rec go w =
-    if w = c.ways then None
-    else if c.tags.(base + w) = line then Some (base + w)
-    else go (w + 1)
+  let idx =
+    if c.hash_sets then
+      idx lxor (idx lsr c.set_shift) lxor (idx lsr (2 * c.set_shift))
+    else idx
   in
-  go 0
+  (idx land c.set_mask) * c.ways
+
+(* The slot holding [line] in the set starting at [base], or -1. *)
+let find_in c base line =
+  let stop = base + c.ways in
+  let rec go i =
+    if i = stop then -1 else if c.tags.(i) = line then i else go (i + 1)
+  in
+  go base
+
+let find c line = find_in c (set_base c line) line
+
+(* a fill into an invalid way: shared, so a cold miss allocates nothing *)
+let cold_miss = Miss { evicted = None; evicted_dirty = false }
 
 let access c ~addr ~write =
   c.tick <- c.tick + 1;
   let line = line_addr c addr in
-  match find c line with
-  | Some slot ->
+  let base = set_base c line in
+  let slot = find_in c base line in
+  if slot >= 0 then begin
     c.hits <- c.hits + 1;
     c.last_use.(slot) <- c.tick;
     if write then c.dirty.(slot) <- true;
     Hit
-  | None ->
+  end
+  else begin
     c.misses <- c.misses + 1;
-    let s = set_of c line in
-    let base = s * c.ways in
     (* victim: an invalid way, else the LRU way *)
     let victim = ref base in
     for w = 0 to c.ways - 1 do
@@ -85,23 +99,28 @@ let access c ~addr ~write =
       then victim := i
     done;
     let v = !victim in
-    let evicted = if c.tags.(v) <> -1 then Some c.tags.(v) else None in
-    let evicted_dirty = c.tags.(v) <> -1 && c.dirty.(v) in
+    let old = c.tags.(v) in
+    let result =
+      if old = -1 then cold_miss
+      else Miss { evicted = Some old; evicted_dirty = c.dirty.(v) }
+    in
     c.tags.(v) <- line;
     c.dirty.(v) <- write;
     c.last_use.(v) <- c.tick;
-    Miss { evicted; evicted_dirty }
+    result
+  end
 
-let probe c ~addr = Option.is_some (find c (line_addr c addr))
+let probe c ~addr = find c (line_addr c addr) >= 0
 
 let invalidate c ~addr =
-  match find c (line_addr c addr) with
-  | None -> false
-  | Some slot ->
+  let slot = find c (line_addr c addr) in
+  if slot < 0 then false
+  else begin
     let was_dirty = c.dirty.(slot) in
     c.tags.(slot) <- -1;
     c.dirty.(slot) <- false;
     was_dirty
+  end
 
 let clear c =
   Array.fill c.tags 0 (Array.length c.tags) (-1);

@@ -15,14 +15,20 @@ type result =
 
 val create : ?hash_sets:bool -> size_bytes:int -> line_bytes:int -> ways:int -> unit -> t
 (** Raises [Invalid_argument] unless sizes are positive, [line_bytes] a
-    power of two, and the geometry yields at least one set.
+    power of two, and the geometry yields a power-of-two number of sets
+    ([size_bytes / line_bytes / ways]): the set index of an access is
+    then a shift and a mask, never a division.  Every machine the
+    simulator builds has power-of-two sets.
 
     [hash_sets] (default false) XOR-folds the upper line-address bits
     into the set index, as many real caches do.  The simulator enables it
     to avoid systematic set aliasing: the customized layouts make array
     strides exact multiples of [num_mcs * line_bytes] by construction,
     which on the scaled-down caches would otherwise alias whole columns
-    into one set. *)
+    into one set.
+
+    Addresses are non-negative byte addresses.  A hit allocates nothing,
+    and neither does a fill into an invalid way. *)
 
 val line_bytes : t -> int
 

@@ -69,19 +69,47 @@ let size_elems l = Array.fold_left (fun n d -> n * d.extent) 1 l.out
 
 let size_bytes l = size_elems l * l.elem_bytes
 
-let rec eval_dim e a' =
-  match e with
-  | D i -> a'.(i)
-  | Div (e, k) -> eval_dim e a' / k
-  | Mod (e, k) -> eval_dim e a' mod k
-  | Perm (e, t) -> t.(eval_dim e a')
+let is_pow2 k = k > 0 && k land (k - 1) = 0
+
+let log2 k =
+  let rec go acc k = if k = 1 then acc else go (acc + 1) (k lsr 1) in
+  go 0 k
+
+(* One output dimension staged into a closure over [a'].  A power-of-two
+   divisor of a non-negative operand is a shift or a mask; a negative
+   operand keeps [/] and [mod] (truncation toward zero), and so does every
+   other divisor — 0 included, which raises [Division_by_zero] as the
+   plain expression would. *)
+let rec stage_dim = function
+  | D i -> fun v -> v.(i)
+  | Div (e, k) when is_pow2 k ->
+    let f = stage_dim e and s = log2 k in
+    fun v ->
+      let x = f v in
+      if x >= 0 then x lsr s else x / k
+  | Mod (e, k) when is_pow2 k ->
+    let f = stage_dim e and m = k - 1 in
+    fun v ->
+      let x = f v in
+      if x >= 0 then x land m else x mod k
+  | Div (e, k) ->
+    let f = stage_dim e in
+    fun v -> f v / k
+  | Mod (e, k) ->
+    let f = stage_dim e in
+    fun v -> f v mod k
+  | Perm (e, t) ->
+    let f = stage_dim e in
+    fun v -> t.(f v)
 
 (* [a' = U·a + a_shift] goes into one scratch vector owned by the returned
    function, so a call allocates nothing. *)
 let offset_fn l =
-  let u = l.u and shift = l.a_shift and out = l.out in
+  let u = l.u and shift = l.a_shift in
   let rows = Matrix.rows u and cols = Matrix.cols u in
   if Array.length shift <> rows then invalid_arg "Vec.add";
+  let dims = Array.map (fun d -> stage_dim d.expr) l.out
+  and extents = Array.map (fun d -> d.extent) l.out in
   let a' = Array.make rows 0 in
   fun a ->
     if Array.length a <> cols then invalid_arg "Matrix.mul_vec";
@@ -93,9 +121,8 @@ let offset_fn l =
       a'.(i) <- !s
     done;
     let off = ref 0 in
-    for k = 0 to Array.length out - 1 do
-      let d = out.(k) in
-      off := (!off * d.extent) + eval_dim d.expr a'
+    for k = 0 to Array.length dims - 1 do
+      off := (!off * extents.(k)) + dims.(k) a'
     done;
     !off
 

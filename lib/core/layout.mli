@@ -65,12 +65,15 @@ val size_elems : t -> int
 
 val size_bytes : t -> int
 
-val eval_dim : dim_expr -> Affine.Vec.t -> int
-
 val offset_fn : t -> Affine.Vec.t -> int
 (** [offset_fn l] stages {!offset_of_index} for repeated use: it reads
     [U], the shift and the output dimensions once, and the returned
-    function allocates nothing per call.  The returned function keeps a
+    function allocates nothing per call.  Each output dimension becomes a
+    closure in which a power-of-two [Div]/[Mod] of a non-negative operand
+    is a shift/mask (a negative operand keeps truncating [/] and [mod]),
+    so offsets and exceptions — [Division_by_zero], an out-of-range
+    [Perm] index — are those of evaluating [U·a + a_shift] and the
+    dimension expressions directly.  The returned function keeps a
     private scratch vector, so it is not re-entrant: keep one per caller
     (or per domain) and never share one globally. *)
 

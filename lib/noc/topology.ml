@@ -62,7 +62,11 @@ let coord_of_node t n = Coord.make (n mod t.width) (n / t.width)
 let in_mesh t (c : Coord.t) =
   c.x >= 0 && c.x < t.width && c.y >= 0 && c.y < t.height
 
-let distance t a b = Coord.manhattan (coord_of_node t a) (coord_of_node t b)
+(* the Manhattan distance of the two nodes' coordinates, computed without
+   building them *)
+let distance t a b =
+  let w = t.width in
+  abs ((a mod w) - (b mod w)) + abs ((a / w) - (b / w))
 
 (* --- the chiplet level ------------------------------------------------- *)
 

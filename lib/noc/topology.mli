@@ -53,7 +53,7 @@ val in_mesh : t -> Coord.t -> bool
 
 val distance : t -> int -> int -> int
 (** Manhattan distance between two nodes (= number of links an XY-routed
-    message traverses). *)
+    message traverses).  Allocates nothing. *)
 
 val num_chiplets : t -> int
 (** [1] on a flat mesh. *)

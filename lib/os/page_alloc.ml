@@ -3,11 +3,22 @@ type policy =
   | First_touch of (int -> int)
   | Mc_aware of { desired : int -> int option; fallback : int -> int }
 
+(* Virtual pages come in dense runs (one per array), so the identity is
+   a collision-free hash over the table's power-of-two bucket array, and
+   it is computed in OCaml rather than by the generic C hash. *)
+module Page_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash (x : int) = x
+end)
+
 type t = {
   map : Dram.Address_map.t;
   policy : policy;
   frames_per_mc : int;
-  table : (int, int) Hashtbl.t;  (** virtual page -> physical frame *)
+  table : int Page_tbl.t;  (** virtual page -> physical frame *)
   next_local : int array;  (** per MC: next never-used local frame index *)
   free_local : int list array;
       (** per MC: reclaimed local frame indices, reused LIFO before the
@@ -26,7 +37,7 @@ let create ~map ~policy ?(frames_per_mc = 1 lsl 18) () =
     map;
     policy;
     frames_per_mc;
-    table = Hashtbl.create 4096;
+    table = Page_tbl.create 4096;
     next_local = Array.make map.Dram.Address_map.num_mcs 0;
     free_local = Array.make map.Dram.Address_map.num_mcs [];
     in_use = Array.make map.Dram.Address_map.num_mcs 0;
@@ -82,9 +93,9 @@ let translate_owned t ~owner ~node ~vaddr =
   let page_bytes = t.map.Dram.Address_map.page_bytes in
   let vpage = vaddr / page_bytes in
   let frame =
-    match Hashtbl.find_opt t.table vpage with
-    | Some f -> f
-    | None ->
+    match Page_tbl.find t.table vpage with
+    | f -> f
+    | exception Not_found ->
       let f =
         match t.map.Dram.Address_map.interleaving with
         | Dram.Address_map.Line_interleaved ->
@@ -114,7 +125,7 @@ let translate_owned t ~owner ~node ~vaddr =
             alloc_on t ~owner
               (match desired vpage with Some m -> m | None -> fallback node))
       in
-      Hashtbl.replace t.table vpage f;
+      Page_tbl.replace t.table vpage f;
       f
   in
   (frame * page_bytes) + (vaddr mod page_bytes)
@@ -124,10 +135,10 @@ let translate t ~node ~vaddr = translate_owned t ~owner:(-1) ~node ~vaddr
 let free_region t ~first_vpage ~last_vpage =
   let freed = ref 0 in
   for vpage = first_vpage to last_vpage do
-    match Hashtbl.find_opt t.table vpage with
+    match Page_tbl.find_opt t.table vpage with
     | None -> ()
     | Some f ->
-      Hashtbl.remove t.table vpage;
+      Page_tbl.remove t.table vpage;
       incr freed;
       (match t.map.Dram.Address_map.interleaving with
       | Dram.Address_map.Line_interleaved ->
@@ -147,9 +158,9 @@ let mc_of_vpage t vpage =
   | Dram.Address_map.Page_interleaved ->
     Option.map
       (fun f -> f mod t.map.Dram.Address_map.num_mcs)
-      (Hashtbl.find_opt t.table vpage)
+      (Page_tbl.find_opt t.table vpage)
 
-let pages_allocated t = Hashtbl.length t.table
+let pages_allocated t = Page_tbl.length t.table
 
 let fallback_allocations t = t.fallbacks
 
@@ -157,7 +168,7 @@ let fallback_allocations_of t ~owner =
   Option.value (Hashtbl.find_opt t.owner_fallbacks owner) ~default:0
 
 let reset t =
-  Hashtbl.reset t.table;
+  Page_tbl.reset t.table;
   Array.fill t.next_local 0 (Array.length t.next_local) 0;
   Array.fill t.free_local 0 (Array.length t.free_local) [];
   Array.fill t.in_use 0 (Array.length t.in_use) 0;

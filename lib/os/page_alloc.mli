@@ -42,7 +42,9 @@ val create :
 
 val translate : t -> node:int -> vaddr:int -> int
 (** Physical address; allocates the page on first touch.  [node] is the
-    requesting mesh node (used by first-touch). *)
+    requesting mesh node (used by first-touch).  The page table is an
+    int-keyed hash table hashed in OCaml, so translating an already
+    mapped page allocates nothing and makes no C call. *)
 
 val translate_owned : t -> owner:int -> node:int -> vaddr:int -> int
 (** Like {!translate}, but charges any fallback allocation this access

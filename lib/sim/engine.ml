@@ -286,11 +286,11 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     Array.init nodes (fun n -> Noc.Placement.nearest placement topo n)
   in
   let nearest_mc node = nearest_tbl.(node) in
-  let hop_tbl =
-    Array.init (nodes * nodes) (fun i ->
-        Noc.Topology.distance topo (i / nodes) (i mod nodes))
+  let hop_rows =
+    Array.init nodes (fun src ->
+        Array.init nodes (fun dst -> Noc.Topology.distance topo src dst))
   in
-  let hops_between src dst = hop_tbl.((src * nodes) + dst) in
+  let hops_between src dst = hop_rows.(src).(dst) in
   (* inter-chiplet off-chip traffic: the counter is registered only on
      hierarchical platforms, so flat runs' stats documents stay
      byte-identical; the origin-node × MC crossing table makes the hot
@@ -581,27 +581,27 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         Directory.remove_holder dir ~line:ev ~node;
         if evicted_dirty then writeback ~now:t ~src:node ev
       | None -> ());
-      let holder =
-        Directory.closest_holder dir ~line ~excluding:node
-          ~distance:(fun h -> Noc.Topology.distance topo node h)
-          ()
-      in
       Directory.add_holder dir ~line ~node;
       let req = alloc_req () in
       init_req req ~rid ~jid ~tid ~node ~paddr ~wr ~site ~home:node
         ~shared:false ~measured ~traced ~resume;
       if cfg.optimal then begin
         (* oracle lookup at miss time: sharers keep the normal on-chip
-           path; off-chip goes straight to the nearest controller *)
-        match holder with
-        | Some _ ->
+           path; off-chip goes straight to the nearest controller (the
+           requester, already registered, is excluded) *)
+        if
+          Directory.closest_holder dir ~line ~excluding:node
+            ~distance:hop_rows.(node)
+          >= 0
+        then begin
           let m = Address_map.mc_of_paddr amap paddr in
           let dst = mc_node m in
           let arr = send_req req ~now:t ~src:node ~dst ~bytes:ctrl_bytes in
           req.pend_hops <- hops_between node dst;
           req.pend_net <- arr - t;
           Event_heap.push heap ~time:arr req.a_dir_decide
-        | None ->
+        end
+        else begin
           let m = nearest_mc node in
           req.mc <- m;
           let dst = mc_node m in
@@ -609,6 +609,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
           log_leg ~measured:req.measured ~offchip:true (hops_between node dst)
             (arr - t);
           Event_heap.push heap ~time:arr req.a_mc_arrive
+        end
       end
       else begin
         let m = Address_map.mc_of_paddr amap paddr in
@@ -721,13 +722,11 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         ~dur:cfg.directory_latency;
       let t = t + cfg.directory_latency in
       let line = line_of req.rpaddr in
-      let holder =
+      let h =
         Directory.closest_holder dir ~line ~excluding:req.rnode
-          ~distance:(fun h -> Noc.Topology.distance topo req.rnode h)
-          ()
+          ~distance:hop_rows.(req.rnode)
       in
-      match holder with
-      | Some h ->
+      if h >= 0 then begin
         (* on-chip: the pending request leg was on-chip after all *)
         log_leg ~measured:req.measured ~offchip:false req.pend_hops
           req.pend_net;
@@ -751,14 +750,16 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
           (arr - t);
         req.rowner <- h;
         Event_heap.push heap ~time:arr req.a_owner_read
-      | None ->
+      end
+      else begin
         log_leg ~measured:req.measured ~offchip:true req.pend_hops
           req.pend_net;
         if cfg.optimal then begin
           req.mc <- nearest_mc req.rnode;
           mc_arrive req t
         end
-        else mc_arrive req t)
+        else mc_arrive req t
+      end)
     | Owner_read req ->
       let h = req.rowner in
       span_req req ~cat:"cache" ~name:"L2 peer" ~ts:t ~dur:cfg.l2_latency;

@@ -97,6 +97,75 @@ let prop_lru_working_set =
       List.iter (fun a -> ignore (Sacache.access c ~addr:a ~write:false)) addrs;
       List.for_all (fun a -> is_hit (Sacache.access c ~addr:a ~write:false)) addrs)
 
+let test_rejects_non_pow2_sets () =
+  (* 3 sets: 384 B of 64 B lines, 2 ways *)
+  Alcotest.check_raises "3-set geometry" (Invalid_argument "Sacache.create")
+    (fun () -> ignore (Sacache.create ~size_bytes:384 ~line_bytes:64 ~ways:2 ()));
+  Alcotest.(check int) "4 sets accepted" 4
+    (Sacache.sets (Sacache.create ~size_bytes:512 ~line_bytes:64 ~ways:2 ()))
+
+type cache_op = Access of int * bool | Probe of int | Invalidate of int
+
+(* The shift-and-mask cache against [Naive_sacache] (division set index,
+   option lookups), driven by the same random operations on random
+   power-of-two geometries with and without set hashing.  Addresses come
+   from a pool a few times the cache's capacity, spread over high bits so
+   the hash folds matter, which forces conflicts, LRU evictions and dirty
+   write-backs. *)
+let prop_sacache_matches_naive =
+  let open QCheck.Gen in
+  let geometry =
+    oneofl [ 16; 32; 64; 128 ] >>= fun line ->
+    oneofl [ 1; 2; 4; 16 ] >>= fun ways ->
+    oneofl [ 1; 2; 8; 32; 64 ] >>= fun sets ->
+    bool >>= fun hash -> return (line, ways, sets, hash)
+  in
+  let case =
+    geometry >>= fun (line, ways, sets, hash) ->
+    let lines = 3 * ways * sets in
+    let addr =
+      map2
+        (fun l off -> ((l * 7919 mod (lines * 64)) * line) + off)
+        (int_bound (lines - 1))
+        (int_bound (line - 1))
+    in
+    list_size (int_range 1 400)
+      (frequency
+         [
+           (8, map2 (fun a w -> Access (a, w)) addr bool);
+           (1, map (fun a -> Probe a) addr);
+           (1, map (fun a -> Invalidate a) addr);
+         ])
+    >>= fun ops -> return ((line, ways, sets, hash), ops)
+  in
+  let print ((line, ways, sets, hash), ops) =
+    Printf.sprintf "line %d, %d ways, %d sets, hash %b: %s" line ways sets hash
+      (String.concat "; "
+         (List.map
+            (function
+              | Access (a, w) -> Printf.sprintf "%s %d" (if w then "W" else "R") a
+              | Probe a -> Printf.sprintf "P %d" a
+              | Invalidate a -> Printf.sprintf "I %d" a)
+            ops))
+  in
+  QCheck.Test.make ~name:"shift-and-mask cache equals the division oracle"
+    ~count:500 (QCheck.make ~print case)
+    (fun ((line, ways, sets, hash), ops) ->
+      let size_bytes = line * ways * sets in
+      let c =
+        Sacache.create ~hash_sets:hash ~size_bytes ~line_bytes:line ~ways ()
+      and o =
+        Naive_sacache.create ~hash_sets:hash ~size_bytes ~line_bytes:line ~ways ()
+      in
+      List.for_all
+        (function
+          | Access (addr, write) ->
+            Sacache.access c ~addr ~write = Naive_sacache.access o ~addr ~write
+          | Probe addr -> Sacache.probe c ~addr = Naive_sacache.probe o ~addr
+          | Invalidate addr ->
+            Sacache.invalidate c ~addr = Naive_sacache.invalidate o ~addr)
+        ops)
+
 (* --- directory --- *)
 
 let test_directory_basic () =
@@ -114,17 +183,17 @@ let test_directory_closest () =
   let d = Directory.create ~nodes:64 in
   Directory.add_holder d ~line:7 ~node:10;
   Directory.add_holder d ~line:7 ~node:40;
-  let dist_from x n = abs (n - x) in
-  Alcotest.(check (option int)) "closest to 12" (Some 10)
-    (Directory.closest_holder d ~line:7 ~distance:(dist_from 12) ());
-  Alcotest.(check (option int)) "closest to 39" (Some 40)
-    (Directory.closest_holder d ~line:7 ~distance:(dist_from 39) ());
+  let dist_from x = Array.init 64 (fun n -> abs (n - x)) in
+  Alcotest.(check int) "closest to 12" 10
+    (Directory.closest_holder d ~line:7 ~excluding:(-1) ~distance:(dist_from 12));
+  Alcotest.(check int) "closest to 39" 40
+    (Directory.closest_holder d ~line:7 ~excluding:(-1) ~distance:(dist_from 39));
   (* the requester itself is never returned *)
-  Alcotest.(check (option int)) "excluding self" (Some 40)
-    (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 10) ());
+  Alcotest.(check int) "excluding self" 40
+    (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 10));
   Directory.remove_holder d ~line:7 ~node:40;
-  Alcotest.(check (option int)) "no other holder" None
-    (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 0) ())
+  Alcotest.(check int) "no other holder" (-1)
+    (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 0))
 
 let prop_directory_membership =
   QCheck.Test.make ~name:"add/remove holder tracks membership" ~count:300
@@ -147,6 +216,106 @@ let prop_directory_membership =
       let want = List.sort compare (Hashtbl.fold (fun k () l -> k :: l) expected []) in
       Directory.holders d ~line:1 = want)
 
+(* Machines past the old two-word limit of 124 nodes: holders in every
+   word of the bitset, ascending order, ties and removal. *)
+let test_directory_large nodes () =
+  let d = Directory.create ~nodes in
+  let held = [ 0; 61; 62; 63; 125; 126; nodes - 1 ] in
+  List.iter (fun node -> Directory.add_holder d ~line:0x4000 ~node) held;
+  Alcotest.(check (list int)) "ascending holders" held (Directory.holders d ~line:0x4000);
+  (* every holder equally far: the lowest-numbered non-excluded one wins *)
+  let flat = Array.make nodes 3 in
+  Alcotest.(check int) "tie to lowest" 0
+    (Directory.closest_holder d ~line:0x4000 ~excluding:(-1) ~distance:flat);
+  Alcotest.(check int) "tie, requester excluded" 61
+    (Directory.closest_holder d ~line:0x4000 ~excluding:0 ~distance:flat);
+  let from_last = Array.init nodes (fun n -> nodes - 1 - n) in
+  Alcotest.(check int) "highest node nearest" (nodes - 1)
+    (Directory.closest_holder d ~line:0x4000 ~excluding:(-1) ~distance:from_last);
+  Alcotest.(check int) "next highest when excluded" 126
+    (Directory.closest_holder d ~line:0x4000 ~excluding:(nodes - 1)
+       ~distance:from_last);
+  Alcotest.check_raises "node out of range" (Invalid_argument "Directory.add_holder")
+    (fun () -> Directory.add_holder d ~line:0x4000 ~node:nodes);
+  List.iter (fun node -> Directory.remove_holder d ~line:0x4000 ~node) held;
+  Alcotest.(check (list int)) "empty" [] (Directory.holders d ~line:0x4000);
+  Alcotest.(check int) "no holder" (-1)
+    (Directory.closest_holder d ~line:0x4000 ~excluding:(-1) ~distance:flat)
+
+type dir_op =
+  | Add of int * int
+  | Remove of int * int
+  | Closest of int * int * int array
+  | Clear
+
+(* The bitset directory against [Naive_directory] (two-word masks, holder
+   lists, a fold for the closest holder) on up to 124 nodes.  Lines are
+   line-aligned addresses; distances are drawn from a few values so ties
+   are common; after every operation the holder lists of all lines agree. *)
+let prop_directory_matches_naive =
+  let open QCheck.Gen in
+  let case =
+    oneofl [ 1; 16; 62; 63; 64; 100; 124 ] >>= fun nodes ->
+    let line = map (fun l -> l * 64) (int_bound 5) in
+    let node = int_bound (nodes - 1) in
+    list_size (int_range 1 200)
+      (frequency
+         [
+           (6, map2 (fun l n -> Add (l, n)) line node);
+           (3, map2 (fun l n -> Remove (l, n)) line node);
+           ( 3,
+             map3
+               (fun l x dist -> Closest (l, x, dist))
+               line (int_range (-1) (nodes - 1))
+               (array_repeat nodes (int_bound 3)) );
+           (1, return Clear);
+         ])
+    >>= fun ops -> return (nodes, ops)
+  in
+  let print (nodes, ops) =
+    Printf.sprintf "%d nodes: %s" nodes
+      (String.concat "; "
+         (List.map
+            (function
+              | Add (l, n) -> Printf.sprintf "add %d %d" l n
+              | Remove (l, n) -> Printf.sprintf "remove %d %d" l n
+              | Closest (l, x, _) -> Printf.sprintf "closest %d excl %d" l x
+              | Clear -> "clear")
+            ops))
+  in
+  QCheck.Test.make ~name:"bitset directory equals the list oracle" ~count:500
+    (QCheck.make ~print case) (fun (nodes, ops) ->
+      let d = Directory.create ~nodes and o = Naive_directory.create ~nodes in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Add (line, node) ->
+              Directory.add_holder d ~line ~node;
+              Naive_directory.add_holder o ~line ~node;
+              true
+            | Remove (line, node) ->
+              Directory.remove_holder d ~line ~node;
+              Naive_directory.remove_holder o ~line ~node;
+              true
+            | Closest (line, excluding, dist) ->
+              Directory.closest_holder d ~line ~excluding ~distance:dist
+              = Option.value ~default:(-1)
+                  (Naive_directory.closest_holder o ~line ~excluding
+                     ~distance:(fun n -> dist.(n)) ())
+            | Clear ->
+              Directory.clear d;
+              Naive_directory.clear o;
+              true
+          in
+          same
+          && List.for_all
+               (fun l ->
+                 Directory.holders d ~line:(l * 64)
+                 = Naive_directory.holders o ~line:(l * 64))
+               [ 0; 1; 2; 3; 4; 5 ])
+        ops)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -160,12 +329,15 @@ let suite =
         Alcotest.test_case "probe/invalidate" `Quick test_probe_invalidate;
         Alcotest.test_case "stats/clear" `Quick test_stats_and_clear;
         Alcotest.test_case "set hashing" `Quick test_hash_spreads_aliases;
+        Alcotest.test_case "power-of-two sets" `Quick test_rejects_non_pow2_sets;
       ]
-      @ qsuite [ prop_lru_working_set ] );
+      @ qsuite [ prop_lru_working_set; prop_sacache_matches_naive ] );
     ( "cache.directory",
       [
         Alcotest.test_case "holders" `Quick test_directory_basic;
         Alcotest.test_case "closest holder" `Quick test_directory_closest;
+        Alcotest.test_case "144 nodes" `Quick (test_directory_large 144);
+        Alcotest.test_case "256 nodes" `Quick (test_directory_large 256);
       ]
-      @ qsuite [ prop_directory_membership ] );
+      @ qsuite [ prop_directory_membership; prop_directory_matches_naive ] );
   ]

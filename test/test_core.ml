@@ -191,8 +191,8 @@ let test_identity_layout () =
   Alcotest.(check int) "bytes" 480 (Layout.size_bytes l)
 
 (* [offset_fn] stages [offset_of_index]'s arithmetic: one staged function,
-   reused across many indices, must agree with [U·a + shift] laid out
-   from scratch, on every layout the pass picks for the suite. *)
+   reused across many indices, must agree with the plain evaluation in
+   [Naive_layout], on every layout the pass picks for the suite. *)
 let test_offset_fn_reuse () =
   let ccfg = Sim.Config.customize_config (Sim.Config.scaled ()) in
   List.iter
@@ -208,19 +208,81 @@ let test_offset_fn_reuse () =
                 (fun i e -> k * ((2 * i) + 3) * 7919 mod e)
                 l.Layout.orig_extents
             in
-            let a' = Vec.add (Matrix.mul_vec l.Layout.u a) l.Layout.a_shift in
-            let want =
-              Array.fold_left
-                (fun off (o : Layout.out_dim) ->
-                  (off * o.Layout.extent) + Layout.eval_dim o.Layout.expr a')
-                0 l.Layout.out
-            in
             Alcotest.(check int)
               (app.Workloads.App.name ^ " " ^ l.Layout.array)
-              want (f a)
+              (Naive_layout.offset l a) (f a)
           done)
         (Transform.run ccfg analysis).Transform.decisions)
     Workloads.Suite.all
+
+(* The staged [offset_fn] against [Naive_layout] on random layouts: [U]
+   with negative coefficients (or the identity, which skips [a']), shifts
+   that drive operands negative, power-of-two, other, unit, zero and
+   negative divisors, [Perm] tables that an operand can overrun, and now
+   and then an index of the wrong rank.  Offsets must be equal, and where
+   the oracle raises the staged function must raise the same exception. *)
+let prop_offset_fn_matches_naive =
+  let open QCheck.Gen in
+  let divisor = oneofl [ 1; 2; 4; 8; 16; 32; 256; 512; 3; 5; 7; 0; -4 ] in
+  let rec dim_expr rows depth =
+    if depth = 0 then map (fun i -> Layout.D i) (int_bound (rows - 1))
+    else
+      frequency
+        [
+          (2, map (fun i -> Layout.D i) (int_bound (rows - 1)));
+          (3, map2 (fun e k -> Layout.Div (e, k)) (dim_expr rows (depth - 1)) divisor);
+          (3, map2 (fun e k -> Layout.Mod (e, k)) (dim_expr rows (depth - 1)) divisor);
+          ( 1,
+            map2
+              (fun e t -> Layout.Perm (e, t))
+              (dim_expr rows (depth - 1))
+              (array_size (int_range 1 8) (int_range 0 7)) );
+        ]
+  in
+  let layout =
+    int_range 1 3 >>= fun cols ->
+    int_range 1 3 >>= fun rows ->
+    bool >>= fun identity ->
+    let rows = if identity then cols else rows in
+    (if identity then return (Matrix.identity cols)
+     else array_repeat rows (array_repeat cols (int_range (-3) 3)))
+    >>= fun u ->
+    (if identity then return (Vec.zero rows)
+     else array_repeat rows (int_range (-20) 20))
+    >>= fun a_shift ->
+    list_size (int_range 1 4)
+      (map2
+         (fun expr extent -> { Layout.expr; extent })
+         (dim_expr rows 3) (int_range 1 10))
+    >>= fun out ->
+    return
+      (Layout.make ~array:"x" ~u ~a_shift ~out:(Array.of_list out)
+         ~orig_extents:(Array.make cols 10) ~elem_bytes:8 ~p_elems:1 ())
+  in
+  let case =
+    layout >>= fun l ->
+    let cols = Array.length l.Layout.orig_extents in
+    list_size (int_range 1 20)
+      (frequency
+         [
+           (12, array_repeat cols (int_range (-10) 40));
+           (1, array_size (int_range 0 4) (int_range 0 9));
+         ])
+    >>= fun idxs -> return (l, idxs)
+  in
+  let print (l, idxs) =
+    Format.asprintf "%a@.shift %s@.indices %s" Layout.pp l
+      (String.concat "," (Array.to_list (Array.map string_of_int l.Layout.a_shift)))
+      (String.concat " "
+         (List.map
+            (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
+            idxs))
+  in
+  QCheck.Test.make ~name:"staged offset_fn equals the naive evaluation"
+    ~count:2000 (QCheck.make ~print case) (fun (l, idxs) ->
+      let f = Layout.offset_fn l in
+      let run g a = match g a with v -> Ok v | exception e -> Error e in
+      List.for_all (fun a -> run f a = run (Naive_layout.offset l) a) idxs)
 
 let test_private_layout_bijective () =
   let u = Matrix.identity 2 in
@@ -650,6 +712,7 @@ let suite =
         Alcotest.test_case "page granularity" `Quick test_page_granularity_layout;
         Alcotest.test_case "1-D small blocks" `Quick test_1d_small_block_layout;
         Alcotest.test_case "subscript rewriting" `Quick test_transformed_subscripts;
+        QCheck_alcotest.to_alcotest prop_offset_fn_matches_naive;
       ] );
     ( "core.indexed",
       [

@@ -20,7 +20,21 @@ let test_distance () =
   let n00 = Topology.node_of_coord topo8 (Coord.make 0 0) in
   let n77 = Topology.node_of_coord topo8 (Coord.make 7 7) in
   Alcotest.(check int) "corner to corner" 14 (Topology.distance topo8 n00 n77);
-  Alcotest.(check int) "self" 0 (Topology.distance topo8 n00 n00)
+  Alcotest.(check int) "self" 0 (Topology.distance topo8 n00 n00);
+  (* the coordinate-free arithmetic is the Manhattan distance of the
+     nodes' coordinates, on non-square meshes too *)
+  List.iter
+    (fun (width, height) ->
+      let t = Topology.make ~width ~height () in
+      let n = Topology.nodes t in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          Alcotest.(check int) "manhattan"
+            (Coord.manhattan (Topology.coord_of_node t a) (Topology.coord_of_node t b))
+            (Topology.distance t a b)
+        done
+      done)
+    [ (5, 3); (1, 7); (12, 12) ]
 
 let prop_route_length =
   let arb =

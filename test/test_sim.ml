@@ -413,6 +413,24 @@ let test_engine_degenerate_chiplet_golden () =
     (seed0_json ())
     (Obs.Json.to_string (Sweep.Exec.result_json ~app:"golden-small" cfg' r))
 
+(* A 12x12 mesh has 144 nodes, past the two-word holder sets the L2
+   directory once had (124 nodes): jacobi.mc, original and optimized,
+   runs through the private-L2 engine and every access is accounted for. *)
+let test_engine_mesh12x12 () =
+  let cfg =
+    Config.with_platform (Config.scaled ())
+      (ok (Core.Platform.of_spec "mesh12x12-mc4"))
+  in
+  let program = parse (Test_pipeline.read_file Test_pipeline.jacobi_path) in
+  List.iter
+    (fun optimized ->
+      let s = (Runner.run cfg ~optimized program).Engine.stats in
+      Alcotest.(check int) "accesses conserved" (Stats.total_accesses s)
+        (Stats.l1_hits s + Stats.l2_hits s + Stats.offchip_accesses s);
+      Alcotest.(check bool) "off-chip happened" true (Stats.offchip_accesses s > 0);
+      Alcotest.(check bool) "finite finish" true (Stats.finish_time s > 0))
+    [ false; true ]
+
 let test_engine_phase_advance_guard () =
   let cfg = Config.scaled () in
   (* a job with no phases must finish immediately instead of indexing
@@ -486,6 +504,7 @@ let suite =
           test_engine_degenerate_chiplet_golden;
         Alcotest.test_case "phase advance guard" `Quick
           test_engine_phase_advance_guard;
+        Alcotest.test_case "144-node mesh" `Quick test_engine_mesh12x12;
       ] );
     ( "sim.tracefile",
       [
