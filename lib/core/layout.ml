@@ -69,64 +69,95 @@ let size_elems l = Array.fold_left (fun n d -> n * d.extent) 1 l.out
 
 let size_bytes l = size_elems l * l.elem_bytes
 
-let is_pow2 k = k > 0 && k land (k - 1) = 0
+let rec eval_dim e a' =
+  match e with
+  | D i -> a'.(i)
+  | Div (e, k) -> eval_dim e a' / k
+  | Mod (e, k) -> eval_dim e a' mod k
+  | Perm (e, t) -> t.(eval_dim e a')
 
-let log2 k =
-  let rec go acc k = if k = 1 then acc else go (acc + 1) (k lsr 1) in
-  go 0 k
+(* The component of [a'] an output dimension reads: its one [D] leaf. *)
+let rec leaf = function
+  | D i -> i
+  | Div (e, _) | Mod (e, _) | Perm (e, _) -> leaf e
 
-(* One output dimension staged into a closure over [a'].  A power-of-two
-   divisor of a non-negative operand is a shift or a mask; a negative
-   operand keeps [/] and [mod] (truncation toward zero), and so does every
-   other divisor — 0 included, which raises [Division_by_zero] as the
-   plain expression would. *)
-let rec stage_dim = function
-  | D i -> fun v -> v.(i)
-  | Div (e, k) when is_pow2 k ->
-    let f = stage_dim e and s = log2 k in
-    fun v ->
-      let x = f v in
-      if x >= 0 then x lsr s else x / k
-  | Mod (e, k) when is_pow2 k ->
-    let f = stage_dim e and m = k - 1 in
-    fun v ->
-      let x = f v in
-      if x >= 0 then x land m else x mod k
-  | Div (e, k) ->
-    let f = stage_dim e in
-    fun v -> f v / k
-  | Mod (e, k) ->
-    let f = stage_dim e in
-    fun v -> f v mod k
-  | Perm (e, t) ->
-    let f = stage_dim e in
-    fun v -> t.(f v)
+(* The plain row-major offset of [a' = U·a + a_shift]: every output
+   dimension evaluated in order, so the first failing one raises. *)
+let offset_of_transformed l a' =
+  Array.fold_left (fun off d -> (off * d.extent) + eval_dim d.expr a') 0 l.out
 
-(* [a' = U·a + a_shift] goes into one scratch vector owned by the returned
-   function, so a call allocates nothing. *)
-let offset_fn l =
-  let u = l.u and shift = l.a_shift in
-  let rows = Matrix.rows u and cols = Matrix.cols u in
-  if Array.length shift <> rows then invalid_arg "Vec.add";
-  let dims = Array.map (fun d -> stage_dim d.expr) l.out
-  and extents = Array.map (fun d -> d.extent) l.out in
-  let a' = Array.make rows 0 in
-  fun a ->
-    if Array.length a <> cols then invalid_arg "Matrix.mul_vec";
-    for i = 0 to rows - 1 do
-      let r = u.(i) and s = ref shift.(i) in
-      for j = 0 to cols - 1 do
-        s := !s + (r.(j) * a.(j))
-      done;
-      a'.(i) <- !s
-    done;
-    let off = ref 0 in
-    for k = 0 to Array.length dims - 1 do
-      off := (!off * extents.(k)) + dims.(k) a'
-    done;
-    !off
+let offset_of_index l a =
+  offset_of_transformed l (Vec.add (Matrix.mul_vec l.u a) l.a_shift)
 
-let offset_of_index l a = offset_fn l a
+(* The values [a'_r] takes on the original data space's bounding box.
+   Tables are exact over any range; this one only decides which [a'_r]
+   get an entry. *)
+let component_range l r =
+  let lo = ref l.a_shift.(r) and hi = ref l.a_shift.(r) in
+  Array.iteri
+    (fun j c ->
+      let e =
+        if j < Array.length l.orig_extents then l.orig_extents.(j) else 1
+      in
+      let span = c * (e - 1) in
+      if span < 0 then lo := !lo + span else hi := !hi + span)
+    (Matrix.row l.u r);
+  (!lo, !hi)
+
+let addr_map ?(base = 0) ?(scale = 1) l =
+  let rows = Matrix.rows l.u in
+  if Array.length l.a_shift <> rows then invalid_arg "Vec.add";
+  let n = Array.length l.out in
+  (* the offset is [Σ_k stride_k · dim_k(a'_(leaf k))], scaled *)
+  let stride = Array.make n scale in
+  for k = n - 2 downto 0 do
+    stride.(k) <- stride.(k + 1) * l.out.(k + 1).extent
+  done;
+  (* a table holds at most twice as many entries as the array has
+     elements; an empty one never answers *)
+  let cap = 2 * Array.fold_left ( * ) 1 l.orig_extents
+  and never = Lang.Interp.Table { lo = 0; values = [||] } in
+  let component r =
+    let dims =
+      List.filter (fun k -> leaf l.out.(k).expr = r) (List.init n Fun.id)
+    in
+    if List.for_all (fun k -> l.out.(k).expr = D r) dims then
+      Lang.Interp.Coef (List.fold_left (fun g k -> g + stride.(k)) 0 dims)
+    else begin
+      let lo, hi = component_range l r and a' = Array.make rows 0 in
+      (* [F_r(x)], or [min_int] where a dimension raises *)
+      let value x =
+        a'.(r) <- x;
+        match
+          List.fold_left
+            (fun v k -> v + (stride.(k) * eval_dim l.out.(k).expr a'))
+            0 dims
+        with
+        | v -> v
+        | exception (Division_by_zero | Invalid_argument _) -> min_int
+      in
+      if hi - lo >= 0 && hi - lo < cap then
+        Lang.Interp.Table
+          { lo; values = Array.init (hi - lo + 1) (fun k -> value (lo + k)) }
+      else never
+    end
+  in
+  let comps =
+    (* a dimension reading a component [U] lacks raises on every index *)
+    if Array.exists (fun d -> leaf d.expr < 0 || leaf d.expr >= rows) l.out
+    then Array.make rows never
+    else Array.init rows component
+  in
+  Lang.Interp.Separable
+    {
+      base;
+      u = l.u;
+      shift = l.a_shift;
+      comps;
+      whole = (fun a' -> base + (scale * offset_of_transformed l a'));
+    }
+
+let offset_fn l = Lang.Interp.apply (addr_map l)
 
 let rec pp_dim_expr ~names ppf = function
   | D i -> Format.pp_print_string ppf (List.nth names i)

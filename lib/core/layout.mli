@@ -65,22 +65,39 @@ val size_elems : t -> int
 
 val size_bytes : t -> int
 
-val offset_fn : t -> Affine.Vec.t -> int
-(** [offset_fn l] stages {!offset_of_index} for repeated use: it reads
-    [U], the shift and the output dimensions once, and the returned
-    function allocates nothing per call.  Each output dimension becomes a
-    closure in which a power-of-two [Div]/[Mod] of a non-negative operand
-    is a shift/mask (a negative operand keeps truncating [/] and [mod]),
-    so offsets and exceptions — [Division_by_zero], an out-of-range
-    [Perm] index — are those of evaluating [U·a + a_shift] and the
-    dimension expressions directly.  The returned function keeps a
-    private scratch vector, so it is not re-entrant: keep one per caller
-    (or per domain) and never share one globally. *)
+val eval_dim : dim_expr -> Affine.Vec.t -> int
+(** [eval_dim e a'] evaluates one output dimension on [a' = U·a +
+    a_shift]: truncating [/] and [mod], table lookup for [Perm].  It is
+    the only out-dimension evaluator: {!offset_of_index} calls it per
+    dimension, {!addr_map} fills its tables with it. *)
 
 val offset_of_index : t -> Affine.Vec.t -> int
 (** Element offset (within the array allocation) of an {e original} data
-    vector.  Injective on the original data space.  Same as
-    [offset_fn l a]. *)
+    vector: [a' = U·a + a_shift], then every output dimension in order,
+    row-major.  Injective on the original data space. *)
+
+val addr_map : ?base:int -> ?scale:int -> t -> Lang.Interp.addr_map
+(** [addr_map ~base ~scale l] is [fun a -> base + scale · offset_of_index
+    l a] as a {!Lang.Interp.Separable} map, for the trace generator to
+    compose with each affine reference.  Every output dimension reads
+    exactly one component [a'_r], so the offset is a sum of one-variable
+    functions [Σ_r F_r(a'_r)].  A component whose dimensions are all
+    plain [D r] is one coefficient ({!Lang.Interp.Coef}); any other is a
+    table ({!Lang.Interp.Table}) over the range [a'_r] takes on the
+    original data space's bounding box (from [U]'s row, the shift and
+    [orig_extents]), filled once by {!eval_dim}.  A table holds at most
+    twice as many entries as the array has elements; a longer range gets
+    no table.  Outside its table, where filling it raised
+    ([Division_by_zero], a [Perm] index out of range), and wherever a
+    dimension reads a component [U] does not have, the address is
+    evaluated directly, so addresses and exceptions are exactly those of
+    {!offset_of_index}.  Raises [Invalid_argument "Vec.add"] when the
+    shift's length is not [U]'s row count. *)
+
+val offset_fn : t -> Affine.Vec.t -> int
+(** [offset_fn l] is {!offset_of_index}[ l] through [l]'s {!addr_map}
+    tables: staged once, then re-entrant, and allocation-free per call
+    unless an index leaves the tables. *)
 
 val pp_dim_expr : names:string list -> Format.formatter -> dim_expr -> unit
 (** Prints with [D i] rendered as the [i]-th of [names]. *)

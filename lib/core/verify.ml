@@ -382,7 +382,7 @@ let check_equivalence diags report_ (original : Ast.program)
    declaration's (padded) extents.  Replay that addressing convention on
    the transformed program and compare, access by access and thread by
    thread, with the trace the compiler intends: the original program under
-   [Layout.offset_fn].  V006 checks the subscript algebra at sampled
+   [Layout.addr_map].  V006 checks the subscript algebra at sampled
    points; this replays whole nests through the interpreter, so the
    parallel chunking, loop structure and write bits are compared too. *)
 
@@ -390,14 +390,6 @@ let check_equivalence diags report_ (original : Ast.program)
    the low bits, so both traces agree on a name <-> base correspondence
    without modelling real allocation. *)
 let id_shift = 40
-
-let row_major extents idx =
-  let n = Array.length idx in
-  let off = ref 0 in
-  for i = 0 to Array.length extents - 1 do
-    off := (!off * extents.(i)) + if i < n then idx.(i) else 0
-  done;
-  !off
 
 let decl_extents (p : Ast.program) =
   List.map
@@ -449,24 +441,30 @@ let check_codegen ~report:(report_ : Transform.report)
   in
   let trans_extents = decl_extents transformed in
   let orig_extents = decl_extents original in
-  (* what the emitted C computes: row-major over the padded declaration *)
-  let addr_c name =
-    let b = base name in
-    match List.assoc_opt name trans_extents with
-    | Some e -> fun idx -> b + row_major e idx
-    | None -> fun _ -> b
+  let row_major name extents =
+    match List.assoc_opt name extents with
+    | Some e ->
+      Layout.addr_map ~base:(base name)
+        (Layout.identity ~array:name ~extents:e ~elem_bytes:1)
+    | None -> Lang.Interp.Fn (fun _ -> base name)
   in
-  (* what the compiler intends: the customized layout's offset *)
+  (* what the emitted C computes: row-major over the padded declaration *)
+  let addr_c name = row_major name trans_extents in
+  (* what the compiler intends: the customized layout's offset, staged
+     once per array *)
+  let intended = Hashtbl.create 16 in
   let addr_intended name =
-    let b = base name in
-    match decision_of name with
-    | Some d when d.Transform.optimized ->
-      let offset = Layout.offset_fn d.Transform.layout in
-      fun idx -> b + offset idx
-    | _ -> (
-      match List.assoc_opt name orig_extents with
-      | Some e -> fun idx -> b + row_major e idx
-      | None -> fun _ -> b)
+    match Hashtbl.find_opt intended name with
+    | Some m -> m
+    | None ->
+      let m =
+        match decision_of name with
+        | Some d when d.Transform.optimized ->
+          Layout.addr_map ~base:(base name) d.Transform.layout
+        | _ -> row_major name orig_extents
+      in
+      Hashtbl.replace intended name m;
+      m
   in
   let is_home name = String.equal name "__home" in
   let lookup_home name idx =

@@ -18,7 +18,7 @@
       program traced under row-major addressing over the padded
       declarations, [__home] resolved through the permutation table —
       matches, access by access, the original program traced under the
-      chosen layouts' [Layout.offset_fn] ({!check_codegen}, run when
+      chosen layouts' [Layout.addr_map] ({!check_codegen}, run when
       codegen is enabled).
 
     Violations come back as located diagnostics (span of the offending
@@ -43,6 +43,9 @@ val check_codegen :
     transformed side with its [__home] reads excluded, and compares
     per-nest per-thread streams — access counts in full, elements up to
     65536 per thread per nest, the only prefix either side stores or
-    addresses.  The first violation, in nest, then thread, then
-    length-before-elements order, is reported at the offending nest's
-    span. *)
+    addresses.  Both sides address through {!Lang.Interp.Separable}
+    maps, so past the cap an affine reference only counts; the emitted
+    side's row-major map takes only references of the declaration's
+    rank, as {!Lang.Parser.check_result} guarantees.  The first
+    violation, in nest, then thread, then length-before-elements order,
+    is reported at the offending nest's span. *)

@@ -6,6 +6,123 @@ let is_write a = a land 1 = 1
 
 type phase = access array array
 
+type component = Coef of int | Table of { lo : int; values : int array }
+
+type addr_map =
+  | Fn of (Affine.Vec.t -> int)
+  | Separable of {
+      base : int;
+      u : Affine.Matrix.t;
+      shift : Affine.Vec.t;
+      comps : component array;
+      whole : Affine.Vec.t -> int;
+    }
+
+(* Built like {!compose}: the [Coef] rows fold into one linear function
+   [c + Σ_j g_j·a_j], and only the [Table] rows compute their component
+   and look it up; a miss evaluates [whole (U·a + shift)]. *)
+let apply = function
+  | Fn f -> f
+  | Separable { base; u; shift; comps; whole } ->
+    let cols = Affine.Matrix.cols u in
+    let c = ref base and g = Array.make cols 0 and tabled = ref [] in
+    Array.iteri
+      (fun r comp ->
+        match comp with
+        | Coef gr ->
+          c := !c + (gr * shift.(r));
+          Array.iteri (fun j gj -> g.(j) <- gj + (gr * u.(r).(j))) g
+        | Table { lo; values } ->
+          tabled := (u.(r), shift.(r) - lo, values) :: !tabled)
+      comps;
+    let c = !c and tabled = Array.of_list (List.rev !tabled) in
+    fun a ->
+      if Array.length a <> cols then invalid_arg "Matrix.mul_vec";
+      let rec go i acc =
+        if i = Array.length tabled then acc
+        else
+          let row, k0, t = tabled.(i) in
+          let k = ref k0 in
+          for j = 0 to cols - 1 do
+            k := !k + (row.(j) * a.(j))
+          done;
+          let k = !k in
+          if k >= 0 && k < Array.length t && t.(k) <> min_int then
+            go (i + 1) (acc + t.(k))
+          else whole (Affine.Vec.add (Affine.Matrix.mul_vec u a) shift)
+      in
+      let acc = ref c in
+      for j = 0 to cols - 1 do
+        acc := !acc + (g.(j) * a.(j))
+      done;
+      go 0 !acc
+
+(* [c + Σ g·env.(s)] over [(s, g)] terms with [g <> 0]. *)
+let affine_fn env c terms : unit -> int =
+  match terms with
+  | [] -> fun () -> c
+  | _ ->
+    let s = Array.of_list (List.map fst terms)
+    and g = Array.of_list (List.map snd terms) in
+    fun () ->
+      let x = ref c in
+      for k = 0 to Array.length s - 1 do
+        x := !x + (g.(k) * env.(s.(k)))
+      done;
+      !x
+
+(* The address of an affine reference [a = A·i + o] over the loop slots
+   [slots] (column [j] of [A] reads [env.(slots.(j))]), staged against a
+   separable map: [a' = (U·A)·i + (U·o + shift)], each component over
+   its non-zero coefficients only.  [Coef] components fold into one
+   linear function of the slots; a [Table] component is a lookup, and a
+   miss evaluates [whole a'].  [None] when the map is not separable or
+   does not take this reference's rank (or the rank is 0, where [A] has
+   no rows to give [U·A] its width). *)
+let compose env map (r : Affine.Access.t) slots =
+  match map with
+  | Fn _ -> None
+  | Separable { u; _ }
+    when Affine.Access.rank r = 0
+         || Affine.Matrix.cols u <> Affine.Access.rank r ->
+    None
+  | Separable { base; u; shift; comps; whole } ->
+    let t = Affine.Access.transform u r in
+    let m = t.Affine.Access.matrix in
+    let c = Array.mapi (fun i o -> o + shift.(i)) t.Affine.Access.offset in
+    let terms coef =
+      List.filter_map
+        (fun j -> if coef j = 0 then None else Some (slots.(j), coef j))
+        (List.init (Array.length slots) Fun.id)
+    in
+    let x =
+      Array.init (Array.length comps) (fun i ->
+          affine_fn env c.(i) (terms (fun j -> m.(i).(j))))
+    in
+    let lin_c = ref base and lin_g = Array.make (Array.length slots) 0 in
+    let tabled = ref [] in
+    Array.iteri
+      (fun i comp ->
+        match comp with
+        | Coef g ->
+          lin_c := !lin_c + (g * c.(i));
+          Array.iteri (fun j gj -> lin_g.(j) <- gj + (g * m.(i).(j))) lin_g
+        | Table { lo; values } -> tabled := (x.(i), lo, values) :: !tabled)
+      comps;
+    let lin = affine_fn env !lin_c (terms (fun j -> lin_g.(j))) in
+    let slow () = whole (Array.map (fun x -> x ()) x) in
+    let tabled = Array.of_list (List.rev !tabled) in
+    let rec go i acc =
+      if i = Array.length tabled then acc
+      else
+        let x, lo, t = tabled.(i) in
+        let k = x () - lo in
+        if k >= 0 && k < Array.length t && t.(k) <> min_int then
+          go (i + 1) (acc + t.(k))
+        else slow ()
+    in
+    Some (fun () -> go 0 (lin ()))
+
 (* Growable int buffer: per-thread access stream under construction.
    [dropped] counts the accesses past the caller's storage cap. *)
 type buf = {
@@ -54,6 +171,11 @@ type sink = {
   mutable scur : buf;
 }
 
+(* [(a / k1) / k2 = a / (k1·k2)] for positive divisors (truncation
+   composes), so the strip-mined subscripts the pass emits, such as
+   [((i/5)/8)%4], stage as one division. *)
+let foldable k1 k2 = k1 > 0 && k2 > 0 && k1 <= max_int / k2
+
 let unbound x () =
   raise
     (Diag.Fatal (Diag.error ~code:"I001" Span.dummy ("unbound variable " ^ x)))
@@ -87,6 +209,24 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
   (* innermost binding first; a repeated parameter name keeps its last
      value *)
   let params = List.rev (List.mapi (fun i (n, _) -> (n, i)) p.params) in
+  (* a reference's subscripts as [A·i + o] over the loop indices in
+     scope, resolved as [expr] resolves them: [Analysis.affine_of_expr]
+     tries the loop indices innermost first, then the parameters, last
+     value first; [None] when a subscript is not affine *)
+  let affine_ref scope (r : Ast.ref_) =
+    let loops = List.filter (fun (_, s) -> s >= nparams) scope in
+    let iters = List.map fst loops in
+    let params = List.rev p.params in
+    let subs = List.map (Analysis.affine_of_expr ~params ~iters) r.subs in
+    if List.for_all Option.is_some subs then
+      let subs = List.map Option.get subs in
+      Some
+        ( Affine.Access.make
+            (Array.of_list (List.map fst subs))
+            (Array.of_list (List.map snd subs)),
+          Array.of_list (List.map snd loops) )
+    else None
+  in
   let none = buf_make () in
   let sink = { bufs = [||]; sbufs = [||]; cur = none; scur = none } in
   let set_thread t =
@@ -108,6 +248,14 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
     | Ast.Mul (a, Ast.Int k) ->
       let a = expr scope a in
       fun () -> a () * k
+    | Ast.Div (Ast.Div (a, Ast.Int k1), Ast.Int k2) when foldable k1 k2 ->
+      expr scope (Ast.Div (a, Ast.Int (k1 * k2)))
+    | Ast.Mod (Ast.Div (Ast.Div (a, Ast.Int k1), Ast.Int k2), m)
+      when foldable k1 k2 ->
+      expr scope (Ast.Mod (Ast.Div (a, Ast.Int (k1 * k2)), m))
+    | Ast.Mod (Ast.Div (a, Ast.Int k1), Ast.Int k2) ->
+      let a = expr scope a in
+      fun () -> a () / k1 mod k2
     | Ast.Div (Ast.Var x, Ast.Int k) when List.mem_assoc x scope ->
       let s = List.assoc x scope in
       fun () -> env.(s) / k
@@ -152,12 +300,13 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
       fun () ->
         let y = b () in
         a () mod y
-    | Ast.Load r ->
+    | Ast.Load r when is_index r.array ->
       let read = reference scope r 0 in
-      if is_index r.array then fun () ->
-        index_lookup r.array (Array.copy (read ()))
-      else fun () ->
-        ignore (read ());
+      fun () -> index_lookup r.array (Array.copy (read ()))
+    | Ast.Load r ->
+      let run = access scope r 0 in
+      fun () ->
+        run ();
         0
   (* One access per run: evaluates the subscripts into the reference's
      own buffer, emits, and returns the buffer.  [addr_of r.array] is
@@ -176,7 +325,7 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
       let addr = ref (fun _ -> 0) in
       (addr :=
          fun v ->
-           let f = addr_of r.array in
+           let f = apply (addr_of r.array) in
            site := site_id r;
            addr := f;
            f v);
@@ -192,6 +341,39 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
         else b.dropped <- b.dropped + 1;
         v
     end
+  (* One access of a reference whose value is not needed.  Affine
+     subscripts read no array and cannot fail, so such a reference runs
+     none of them: it computes its address from the loop slots through
+     {!compose}, and past the cap it only counts. *)
+  and access scope (r : Ast.ref_) w : unit -> unit =
+    match affine_ref scope r with
+    | None ->
+      let read = reference scope r w in
+      fun () -> ignore (read ())
+    | Some _ when exclude r.array -> fun () -> ()
+    | Some (a, slots) ->
+      let site = ref (-1) in
+      let addr = ref (fun () -> 0) in
+      (addr :=
+         fun () ->
+           let map = addr_of r.array in
+           let f =
+             match compose env map a slots with
+             | Some f -> f
+             | None ->
+               let f = apply map and subs = List.map (expr scope) r.subs in
+               fun () -> f (Array.of_list (List.map (fun s -> s ()) subs))
+           in
+           site := site_id r;
+           addr := f;
+           f ());
+      fun () ->
+        let b = sink.cur in
+        if b.len < cap then begin
+          buf_push b ((!addr () lsl 1) lor w);
+          if tagging then buf_push sink.scur !site
+        end
+        else b.dropped <- b.dropped + 1
   in
   (* [inside]: statically within a parfor, where a nested parfor runs
      sequentially on its owner; outside, a parfor fans out. *)
@@ -215,10 +397,10 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
         in
         if taken then then_ () else else_ ()
     | Ast.Assign (lhs, rhs) ->
-      let rhs = expr scope rhs and lhs = reference scope lhs 1 in
+      let rhs = expr scope rhs and lhs = access scope lhs 1 in
       fun () ->
         ignore (rhs ());
-        ignore (lhs ())
+        lhs ()
     | Ast.Loop l ->
       let lo = expr scope l.lo and hi = expr scope l.hi in
       let scope = (l.index, slot) :: scope in

@@ -5,7 +5,7 @@
     per thread, threads bound to cores in order (paper, footnote 5).  The
     interpreter does not compute array values — it enumerates the memory
     accesses each thread performs and encodes each as a virtual address,
-    using a caller-supplied address function (which is where the layout
+    using a caller-supplied address map (which is where the layout
     transformation plugs in).
 
     A top-level nest is a {e phase}; phases are separated by barriers
@@ -16,8 +16,10 @@
     reference becomes a closure, so no name is looked up per access.
     An operator with an integer-literal operand ([e + k], [e - k],
     [k * e], [e * k], [e / k], [e mod k]) becomes one closure, and so
-    does [x / k] or [x mod k] on a bound name [x]; a literal emits no
-    access, so this moves nothing in the order below.  Accesses are
+    do [x / k] or [x mod k] on a bound name [x] and [(e / k1) mod k2];
+    a chain [(e / k1) / k2] of positive literals is one division by
+    [k1·k2], which truncation makes equal.  A literal emits no access,
+    so this moves nothing in the order below.  Accesses are
     emitted in this evaluation order, which the trace (and every golden
     built from it) encodes:
     - a binary operator evaluates its {e right} operand first;
@@ -42,20 +44,59 @@ type phase = access array array
 (** [phase.(t)] is thread [t]'s access stream for one top-level nest, in
     program order. *)
 
+(** One component's share of a {!Separable} address. *)
+type component =
+  | Coef of int  (** [f(x) = g·x] for every [x] *)
+  | Table of { lo : int; values : int array }
+      (** [f(x) = values.(x - lo)]; the component {e misses} where [x]
+          falls outside the table or the entry is [min_int] *)
+
+(** Where an array's elements live, as a function of the index vector
+    [a] of a reference. *)
+type addr_map =
+  | Fn of (Affine.Vec.t -> int)  (** any function of [a] *)
+  | Separable of {
+      base : int;
+      u : Affine.Matrix.t;
+      shift : Affine.Vec.t;
+      comps : component array;  (** one per row of [u] *)
+      whole : Affine.Vec.t -> int;
+    }
+      (** With [a' = u·a + shift]: [base + Σ_r f_r(a'_r)] where [f_r] is
+          [comps.(r)], or [whole a'] when a component misses.  [whole]
+          must agree with the sum wherever no component misses; it is
+          the exact evaluation that also raises what the layout raises.
+          An index whose rank is not [u]'s column count raises
+          [Invalid_argument "Matrix.mul_vec"]. *)
+
+val apply : addr_map -> Affine.Vec.t -> int
+(** The address of one index vector.  [apply m] stages [m] once and
+    allocates nothing per call unless a component misses. *)
+
 val trace :
   threads:int ->
   ?threads_per_core:int ->
-  addr_of:(string -> Affine.Vec.t -> int) ->
+  addr_of:(string -> addr_map) ->
   ?index_lookup:(string -> Affine.Vec.t -> int) ->
   Ast.program ->
   phase list
 (** [trace ~threads ~addr_of p] runs [p] with [threads] threads.
-    [addr_of array index_vector] must give the virtual address of an array
-    element (layout-dependent).  [addr_of array] is applied once per
-    reference, on that reference's first run (a reference that never runs
-    never resolves), and the function it returns is reused for every
-    later access of that reference — so resolve the array there, not per
-    call.  The index vector it receives is the reference's own buffer,
+    [addr_of array] must give the map from an element's index vector to
+    its virtual address (layout-dependent).  It is applied once per
+    reference, on that reference's first stored run (a reference that
+    never runs never resolves), and its result serves every later access
+    of that reference — so resolve the array there, not per access.
+
+    A reference whose subscripts are all affine in the loop indices
+    ({!Analysis.affine_of_expr}, names resolved as the interpreter
+    resolves them) is staged against a {!Separable} map once: its
+    address becomes [(U·A)·i + (U·o + shift)] over the loop indices
+    with a non-zero coefficient, fed to the per-component functions, so
+    no index vector is built (all-{!Coef} maps fold to one
+    [c + Σ g·i]).  Any other reference — an index-array subscript, a
+    [/] or [mod] of an iterator, a load of an index array — or an {!Fn}
+    map evaluates the subscripts into the reference's own buffer and
+    applies the map to it; an {!Fn} function receives that buffer,
     overwritten on the next access: read it, never retain it.
     [index_lookup] supplies the {e values} of index arrays (default: 0),
     used to resolve indexed subscripts; it receives a fresh copy of the
@@ -74,7 +115,7 @@ val trace :
 val trace_tagged :
   threads:int ->
   ?threads_per_core:int ->
-  addr_of:(string -> Affine.Vec.t -> int) ->
+  addr_of:(string -> addr_map) ->
   ?index_lookup:(string -> Affine.Vec.t -> int) ->
   site_of:(Ast.ref_ -> int) ->
   Ast.program ->
@@ -90,18 +131,19 @@ val trace_capped :
   threads:int ->
   cap:int ->
   ?exclude:(string -> bool) ->
-  addr_of:(string -> Affine.Vec.t -> int) ->
+  addr_of:(string -> addr_map) ->
   ?index_lookup:(string -> Affine.Vec.t -> int) ->
   Ast.program ->
   (phase * int array) list
 (** Like {!trace}, but each thread stores only its first [cap] accesses
     of a phase: [(streams, counts)] where [counts.(t)] is the number of
     accesses thread [t] performed and [streams.(t)] the first
-    [min cap counts.(t)] of them.  Past the cap a reference still
-    evaluates its subscripts (and [index_lookup] still runs), but
-    [addr_of] is not called, so a reference whose first run lies past
-    the cap never resolves.  A reference to an array for which
-    [exclude] (default: none) holds emits nothing and is not counted;
-    its subscripts and [index_lookup] still run.  The stored prefix is
+    [min cap counts.(t)] of them.  Past the cap an affine reference
+    only counts; any other still evaluates its subscripts (and
+    [index_lookup] still runs), but [addr_of] is not called, so a
+    reference whose first run lies past the cap never resolves.  A
+    reference to an array for which [exclude] (default: none) holds
+    emits nothing and is not counted; its non-affine subscripts and
+    [index_lookup] still run.  The stored prefix is
     exactly the head of what {!trace} would give with the excluded
     arrays' accesses removed. *)

@@ -818,20 +818,10 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     | None -> false
   in
   Array.iter (fun s -> if not (chained s) then start_job s s.j.start_time) js;
-  let debug = Sys.getenv_opt "OFFCHIP_DEBUG" <> None in
-  let ndisp = ref 0 in
   let rec loop () =
     if not (Event_heap.is_empty heap) then begin
       let t = Event_heap.next_time heap in
       let action = Event_heap.pop_payload heap in
-      incr ndisp;
-      if debug && !ndisp mod 1_000_000 = 0 then
-        Printf.eprintf "[dispatch %dM] t=%d heap=%d acc=%d off=%d pending=%s\n%!"
-          (!ndisp / 1_000_000) t (Event_heap.size heap)
-          (Stats.total_accesses stats) (Stats.offchip_accesses stats)
-          (String.concat ","
-             (Array.to_list
-                (Array.map (fun m -> string_of_int (Fr_fcfs.pending m)) mcs)));
       dispatch t action;
       loop ()
     end

@@ -42,7 +42,7 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
     a * b / gcd a b
   in
   let next = ref (align_up (max vaddr_base alignment) alignment) in
-  let table = Hashtbl.create 16 in
+  let table = Hashtbl.create 16 and maps = Hashtbl.create 16 in
   let bases =
     List.map
       (fun (info : Analysis.array_info) ->
@@ -50,15 +50,12 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
         let base = !next in
         next := align_up (base + Core.Layout.size_bytes layout) alignment;
         Hashtbl.replace table info.Analysis.decl.Lang.Ast.name (base, layout);
+        Hashtbl.replace maps info.Analysis.decl.Lang.Ast.name
+          (Core.Layout.addr_map ~base ~scale:(Config.elem_bytes cfg) layout);
         (info.Analysis.decl.Lang.Ast.name, base))
       analysis.Analysis.arrays
   in
-  let addr_of array =
-    let base, layout = Hashtbl.find table array in
-    let offset = Core.Layout.offset_fn layout
-    and elem = Config.elem_bytes cfg in
-    fun index -> base + (offset index * elem)
-  in
+  let addr_of = Hashtbl.find maps in
   let cores_total = Noc.Topology.nodes (Config.topo cfg) in
   let tpc = cfg.threads_per_core in
   let threads =

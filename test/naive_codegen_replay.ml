@@ -164,8 +164,12 @@ let check_codegen ~report:(report_ : Transform.report)
   in
   let not_home a = Lang.Interp.addr_of_access a lsr 1 <> home_marker lsr 1 in
   (match
-     ( Lang.Interp.trace ~threads ~addr_of:addr_intended original,
-       Lang.Interp.trace ~threads ~addr_of:addr_c ~index_lookup:lookup_home
+     ( Lang.Interp.trace ~threads
+         ~addr_of:(fun a -> Lang.Interp.Fn (addr_intended a))
+         original,
+       Lang.Interp.trace ~threads
+         ~addr_of:(fun a -> Lang.Interp.Fn (addr_c a))
+         ~index_lookup:lookup_home
          transformed )
    with
   | exception e ->

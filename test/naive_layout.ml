@@ -1,9 +1,10 @@
 (* The reference layout evaluator: [a' = U·a + a_shift] through
    [Matrix.mul_vec] and [Vec.add], then every output dimension's [/],
-   [mod] and table lookup walked recursively.  [Core.Layout.offset_fn]
-   stages the same arithmetic into shift-and-mask closures; this copy is
-   kept only as the oracle it is checked against (test_core.ml), so it
-   favours being obviously right over being fast. *)
+   [mod] and table lookup walked recursively.  [Core.Layout.addr_map]
+   turns the same arithmetic into per-component tables; this copy is
+   kept only as the oracle it is checked against (test_core.ml,
+   test_interp.ml), so it favours being obviously right over being
+   fast. *)
 
 module Layout = Core.Layout
 

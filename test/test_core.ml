@@ -190,9 +190,10 @@ let test_identity_layout () =
   Alcotest.(check int) "size" 60 (Layout.size_elems l);
   Alcotest.(check int) "bytes" 480 (Layout.size_bytes l)
 
-(* [offset_fn] stages [offset_of_index]'s arithmetic: one staged function,
-   reused across many indices, must agree with the plain evaluation in
-   [Naive_layout], on every layout the pass picks for the suite. *)
+(* [offset_fn] tables [offset_of_index]'s arithmetic: one staged
+   function, reused across many indices, must agree with the plain
+   evaluation in [Naive_layout], on every layout the pass picks for the
+   suite. *)
 let test_offset_fn_reuse () =
   let ccfg = Sim.Config.customize_config (Sim.Config.scaled ()) in
   List.iter
@@ -215,53 +216,72 @@ let test_offset_fn_reuse () =
         (Transform.run ccfg analysis).Transform.decisions)
     Workloads.Suite.all
 
-(* The staged [offset_fn] against [Naive_layout] on random layouts: [U]
-   with negative coefficients (or the identity, which skips [a']), shifts
-   that drive operands negative, power-of-two, other, unit, zero and
-   negative divisors, [Perm] tables that an operand can overrun, and now
-   and then an index of the wrong rank.  Offsets must be equal, and where
-   the oracle raises the staged function must raise the same exception. *)
-let prop_offset_fn_matches_naive =
+(* Random layouts over [cols]-dimensional arrays of [extents]: [U] with
+   negative coefficients (or the identity, which skips [a']), shifts that
+   drive operands negative, power-of-two, other, unit and negative
+   divisors and, with [faults], zero divisors and [Perm] tables that an
+   operand can overrun. *)
+let gen_layout ?(faults = true) ~cols extents =
   let open QCheck.Gen in
-  let divisor = oneofl [ 1; 2; 4; 8; 16; 32; 256; 512; 3; 5; 7; 0; -4 ] in
+  let divisor =
+    oneofl
+      ([ 1; 2; 4; 8; 16; 32; 256; 512; 3; 5; 7; -4 ]
+      @ if faults then [ 0 ] else [])
+  in
   let rec dim_expr rows depth =
     if depth = 0 then map (fun i -> Layout.D i) (int_bound (rows - 1))
     else
       frequency
-        [
-          (2, map (fun i -> Layout.D i) (int_bound (rows - 1)));
-          (3, map2 (fun e k -> Layout.Div (e, k)) (dim_expr rows (depth - 1)) divisor);
-          (3, map2 (fun e k -> Layout.Mod (e, k)) (dim_expr rows (depth - 1)) divisor);
-          ( 1,
-            map2
-              (fun e t -> Layout.Perm (e, t))
-              (dim_expr rows (depth - 1))
-              (array_size (int_range 1 8) (int_range 0 7)) );
-        ]
+        ([
+           (2, map (fun i -> Layout.D i) (int_bound (rows - 1)));
+           (3, map2 (fun e k -> Layout.Div (e, k)) (dim_expr rows (depth - 1)) divisor);
+           (3, map2 (fun e k -> Layout.Mod (e, k)) (dim_expr rows (depth - 1)) divisor);
+         ]
+        @
+        if faults then
+          [
+            ( 1,
+              map2
+                (fun e t -> Layout.Perm (e, t))
+                (dim_expr rows (depth - 1))
+                (array_size (int_range 1 8) (int_range 0 7)) );
+          ]
+        else [])
   in
-  let layout =
-    int_range 1 3 >>= fun cols ->
-    int_range 1 3 >>= fun rows ->
-    bool >>= fun identity ->
-    let rows = if identity then cols else rows in
-    (if identity then return (Matrix.identity cols)
-     else array_repeat rows (array_repeat cols (int_range (-3) 3)))
-    >>= fun u ->
-    (if identity then return (Vec.zero rows)
-     else array_repeat rows (int_range (-20) 20))
-    >>= fun a_shift ->
-    list_size (int_range 1 4)
-      (map2
-         (fun expr extent -> { Layout.expr; extent })
-         (dim_expr rows 3) (int_range 1 10))
-    >>= fun out ->
-    return
-      (Layout.make ~array:"x" ~u ~a_shift ~out:(Array.of_list out)
-         ~orig_extents:(Array.make cols 10) ~elem_bytes:8 ~p_elems:1 ())
-  in
+  int_range 1 3 >>= fun rows ->
+  bool >>= fun identity ->
+  let rows = if identity then cols else rows in
+  (if identity then return (Matrix.identity cols)
+   else array_repeat rows (array_repeat cols (int_range (-3) 3)))
+  >>= fun u ->
+  (if identity then return (Vec.zero rows)
+   else array_repeat rows (int_range (-20) 20))
+  >>= fun a_shift ->
+  list_size (int_range 1 4)
+    (map2
+       (fun expr extent -> { Layout.expr; extent })
+       (dim_expr rows 3) (int_range 1 10))
+  >>= fun out ->
+  return
+    (Layout.make ~array:"x" ~u ~a_shift ~out:(Array.of_list out)
+       ~orig_extents:extents ~elem_bytes:8 ~p_elems:1 ())
+
+let print_layout l =
+  let ints v = String.concat "," (Array.to_list (Array.map string_of_int v)) in
+  Format.asprintf "%a@.shift %s@.extents %s" Layout.pp l
+    (ints l.Layout.a_shift) (ints l.Layout.orig_extents)
+
+(* The tabled [offset_fn] against [Naive_layout] on random layouts over
+   random extents (small ones push a component's range past the table
+   cap), on indices inside and outside the array and now and then of the
+   wrong rank.  Offsets must be equal, and where the oracle raises the
+   staged function must raise the same exception. *)
+let prop_offset_fn_matches_naive =
+  let open QCheck.Gen in
   let case =
-    layout >>= fun l ->
-    let cols = Array.length l.Layout.orig_extents in
+    int_range 1 3 >>= fun cols ->
+    array_repeat cols (int_range 1 10) >>= fun extents ->
+    gen_layout ~cols extents >>= fun l ->
     list_size (int_range 1 20)
       (frequency
          [
@@ -271,8 +291,7 @@ let prop_offset_fn_matches_naive =
     >>= fun idxs -> return (l, idxs)
   in
   let print (l, idxs) =
-    Format.asprintf "%a@.shift %s@.indices %s" Layout.pp l
-      (String.concat "," (Array.to_list (Array.map string_of_int l.Layout.a_shift)))
+    Format.asprintf "%s@.indices %s" (print_layout l)
       (String.concat " "
          (List.map
             (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
@@ -282,7 +301,11 @@ let prop_offset_fn_matches_naive =
     ~count:2000 (QCheck.make ~print case) (fun (l, idxs) ->
       let f = Layout.offset_fn l in
       let run g a = match g a with v -> Ok v | exception e -> Error e in
-      List.for_all (fun a -> run f a = run (Naive_layout.offset l) a) idxs)
+      List.for_all
+        (fun a ->
+          let want = run (Naive_layout.offset l) a in
+          run f a = want && run (Layout.offset_of_index l) a = want)
+        idxs)
 
 let test_private_layout_bijective () =
   let u = Matrix.identity 2 in

@@ -23,17 +23,49 @@ let subscript_choices_2d =
 
 type kernel = { src : string; n : int }
 
+(* The wide subscript grammar, one dimension over iterator [it] with
+   [other] the other iterator: constant offsets, parameter products
+   ([R*i+j], [R*i+k]), negated iterators ([N-1-i], [-i+k]), and offsets
+   large enough to leave the array; [i/2] keeps a non-affine form in the
+   mix. *)
+let gen_wide_sub it other =
+  let open Gen in
+  let v = Ast.Var it and k = int_range (-3) 3 in
+  frequency
+    [
+      (2, return v);
+      (3, map (fun c -> Ast.Add (v, Ast.Int c)) k);
+      (2, return (Ast.Add (Ast.Mul (Ast.Var "R", v), Ast.Var other)));
+      (2, map (fun c -> Ast.Add (Ast.Mul (Ast.Var "R", v), Ast.Int c)) k);
+      (2, return (Ast.Sub (Ast.Sub (Ast.Var "N", Ast.Int 1), v)));
+      (1, map (fun c -> Ast.Add (Ast.Neg v, Ast.Int c)) k);
+      (1, map (fun c -> Ast.Sub (v, Ast.Int c)) (int_range 4 40));
+      (1, return (Ast.Div (v, Ast.Int 2)));
+    ]
+
 (* One statement per array, [A[s] = B[r] + 1], optionally widened with
    the shapes the trace generator must order exactly: a second load in
    the right operand of the [+], an [if] with loads on both sides of its
-   condition, and a reference subscripted through an index array. *)
-let gen_kernel : kernel Gen.t =
+   condition, and a reference subscripted through an index array.  With
+   [wide], subscripts come from {!gen_wide_sub} and the loop bounds and
+   [N] may be odd. *)
+let gen_kernel_of ~wide : kernel Gen.t =
   let open Gen in
   let* n_arrays = int_range 1 3 in
-  let* n = map (fun k -> 8 * k) (int_range 4 8) in
+  let* n =
+    if wide then int_range 8 40 else map (fun k -> 8 * k) (int_range 4 8)
+  in
+  let* r = int_range 2 3 in
+  let* lo = if wide then int_range 0 3 else return 2 in
+  let* hi_gap = if wide then int_range 1 4 else return 3 in
   (* one subscript choice per load until they run out, then (i, j) *)
   let* sub_choices =
     list_size (int_range n_arrays ((3 * n_arrays) + 5)) (int_range 0 6)
+  in
+  let* wide_subs =
+    list_size
+      (int_range n_arrays ((3 * n_arrays) + 5))
+      (pair (gen_wide_sub "i" "j") (gen_wide_sub "j" "i"))
   in
   let* par_inner = bool in
   let* two_loads = bool in
@@ -42,18 +74,27 @@ let gen_kernel : kernel Gen.t =
   let arrays = List.init n_arrays (fun i -> Printf.sprintf "A%d" i) in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "param N = %d;\n" n);
+  if wide then Buffer.add_string buf (Printf.sprintf "param R = %d;\n" r);
   List.iter (fun a -> Buffer.add_string buf (Printf.sprintf "array %s[N][N];\n" a)) arrays;
   if indexed then Buffer.add_string buf "index IX[N][N];\n";
   let outer, inner = if par_inner then ("for", "parfor") else ("parfor", "for") in
   Buffer.add_string buf
-    (Printf.sprintf "%s i = 2 to N-3 {\n  %s j = 2 to N-3 {\n" outer inner);
-  let choice = ref sub_choices in
+    (Printf.sprintf "%s i = %d to N-%d {\n  %s j = %d to N-%d {\n" outer lo
+       hi_gap inner lo hi_gap);
+  let choice = ref sub_choices and wide_choice = ref wide_subs in
   let next_sub () =
-    match !choice with
-    | [] -> (Ast.Var "i", Ast.Var "j")
-    | c :: rest ->
-      choice := rest;
-      (List.nth subscript_choices_2d c) ()
+    if wide then
+      match !wide_choice with
+      | [] -> (Ast.Var "i", Ast.Var "j")
+      | c :: rest ->
+        wide_choice := rest;
+        c
+    else
+      match !choice with
+      | [] -> (Ast.Var "i", Ast.Var "j")
+      | c :: rest ->
+        choice := rest;
+        (List.nth subscript_choices_2d c) ()
   in
   let load a =
     let s1, s2 = next_sub () in
@@ -84,6 +125,10 @@ let gen_kernel : kernel Gen.t =
          (load (List.hd arrays)));
   Buffer.add_string buf "  }\n}\n";
   return { src = Buffer.contents buf; n }
+
+let gen_kernel = gen_kernel_of ~wide:false
+
+let gen_kernel_wide = gen_kernel_of ~wide:true
 
 let arb_kernel = QCheck.make ~print:(fun k -> k.src) gen_kernel
 
@@ -157,7 +202,8 @@ let prop_trace_counts_match =
           (fun a ph -> a + Array.fold_left (fun a s -> a + Array.length s) 0 ph)
           0 phases
       in
-      count (fun _ v -> v.(0)) = count (fun _ v -> (v.(0) * 131) + v.(1)))
+      count (fun _ -> Lang.Interp.Fn (fun v -> v.(0)))
+      = count (fun _ -> Lang.Interp.Fn (fun v -> (v.(0) * 131) + v.(1))))
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 

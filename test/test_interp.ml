@@ -33,6 +33,7 @@ let same_trace ~threads ~tpc c =
     Naive_interp.trace_gen ~threads ~threads_per_core:tpc ~addr_of
       ~index_lookup:c.index_lookup ~site_of program
   in
+  let addr_of a = Lang.Interp.Fn (addr_of a) in
   let got =
     Lang.Interp.trace_tagged ~threads ~threads_per_core:tpc ~addr_of
       ~index_lookup:c.index_lookup ~site_of program
@@ -56,7 +57,7 @@ let prop_fuzz_kernels =
              program = lazy (Test_fuzz.parse k.Test_fuzz.src);
              index_lookup = (fun _ v -> Array.fold_left ( + ) 0 v mod 5);
            })
-         Test_fuzz.gen_kernel)
+         (Gen.oneof [ Test_fuzz.gen_kernel; Test_fuzz.gen_kernel_wide ]))
       gen_threads
   in
   QCheck.Test.make ~name:"staged = naive on random kernels"
@@ -132,9 +133,11 @@ let prop_capped =
       let p = Test_fuzz.parse k.Test_fuzz.src in
       let index_lookup _ v = Array.fold_left ( + ) 0 v mod 5 in
       let calls = ref 0 in
-      let addr_of name v =
-        incr calls;
-        (id name lsl 24) lor mix v
+      let addr_of name =
+        Lang.Interp.Fn
+          (fun v ->
+            incr calls;
+            (id name lsl 24) lor mix v)
       in
       let full = Lang.Interp.trace ~threads ~addr_of ~index_lookup p in
       calls := 0;
@@ -163,9 +166,106 @@ let prop_capped =
       in
       want = capped && !calls = stored)
 
-(* A constant operand is folded into its operator's closure; the failure
-   points must not move: a zero divisor raises after the left operand's
-   accesses, and an unbound name fails (I001) only when evaluated. *)
+(* Composed addresses: each array of a wide random kernel (constant
+   offsets, [R*i+j], negated iterators, odd bounds, subscripts that leave
+   the array) gets a random layout from [Test_core.gen_layout], and the
+   staged trace under the layouts' [Layout.addr_map] must equal
+   [Naive_interp] under [Naive_layout], exceptions included.
+   [trace_capped] (one array excluded) must store the head of the naive
+   trace with that array's accesses removed and count the rest.  An
+   address past the cap is never computed, so where the naive trace
+   fails the capped run may fail elsewhere or not at all. *)
+let prop_composed_addresses =
+  let arrays = [ "A0"; "A1"; "A2"; "IX" ] in
+  let id = function "A0" -> 1 | "A1" -> 2 | "A2" -> 3 | "IX" -> 4 | _ -> 5 in
+  let gen =
+    let open Gen in
+    let* k = Test_fuzz.gen_kernel_wide in
+    let* faults = frequency [ (3, return false); (1, return true) ] in
+    let* layouts =
+      flatten_l
+        (List.map
+           (fun _ ->
+             Test_core.gen_layout ~faults ~cols:2
+               [| k.Test_fuzz.n; k.Test_fuzz.n |])
+           arrays)
+    in
+    let* threads = int_range 1 8 in
+    let* cap = int_range 0 3000 in
+    let* excluded = oneofl [ "none"; "A0"; "A1"; "IX" ] in
+    return (k, List.combine arrays layouts, threads, cap, excluded)
+  in
+  let print (k, layouts, threads, cap, excluded) =
+    Printf.sprintf "%s\n%s\nthreads=%d cap=%d exclude=%s" k.Test_fuzz.src
+      (String.concat "\n"
+         (List.map
+            (fun (a, l) -> a ^ ": " ^ Test_core.print_layout l)
+            layouts))
+      threads cap excluded
+  in
+  QCheck.Test.make ~name:"composed addresses = naive layout evaluation"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (k, layouts, threads, cap, excluded) ->
+      let p = Test_fuzz.parse k.Test_fuzz.src in
+      let index_lookup _ v = Array.fold_left ( + ) 0 v mod 7 in
+      let base a = id a * 1_000_003 in
+      let staged a =
+        Core.Layout.addr_map ~base:(base a) ~scale:8 (List.assoc a layouts)
+      in
+      let naive a v =
+        base a + (8 * Naive_layout.offset (List.assoc a layouts) v)
+      in
+      let run f = match f () with v -> Ok v | exception e -> Error e in
+      let want =
+        run (fun () ->
+            Naive_interp.trace_gen ~threads ~addr_of:naive ~index_lookup
+              ~site_of:(fun r -> id r.Ast.array)
+              p)
+      in
+      let got =
+        run (fun () ->
+            Lang.Interp.trace ~threads ~addr_of:staged ~index_lookup p)
+      in
+      let capped =
+        run (fun () ->
+            Lang.Interp.trace_capped ~threads ~cap
+              ~exclude:(String.equal excluded) ~addr_of:staged ~index_lookup p)
+      in
+      let same_full =
+        match (want, got) with
+        | Ok w, Ok g -> List.map fst w = g
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      let same_capped =
+        match (want, capped) with
+        | Ok w, Ok c ->
+          let kept =
+            List.map
+              (fun (ph, sites) ->
+                Array.mapi
+                  (fun t s ->
+                    List.filteri
+                      (fun i _ -> sites.(t).(i) <> id excluded)
+                      (Array.to_list s))
+                  ph)
+              w
+          in
+          let head s = Array.of_list (List.filteri (fun i _ -> i < cap) s) in
+          c
+          = List.map
+              (fun ph -> (Array.map head ph, Array.map List.length ph))
+              kept
+        | Error _, _ -> true
+        | Ok _, Error _ -> false
+      in
+      same_full && same_capped)
+
+(* A constant operand is folded into its operator's closure, and a chain
+   of positive constant divisors into one division; the failure points
+   and values must not move: a zero divisor raises after the left
+   operand's accesses, truncation composes on negative operands, and an
+   unbound name fails (I001) only when evaluated. *)
 let test_constant_operand_failures () =
   let loop ~hi sub =
     {
@@ -207,7 +307,12 @@ let test_constant_operand_failures () =
     in
     outcome :: List.rev !seen
   in
-  let staged ~addr_of p = ignore (Lang.Interp.trace ~threads:2 ~addr_of p) in
+  let staged ~addr_of p =
+    ignore
+      (Lang.Interp.trace ~threads:2
+         ~addr_of:(fun a -> Lang.Interp.Fn (addr_of a))
+         p)
+  in
   let naive ~addr_of p =
     ignore (Naive_interp.trace_gen ~threads:2 ~addr_of p)
   in
@@ -232,6 +337,23 @@ let test_constant_operand_failures () =
              ( Ast.Div (Ast.Var "i", Ast.Int 2),
                Ast.Mul (Ast.Int 4, Ast.Mod (Ast.Var "i", Ast.Int 2)) )),
         [ "ok"; "A[0]"; "A[4]" ] );
+      ( "(B[i] / 2) / 0",
+        loop ~hi:3 (Ast.Div (Ast.Div (b_i, Ast.Int 2), Ast.Int 0)),
+        [ "Division_by_zero"; "B[0]" ] );
+      ( "(B[i] / 2) mod 0",
+        loop ~hi:3 (Ast.Mod (Ast.Div (b_i, Ast.Int 2), Ast.Int 0)),
+        [ "Division_by_zero"; "B[0]" ] );
+      ( "(((i - 9) / 2) / 3) mod 4",
+        loop ~hi:3
+          (Ast.Mod
+             ( Ast.Div
+                 (Ast.Div (Ast.Sub (Ast.Var "i", Ast.Int 9), Ast.Int 2), Ast.Int 3),
+               Ast.Int 4 )),
+        [ "ok"; "A[-1]"; "A[-1]"; "A[-1]"; "A[-1]" ] );
+      ( "((i + 5) / 3) / 2",
+        loop ~hi:3
+          (Ast.Div (Ast.Div (Ast.Add (Ast.Var "i", Ast.Int 5), Ast.Int 3), Ast.Int 2)),
+        [ "ok"; "A[0]"; "A[1]"; "A[1]"; "A[1]" ] );
       ( "unbound, never run",
         loop ~hi:(-1) (Ast.Div (Ast.Var "zz", Ast.Int 2)),
         [ "ok" ] );
@@ -244,7 +366,8 @@ let suite =
   [
     ( "interp_oracle",
       List.map QCheck_alcotest.to_alcotest
-        (prop_fuzz_kernels :: prop_capped :: List.map prop_named named_cases)
+        (prop_fuzz_kernels :: prop_capped :: prop_composed_addresses
+        :: List.map prop_named named_cases)
       @ [
           Alcotest.test_case "constant operands keep the failure points" `Quick
             test_constant_operand_failures;

@@ -195,10 +195,17 @@ let test_cond_analysis_conservative () =
   Alcotest.(check bool) "A has a write" true
     (List.exists (fun o -> o.Analysis.is_write) (occs "A"))
 
+(* every array at its first subscript *)
+let first_index _ = Interp.Fn (fun v -> v.(0))
+
 let test_cond_interp () =
   let p = parse cond_src in
-  let phases = Interp.trace ~threads:1 ~addr_of:(fun name v ->
-      (if String.equal name "A" then 0 else 100) + v.(0)) p in
+  let phases =
+    Interp.trace ~threads:1
+      ~addr_of:(fun name ->
+        Interp.Fn (fun v -> (if String.equal name "A" then 0 else 100) + v.(0)))
+      p
+  in
   let stream = (List.hd phases).(0) in
   (* each iteration executes exactly one branch: 2 accesses x 8 iters *)
   Alcotest.(check int) "one branch per iteration" 16 (Array.length stream);
@@ -233,7 +240,7 @@ array B[N];
 parfor i = 0 to N-1 { A[i] = B[i] + B[i]; }
 |}
   in
-  let phases = Interp.trace ~threads:4 ~addr_of:(fun _ v -> v.(0)) p in
+  let phases = Interp.trace ~threads:4 ~addr_of:first_index p in
   Alcotest.(check int) "one phase" 1 (List.length phases);
   let streams = List.hd phases in
   Alcotest.(check int) "4 streams" 4 (Array.length streams);
@@ -247,7 +254,7 @@ let test_interp_write_flags () =
 array A[4];
 parfor i = 0 to 3 { A[i] = A[i] + 1; }
 |} in
-  let phases = Interp.trace ~threads:1 ~addr_of:(fun _ v -> v.(0)) p in
+  let phases = Interp.trace ~threads:1 ~addr_of:first_index p in
   let stream = (List.hd phases).(0) in
   Alcotest.(check int) "read+write per iter" 8 (Array.length stream);
   (* program order within an iteration: RHS read then LHS write *)
@@ -262,7 +269,7 @@ let test_interp_chunking () =
 array A[10];
 parfor i = 0 to 9 { A[i] = 0; }
 |} in
-  let phases = Interp.trace ~threads:4 ~addr_of:(fun _ v -> v.(0)) p in
+  let phases = Interp.trace ~threads:4 ~addr_of:first_index p in
   let sizes = Array.to_list (Array.map Array.length (List.hd phases)) in
   Alcotest.(check (list int)) "static chunk sizes" [ 3; 3; 2; 2 ] sizes;
   let first_of t = Interp.addr_of_access (List.hd phases).(t).(0) in
@@ -274,7 +281,9 @@ let test_interp_threads_per_core () =
 array A[16];
 parfor i = 0 to 15 { A[i] = 0; }
 |} in
-  let phases = Interp.trace ~threads:8 ~threads_per_core:2 ~addr_of:(fun _ v -> v.(0)) p in
+  let phases =
+    Interp.trace ~threads:8 ~threads_per_core:2 ~addr_of:first_index p
+  in
   let streams = List.hd phases in
   (* threads 0,1 share core 0 and split its 4-iteration chunk *)
   Alcotest.(check int) "t0 gets half the core chunk" 2 (Array.length streams.(0));
@@ -293,12 +302,14 @@ parfor i = 0 to N-1 { X[IDX[i]] = 1; }
 |}
   in
   let seen = ref [] in
-  let addr_of name v =
-    if String.equal name "X" then begin
-      seen := v.(0) :: !seen;
-      100 + v.(0)
-    end
-    else v.(0)
+  let addr_of name =
+    Interp.Fn
+      (fun v ->
+        if String.equal name "X" then begin
+          seen := v.(0) :: !seen;
+          100 + v.(0)
+        end
+        else v.(0))
   in
   let index_lookup _ v = 7 - v.(0) in
   ignore (Interp.trace ~threads:2 ~addr_of ~index_lookup p);
@@ -311,7 +322,7 @@ let test_interp_sequential_nest () =
 array A[6];
 for t = 0 to 1 { parfor i = 0 to 5 { A[i] = t; } }
 |} in
-  let phases = Interp.trace ~threads:3 ~addr_of:(fun _ v -> v.(0)) p in
+  let phases = Interp.trace ~threads:3 ~addr_of:first_index p in
   Alcotest.(check int) "one phase for the outer loop" 1 (List.length phases);
   let total = Array.fold_left (fun a s -> a + Array.length s) 0 (List.hd phases) in
   Alcotest.(check int) "both time steps traced" 12 total
@@ -332,7 +343,7 @@ for i = 1 to 0 { B[i] = 1; }
   let resolved = ref [] in
   let addr_of name =
     resolved := name :: !resolved;
-    fun v -> v.(0)
+    Interp.Fn (fun v -> v.(0))
   in
   let phases = Interp.trace ~threads:2 ~addr_of p in
   Alcotest.(check (list string)) "one resolution per executed reference"
@@ -357,7 +368,7 @@ for i = 0 to N-1 { X[IDX[i]] = 1; }
     kept := v :: !kept;
     0
   in
-  ignore (Interp.trace ~threads:1 ~addr_of:(fun _ v -> v.(0)) ~index_lookup p);
+  ignore (Interp.trace ~threads:1 ~addr_of:first_index ~index_lookup p);
   Alcotest.(check (list int)) "lookups keep their indices" [ 0; 1; 2; 3 ]
     (List.rev_map (fun v -> v.(0)) !kept)
 
@@ -386,7 +397,7 @@ let test_interp_unbound_prints () =
         ];
     }
   in
-  match Interp.trace ~threads:2 ~addr_of:(fun _ v -> v.(0)) p with
+  match Interp.trace ~threads:2 ~addr_of:first_index p with
   | _ -> Alcotest.fail "unbound variable traced"
   | exception e ->
     Alcotest.(check string) "printed" "error[I001]: unbound variable x"

@@ -143,7 +143,7 @@ let test_validation () =
     (Invalid_argument "Interp.trace: bad thread configuration") (fun () ->
       ignore
         (Lang.Interp.trace ~threads:3 ~threads_per_core:2
-           ~addr_of:(fun _ _ -> 0)
+           ~addr_of:(fun _ -> Lang.Interp.Fn (fun _ -> 0))
            (parse "array A[4];\nparfor i = 0 to 3 { A[i] = i; }")));
   Alcotest.check_raises "complete_row non-primitive"
     (Invalid_argument "Unimodular.complete_row: not primitive") (fun () ->

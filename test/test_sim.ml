@@ -264,7 +264,9 @@ let test_config_matrix () =
 
 let test_tracefile_roundtrip () =
   let phases =
-    Lang.Interp.trace ~threads:4 ~addr_of:(fun _ v -> (v.(0) * 64) + 8) small_program
+    Lang.Interp.trace ~threads:4
+      ~addr_of:(fun _ -> Lang.Interp.Fn (fun v -> (v.(0) * 64) + 8))
+      small_program
   in
   let path = Filename.temp_file "offchip" ".trace" in
   Sim.Tracefile.dump path phases;

@@ -50,7 +50,9 @@ let test_all_trace () =
       let p = App.program app in
       let phases =
         Lang.Interp.trace ~threads:4
-          ~addr_of:(fun _ v -> Array.fold_left (fun a x -> (a * 1024) + (x land 1023)) 0 v)
+          ~addr_of:(fun _ ->
+            Lang.Interp.Fn
+              (Array.fold_left (fun a x -> (a * 1024) + (x land 1023)) 0))
           ~index_lookup:(fun name v -> App.index_lookup app name v)
           p
       in
