@@ -70,31 +70,32 @@ type run = {
 }
 
 let run_of_json doc =
-  let member j k = match Json.member k j with Some v -> v | None -> failwith ("result lacks " ^ k) in
-  let at j path = List.fold_left member j path in
-  let int = function Json.Int i -> i | _ -> failwith "result: not an integer" in
-  let num = function Json.Float f -> f | Json.Int i -> float_of_int i | _ -> Float.nan in
-  let arr f = function
-    | Json.List l -> Array.of_list (List.map f l)
-    | _ -> failwith "result: not a list"
-  in
-  let stats = at doc [ "stats" ] in
-  let assoc f = function Json.Obj l -> List.map (fun (k, v) -> (k, f v)) l | _ -> [] in
-  let derived = assoc num (at stats [ "derived" ]) in
-  let counters =
-    match Obs.Metrics.snapshot_of_json (at stats [ "metrics" ]) with
-    | Ok s -> s.Obs.Metrics.counters
-    | Error e -> failwith e
-  in
-  {
-    measured_time = int (at doc [ "measured_time" ]);
-    mc_occupancy = arr num (at doc [ "mc_occupancy" ]);
-    derived = (fun k -> List.assoc k derived);
-    counter = (fun k -> Option.value (List.assoc_opt k counters) ~default:0);
-    onchip_hops = arr int (at stats [ "hops"; "onchip" ]);
-    offchip_hops = arr int (at stats [ "hops"; "offchip" ]);
-    node_mc_requests = arr (arr int) (at stats [ "node_mc_requests" ]);
-  }
+  let ( let* ) = Result.bind in
+  let module D = Json.Decode in
+  let raw _ v = Ok v in
+  (* a non-finite float is written as null *)
+  let num ctx = function Json.Null -> Ok Float.nan | v -> D.float ctx v in
+  let array decode ctx v = Result.map Array.of_list (D.list decode ctx v) in
+  let* stats = D.field "stats" raw doc in
+  let* derived = D.field "derived" (D.assoc num) stats in
+  let* snap = Result.bind (D.field "metrics" raw stats) Obs.Metrics.snapshot_of_json in
+  let* hops = D.field "hops" raw stats in
+  let* measured_time = D.field "measured_time" D.int doc in
+  let* mc_occupancy = D.field "mc_occupancy" (array num) doc in
+  let* onchip_hops = D.field "onchip" (array D.int) hops in
+  let* offchip_hops = D.field "offchip" (array D.int) hops in
+  let* node_mc_requests = D.field "node_mc_requests" (array (array D.int)) stats in
+  Ok
+    {
+      measured_time;
+      mc_occupancy;
+      derived = (fun k -> List.assoc k derived);
+      counter =
+        (fun k -> Option.value (List.assoc_opt k snap.Obs.Metrics.counters) ~default:0);
+      onchip_hops;
+      offchip_hops;
+      node_mc_requests;
+    }
 
 (* cache key -> the job's run, or why it failed *)
 let results : (string, (run, string) result) Hashtbl.t = Hashtbl.create 512
@@ -125,7 +126,7 @@ let run_jobs jobs =
         Hashtbl.replace results e.key
           (match (e.status, Sweep.Cache.find ~dir:results_dir e.key) with
           | Sweep.Manifest.Failed reason, _ -> Error reason
-          | (Ok | Cached), Some doc -> Ok (run_of_json doc)
+          | (Ok | Cached), Some doc -> run_of_json doc
           | _ -> Error "no result"))
       report.manifest.entries
 

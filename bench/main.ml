@@ -449,8 +449,9 @@ let alternative () =
       let program = lt.Core.Loop_transform.program in
       (* a direct run, read the same way as a sweep job's result *)
       let direct cfg p =
-        H.run_of_json
-          (Sweep.Exec.result_json ~app:app.App.name cfg (Sim.Runner.run_many cfg ~jobs:[ p ]))
+        H.or_fail
+          (H.run_of_json
+             (Sweep.Exec.result_json ~app:app.App.name cfg (Sim.Runner.run_many cfg ~jobs:[ p ])))
       in
       let base = H.get page_ft ~optimized:false app in
       (* loop-restructured program under the same first-touch OS *)

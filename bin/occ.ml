@@ -40,19 +40,6 @@ let read_source file app =
   | Some _, Some _ -> Error "give either a file or --app, not both"
   | None, None -> Error "give a source file or --app NAME"
 
-let read_json path =
-  match
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  with
-  | s -> Obs.Json.of_string s
-  | exception Sys_error e -> Error e
-
-let bank_pressure_of_file path =
-  Result.bind (read_json path) Core.Mapping_select.bank_pressure_of_stats
-
 let why_kept_to_string = function
   | Core.Transform.Index_array -> "index array (never transformed)"
   | Core.Transform.No_parallel_reference -> "no parallel affine reference"
@@ -137,10 +124,10 @@ let run file app platform l2 interleave mapping calibrate
     let pressure_result =
       match calibrate with
       | None -> Ok 1.0
-      | Some path -> (
-        match bank_pressure_of_file path with
-        | Ok _ as r -> r
-        | Error e -> Error (Printf.sprintf "--calibrate %s: %s" path e))
+      | Some path ->
+        Result.map_error
+          (fun e -> "--calibrate " ^ e)
+          (Obs.Json.decode_file path Core.Mapping_select.bank_pressure_of_stats)
     in
     let search_result =
       match Noc.Placement.pool_of_string search_pool with

@@ -9,28 +9,21 @@
 
 open Cmdliner
 
-let read_json path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Obs.Json.of_string s
-
 let run stats_path diag_path format out title =
   Cli.guard ~name:"report" @@ fun () ->
-  match read_json stats_path with
+  match Obs.Json.of_file stats_path with
   | Error e ->
-    Printf.eprintf "report: %s: %s\n" stats_path e;
+    Printf.eprintf "report: %s\n" e;
     Cli.user_error
   | Ok doc -> (
     let diags =
       match diag_path with
       | None -> Ok None
       | Some p -> (
-        match read_json p with
+        match Obs.Json.of_file p with
         | Ok d -> Ok (Some d)
         | Error e ->
-          Printf.eprintf "report: %s: %s\n" p e;
+          Printf.eprintf "report: %s\n" e;
           Error ())
     in
     match diags with
@@ -38,7 +31,7 @@ let run stats_path diag_path format out title =
     | Ok diags -> (
       match Obs.Report.build ?diags doc with
       | Error e ->
-        Printf.eprintf "report: %s\n" e;
+        Printf.eprintf "report: %s: %s\n" stats_path e;
         Cli.user_error
       | Ok sections ->
         let title =

@@ -8,28 +8,16 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_scenario path smoke =
   match (path, smoke) with
   | None, false ->
     Error "serve: pass a scenario JSON file (or --smoke for the built-in one)"
   | Some _, true -> Error "serve: --smoke conflicts with a scenario file"
   | None, true -> Ok (Serve.Scenario.smoke ())
-  | Some path, false -> (
-    match read_file path with
-    | exception Sys_error e -> Error ("serve: " ^ e)
-    | text -> (
-      match Obs.Json.of_string text with
-      | Error e -> Error (Printf.sprintf "serve: %s: %s" path e)
-      | Ok doc -> (
-        match Serve.Scenario.of_json doc with
-        | Error e -> Error (Printf.sprintf "serve: %s: %s" path e)
-        | Ok sc -> Ok sc)))
+  | Some path, false ->
+    Result.map_error
+      (fun e -> "serve: " ^ e)
+      (Obs.Json.decode_file path Serve.Scenario.of_json)
 
 let override sc policy seed =
   let sc =

@@ -366,108 +366,88 @@ let to_json t =
       ("channels_per_mc", Int t.channels_per_mc);
     ])
 
-let int_field ?default j name =
-  match Obs.Json.member name j with
-  | Some (Obs.Json.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing field %S" name))
+module D = Obs.Json.Decode
 
-let str_field ?default j name =
-  match Obs.Json.member name j with
-  | Some (Obs.Json.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing field %S" name))
+(* an optional sub-object, checked for misspelt keys and decoded, its
+   errors prefixed with its name *)
+let sub_object what known decode j =
+  match Obs.Json.member what j with
+  | None -> Ok None
+  | Some sub ->
+    Result.map_error
+      (fun e -> what ^ ": " ^ e)
+      (let* () = D.known_fields ~what known sub in
+       Result.map Option.some (decode sub))
 
 let of_json j =
-  let* name = str_field ~default:"custom" j "name" in
-  let* width = int_field j "mesh_width" in
-  let* height = int_field j "mesh_height" in
+  let* () =
+    D.known_fields ~what:"platform"
+      [ "name"; "mesh_width"; "mesh_height"; "hierarchy"; "cluster";
+        "placement"; "interleaving"; "line_bytes"; "page_bytes"; "elem_bytes";
+        "banks_per_mc"; "channels_per_mc" ]
+      j
+  in
+  let* name = D.field ~default:"custom" "name" D.string j in
+  let* width = D.field "mesh_width" D.int j in
+  let* height = D.field "mesh_height" D.int j in
   let* () =
     if width >= 1 && height >= 1 then Ok ()
     else Error (Printf.sprintf "bad mesh %dx%d" width height)
   in
   let topo = Noc.Topology.make ~width ~height () in
-  let* topo =
-    match Obs.Json.member "hierarchy" j with
-    | None -> Ok topo
-    | Some hj ->
-      Result.map_error
-        (fun e -> "hierarchy: " ^ e)
-        (let* grid_x = int_field hj "chiplets_x" in
-         let* grid_y = int_field hj "chiplets_y" in
-         let* link_latency =
-           int_field ~default:chiplet_link_latency hj "link_latency"
-         in
-         let* link_bytes =
-           int_field ~default:chiplet_link_bytes hj "link_bytes"
-         in
-         Noc.Topology.chiplets_result topo ~grid_x ~grid_y ~link_latency
-           ~link_bytes)
+  let* hierarchy =
+    sub_object "hierarchy"
+      [ "chiplets_x"; "chiplets_y"; "link_latency"; "link_bytes" ]
+      (fun hj ->
+        let* grid_x = D.field "chiplets_x" D.int hj in
+        let* grid_y = D.field "chiplets_y" D.int hj in
+        let* link_latency =
+          D.field ~default:chiplet_link_latency "link_latency" D.int hj
+        in
+        let* link_bytes = D.field ~default:chiplet_link_bytes "link_bytes" D.int hj in
+        Noc.Topology.chiplets_result topo ~grid_x ~grid_y ~link_latency
+          ~link_bytes)
+      j
+  in
+  let topo = Option.value hierarchy ~default:topo in
+  let* cluster =
+    sub_object "cluster" [ "name"; "cx"; "cy"; "k" ]
+      (fun cj ->
+        let* cname = D.field ~default:"custom" "name" D.string cj in
+        let* cx = D.field "cx" D.int cj in
+        let* cy = D.field "cy" D.int cj in
+        let* k = D.field ~default:1 "k" D.int cj in
+        Cluster.make_result ~name:cname ~width ~height ~cx ~cy ~k)
+      j
   in
   let* cluster =
-    match Obs.Json.member "cluster" j with
-    | None -> Cluster.m1 ~width ~height
-    | Some cj ->
-      let* cname = str_field ~default:"custom" cj "name" in
-      let* cx = int_field cj "cx" in
-      let* cy = int_field cj "cy" in
-      let* k = int_field ~default:1 cj "k" in
-      Cluster.make_result ~name:cname ~width ~height ~cx ~cy ~k
+    match cluster with Some c -> Ok c | None -> Cluster.m1 ~width ~height
   in
   let* placement =
-    match Obs.Json.member "placement" j with
-    | None -> Ok None
-    | Some pj ->
-      let* pname = str_field ~default:"custom" pj "name" in
-      let* sites =
-        match Obs.Json.member "sites" pj with
-        | Some (Obs.Json.List l) ->
-          let rec coords acc = function
-            | [] -> Ok (Array.of_list (List.rev acc))
-            | Obs.Json.List [ Obs.Json.Int x; Obs.Json.Int y ] :: rest ->
-              coords (Noc.Coord.make x y :: acc) rest
-            | _ -> Error "placement sites must be [x, y] pairs"
-          in
-          coords [] l
-        | _ -> Error "placement needs a \"sites\" list"
-      in
-      let* p = Noc.Placement.of_coords_result topo pname sites in
-      Ok (Some p)
+    sub_object "placement" [ "name"; "sites" ]
+      (fun pj ->
+        let* pname = D.field ~default:"custom" "name" D.string pj in
+        let site ctx = function
+          | Obs.Json.List [ Obs.Json.Int x; Obs.Json.Int y ] -> Ok (Noc.Coord.make x y)
+          | _ -> Error (ctx ^ " must hold [x, y] pairs")
+        in
+        let* sites = D.field "sites" (D.list site) pj in
+        Noc.Placement.of_coords_result topo pname (Array.of_list sites))
+      j
   in
   let* interleaving =
-    let* s = str_field ~default:"line" j "interleaving" in
+    let* s = D.field ~default:"line" "interleaving" D.string j in
     Dram.Address_map.interleaving_of_string s
   in
-  let* line_bytes = int_field ~default:256 j "line_bytes" in
-  let* page_bytes = int_field ~default:4096 j "page_bytes" in
-  let* elem_bytes = int_field ~default:8 j "elem_bytes" in
-  let* banks_per_mc = int_field ~default:16 j "banks_per_mc" in
-  let* channels_per_mc = int_field ~default:4 j "channels_per_mc" in
+  let* line_bytes = D.field ~default:256 "line_bytes" D.int j in
+  let* page_bytes = D.field ~default:4096 "page_bytes" D.int j in
+  let* elem_bytes = D.field ~default:8 "elem_bytes" D.int j in
+  let* banks_per_mc = D.field ~default:16 "banks_per_mc" D.int j in
+  let* channels_per_mc = D.field ~default:4 "channels_per_mc" D.int j in
   make_result ?placement ~interleaving ~line_bytes ~page_bytes ~elem_bytes
     ~banks_per_mc ~channels_per_mc ~name ~topo ~cluster ()
 
-let of_file path =
-  let contents () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match contents () with
-  | exception Sys_error e -> Error e
-  | s -> (
-    match Obs.Json.of_string s with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> (
-      match of_json j with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok p -> Ok p))
+let of_file path = Obs.Json.decode_file path of_json
 
 let of_spec spec =
   if Sys.file_exists spec then of_file spec else preset_result spec

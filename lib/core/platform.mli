@@ -117,8 +117,9 @@ val of_json : Obs.Json.t -> (t, string) result
     ([of_json (to_json p)] restores [p] exactly).  A 1×1 ["hierarchy"]
     grid is normalized to the flat mesh, so the degenerate hierarchical
     machine is structurally — and behaviorally — identical to the flat
-    preset. *)
+    preset.  An unknown key at any level is an error. *)
 
 val of_file : string -> (t, string) result
+(** Reads and decodes a platform file; errors read [PATH: message]. *)
 
 val pp : Format.formatter -> t -> unit

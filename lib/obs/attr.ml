@@ -190,75 +190,30 @@ let to_json s =
 
 let ( let* ) = Result.bind
 
-let field ctx name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error ("Attr.of_json: " ^ ctx ^ " lacks " ^ name)
+module D = Json.Decode
 
-let as_int ctx = function
-  | Json.Int i -> Ok i
-  | _ -> Error ("Attr.of_json: " ^ ctx ^ " is not an integer")
-
-let int_field ctx name j = Result.bind (field ctx name j) (as_int name)
-
-let int_array_field ctx name j =
-  let* v = field ctx name j in
-  match v with
-  | Json.List l ->
-    let a = Array.make (List.length l) 0 in
-    let rec fill i = function
-      | [] -> Ok a
-      | Json.Int v :: tl ->
-        a.(i) <- v;
-        fill (i + 1) tl
-      | _ -> Error ("Attr.of_json: " ^ name ^ " holds a non-integer")
-    in
-    fill 0 l
-  | _ -> Error ("Attr.of_json: " ^ ctx ^ "." ^ name ^ " is not a list")
-
-let site_of_json j =
-  let* array =
-    match Json.member "array" j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error "Attr.of_json: site lacks array"
-  in
-  let* write =
-    match Json.member "write" j with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error "Attr.of_json: site lacks write"
-  in
-  let* phase = int_field "site" "phase" j in
-  let* loc =
-    match Json.member "loc" j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error "Attr.of_json: site lacks loc"
-  in
+(* machine-written: unknown keys are ignored *)
+let site_of_json _ j =
+  let* array = D.field "array" D.string j in
+  let* write = D.field "write" D.bool j in
+  let* phase = D.field "phase" D.int j in
+  let* loc = D.field "loc" D.string j in
   Ok { array; write; phase; loc }
 
 let of_json j =
-  let* sites =
-    let* v = field "attribution" "sites" j in
-    match v with
-    | Json.List l ->
-      let* sl =
-        List.fold_left
-          (fun acc sj ->
-            let* acc = acc in
-            let* s = site_of_json sj in
-            Ok (s :: acc))
-          (Ok []) l
-      in
-      Ok (Array.of_list (List.rev sl))
-    | _ -> Error "Attr.of_json: sites is not a list"
-  in
-  let* mcs = int_field "attribution" "mcs" j in
-  let* banks = int_field "attribution" "banks" j in
-  let* max_hops = int_field "attribution" "max_hops" j in
-  let* counts = int_array_field "attribution" "counts" j in
-  let* hops = int_array_field "attribution" "hops" j in
-  let* queue_counts = int_array_field "attribution" "queue_counts" j in
-  let* queue_sum = int_array_field "attribution" "queue_sum" j in
-  let* queue_total = int_array_field "attribution" "queue_total" j in
+  Result.map_error (fun e -> "Attr.of_json: " ^ e)
+  @@
+  let* sites = D.field "sites" (D.list site_of_json) j in
+  let sites = Array.of_list sites in
+  let* mcs = D.field "mcs" D.int j in
+  let* banks = D.field "banks" D.int j in
+  let* max_hops = D.field "max_hops" D.int j in
+  let int_array name = Result.map Array.of_list (D.field name (D.list D.int) j) in
+  let* counts = int_array "counts" in
+  let* hops = int_array "hops" in
+  let* queue_counts = int_array "queue_counts" in
+  let* queue_sum = int_array "queue_sum" in
+  let* queue_total = int_array "queue_total" in
   let rows = Array.length sites + 1 in
   if
     mcs <= 0 || banks <= 0 || max_hops <= 0
@@ -267,7 +222,7 @@ let of_json j =
     || Array.length queue_counts <> rows * queue_buckets
     || Array.length queue_sum <> rows
     || Array.length queue_total <> rows
-  then Error "Attr.of_json: inconsistent shape"
+  then Error "inconsistent shape"
   else
     Ok
       {

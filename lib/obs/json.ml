@@ -289,3 +289,62 @@ let array f items = List (Array.to_list (Array.map f items))
 let int_array a = array (fun i -> Int i) a
 
 let float_array a = array (fun f -> Float f) a
+
+(* ---- reading and decoding ---- *)
+
+let of_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Result.map_error (fun e -> path ^ ": " ^ e) (of_string text)
+  | exception Sys_error e ->
+    (* open errors already name the path; read errors do not *)
+    let prefix = path ^ ": " in
+    if String.starts_with ~prefix e then Error e else Error (prefix ^ e)
+
+let decode_file path decode =
+  Result.bind (of_file path) (fun j ->
+      Result.map_error (fun e -> path ^ ": " ^ e) (decode j))
+
+module Decode = struct
+  type 'a decoder = string -> t -> ('a, string) result
+
+  let ( let* ) = Result.bind
+
+  let int ctx = function Int i -> Ok i | _ -> Error (ctx ^ " must be an integer")
+
+  let float ctx = function
+    | Float f -> Ok f
+    | Int i -> Ok (float_of_int i)
+    | _ -> Error (ctx ^ " must be a number")
+
+  let bool ctx = function Bool b -> Ok b | _ -> Error (ctx ^ " must be a boolean")
+
+  let string ctx = function String s -> Ok s | _ -> Error (ctx ^ " must be a string")
+
+  (* left to right, stopping at the first error *)
+  let rec all f acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: tl ->
+      let* y = f x in
+      all f (y :: acc) tl
+
+  let list decode ctx = function
+    | List l -> all (decode ctx) [] l
+    | _ -> Error (ctx ^ " must be a list")
+
+  let assoc decode ctx = function
+    | Obj fields -> all (fun (k, v) -> Result.map (fun x -> (k, x)) (decode k v)) [] fields
+    | _ -> Error (ctx ^ " must be an object")
+
+  let field ?default name decode j =
+    match (member name j, default) with
+    | Some v, _ -> decode (Printf.sprintf "field %S" name) v
+    | None, Some d -> Ok d
+    | None, None -> Error (Printf.sprintf "missing field %S" name)
+
+  let known_fields ~what known = function
+    | Obj fields -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
+      | Some (k, _) -> Error (Printf.sprintf "unknown %s field %S" what k)
+      | None -> Ok ())
+    | _ -> Error (what ^ " must be an object")
+end

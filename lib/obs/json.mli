@@ -41,3 +41,49 @@ val array : ('a -> t) -> 'a array -> t
 val int_array : int array -> t
 
 val float_array : float array -> t
+
+(** {2 Reading input files}
+
+    Every JSON input — platform files, sweep specs, serve scenarios,
+    manifests, metrics snapshots, attribution tables — is read by
+    {!of_file} and decoded with {!Decode}.  Errors are one line:
+    [of_file] prefixes the path, decoders name the field. *)
+
+val of_file : string -> (t, string) result
+(** Reads and parses a file.  Every error, unreadable file or directory
+    included, reads [PATH: message]. *)
+
+val decode_file : string -> (t -> ('a, string) result) -> ('a, string) result
+(** {!of_file}, then the decoder; its errors read [PATH: message] too. *)
+
+module Decode : sig
+  type 'a decoder = string -> t -> ('a, string) result
+  (** [decode ctx v]: [ctx] names [v] in the error, as in
+      [field "x" must be an integer]. *)
+
+  val int : int decoder
+
+  val float : float decoder
+  (** Also accepts an [Int]. *)
+
+  val bool : bool decoder
+
+  val string : string decoder
+
+  val list : 'a decoder -> 'a list decoder
+  (** Decodes the elements in order; the first bad one is the error. *)
+
+  val assoc : 'a decoder -> (string * 'a) list decoder
+  (** Decodes every member of an object, in order, each with its key as
+      the context. *)
+
+  val field : ?default:'a -> string -> 'a decoder -> t -> ('a, string) result
+  (** [field name decode obj] decodes member [name] with context
+      [field "name"].  An absent member is [default], or the error
+      [missing field "name"] without one. *)
+
+  val known_fields : what:string -> string list -> t -> (unit, string) result
+  (** Rejects an object holding a key outside the list, as
+      [unknown <what> field "k"], and a non-object as
+      [<what> must be an object]. *)
+end

@@ -231,78 +231,47 @@ let to_json (s : snapshot) =
 
 let ( let* ) = Result.bind
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: tl ->
-    let* y = f x in
-    let* ys = map_result f tl in
-    Ok (y :: ys)
+module D = Json.Decode
 
-let fields_of ctx = function
-  | Json.Obj fields -> Ok fields
-  | _ -> Error ("Metrics.snapshot_of_json: " ^ ctx ^ " is not an object")
-
-let int_of ctx = function
-  | Json.Int i -> Ok i
-  | _ -> Error ("Metrics.snapshot_of_json: " ^ ctx ^ " is not an integer")
-
-let float_of ctx = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error ("Metrics.snapshot_of_json: " ^ ctx ^ " is not a number")
-
+(* machine-written: unknown keys are ignored *)
 let hist_of_json name j =
-  let* fields = fields_of ("histogram " ^ name) j in
-  let get k =
-    match List.assoc_opt k fields with
-    | Some v -> Ok v
-    | None -> Error ("Metrics.snapshot_of_json: histogram " ^ name ^ " lacks " ^ k)
-  in
   let* kind =
-    let* k = get "kind" in
-    match k with
-    | Json.String "log2" -> Ok Log2
-    | Json.Obj kf -> (
-      match (List.assoc_opt "linear_width" kf, List.assoc_opt "buckets" kf) with
-      | Some (Json.Int width), Some (Json.Int buckets) when width > 0 && buckets > 0
-        -> Ok (Linear { width; buckets })
-      | _ -> Error ("Metrics.snapshot_of_json: bad linear kind in " ^ name))
-    | _ -> Error ("Metrics.snapshot_of_json: bad kind in " ^ name)
+    D.field "kind"
+      (fun _ -> function
+        | Json.String "log2" -> Ok Log2
+        | Json.Obj _ as k -> (
+          match (D.field "linear_width" D.int k, D.field "buckets" D.int k) with
+          | Ok width, Ok buckets when width > 0 && buckets > 0 ->
+            Ok (Linear { width; buckets })
+          | _ -> Error ("bad linear kind in " ^ name))
+        | _ -> Error ("bad kind in " ^ name))
+      j
   in
-  let* counts =
-    let* c = get "counts" in
-    match c with
-    | Json.List l -> map_result (int_of ("count of " ^ name)) l
-    | _ -> Error ("Metrics.snapshot_of_json: counts of " ^ name ^ " is not a list")
-  in
+  let* counts = D.field "counts" (D.list D.int) j in
   let n = num_buckets kind in
-  if List.length counts > n then
-    Error ("Metrics.snapshot_of_json: " ^ name ^ " has more counts than buckets")
+  if List.length counts > n then Error (name ^ " has more counts than buckets")
   else begin
     (* the encoder trims trailing empty buckets; restore the full width *)
     let full = Array.make n 0 in
     List.iteri (fun i v -> full.(i) <- v) counts;
-    let* sum = Result.bind (get "sum") (int_of ("sum of " ^ name)) in
-    let* total = Result.bind (get "total") (int_of ("total of " ^ name)) in
+    let* sum = D.field "sum" D.int j in
+    let* total = D.field "total" D.int j in
     Ok { kind; counts = full; sum; total }
   end
 
-let snapshot_of_json j =
-  let* fields = fields_of "snapshot" j in
-  let section k decode =
-    match List.assoc_opt k fields with
-    | None -> Ok []
-    | Some (Json.Obj entries) ->
-      map_result (fun (name, v) -> Result.map (fun d -> (name, d)) (decode name v)) entries
-    | Some _ -> Error ("Metrics.snapshot_of_json: " ^ k ^ " is not an object")
-  in
-  let by_name (a, _) (b, _) = String.compare a b in
-  let* counters = section "counters" (fun name v -> int_of ("counter " ^ name) v) in
-  let* gauges = section "gauges" (fun name v -> float_of ("gauge " ^ name) v) in
-  let* histograms = section "histograms" hist_of_json in
-  Ok
-    {
-      counters = List.sort by_name counters;
-      gauges = List.sort by_name gauges;
-      histograms = List.sort by_name histograms;
-    }
+let snapshot_of_json = function
+  | Json.Obj _ as j ->
+    let section k decode = D.field ~default:[] k (D.assoc decode) j in
+    let by_name (a, _) (b, _) = String.compare a b in
+    Result.map_error (fun e -> "Metrics.snapshot_of_json: " ^ e)
+    @@
+    let* counters = section "counters" D.int in
+    let* gauges = section "gauges" D.float in
+    let* histograms = section "histograms" hist_of_json in
+    Ok
+      {
+        counters = List.sort by_name counters;
+        gauges = List.sort by_name gauges;
+        histograms = List.sort by_name histograms;
+      }
+  | _ -> Error "Metrics.snapshot_of_json: snapshot must be an object"

@@ -381,14 +381,17 @@ let search_section diags =
   | _ -> []
 
 let build ?diags doc =
-  match doc with
-  | Json.Obj _ ->
+  (* every stats document carries a "stats" object: a document without
+     one is not a run's stats, whatever else it holds *)
+  match Json.member "stats" doc with
+  | Some (Json.Obj _) ->
     Ok
       (platform_section doc
       @ (run_section doc :: tenants_section doc)
       @ attribution_section doc @ heatmap_section doc @ mapping_section diags
       @ search_section diags)
-  | _ -> Error "Report.build: not a stats-JSON object"
+  | Some _ -> Error "field \"stats\" must be an object"
+  | None -> Error "missing field \"stats\""
 
 (* ---- rendering ---- *)
 

@@ -95,58 +95,36 @@ let validate t =
 
 let of_json doc =
   let ( let* ) = Result.bind in
-  match doc with
-  | Json.Obj _ ->
-    let str_field name default =
-      match Json.member name doc with
-      | Some (Json.String s) -> Ok s
-      | None -> Ok default
-      | Some _ -> Error (Printf.sprintf "scenario: %S must be a string" name)
+  let module D = Json.Decode in
+  let decoded =
+    let* () =
+      D.known_fields ~what:"scenario"
+        [ "name"; "platform"; "policy"; "mix"; "tenants"; "arrival_mean";
+          "duration"; "threads_per_tenant"; "seed"; "optimized"; "frames_per_mc" ]
+        doc
     in
-    let int_field name default =
-      match Json.member name doc with
-      | Some (Json.Int n) -> Ok n
-      | None -> Ok default
-      | Some _ -> Error (Printf.sprintf "scenario: %S must be an integer" name)
+    (* null is an absent optional bound *)
+    let opt_int name =
+      D.field ~default:None name
+        (fun ctx -> function
+          | Json.Null -> Ok None
+          | v -> Result.map Option.some (D.int ctx v))
+        doc
     in
-    let opt_int_field name =
-      match Json.member name doc with
-      | Some (Json.Int n) -> Ok (Some n)
-      | None | Some Json.Null -> Ok None
-      | Some _ -> Error (Printf.sprintf "scenario: %S must be an integer" name)
+    let* name = D.field ~default:"scenario" "name" D.string doc in
+    let* platform = D.field ~default:"" "platform" D.string doc in
+    let* policy =
+      Result.bind (D.field ~default:"mc-aware" "policy" D.string doc) policy_of_string
     in
-    let bool_field name default =
-      match Json.member name doc with
-      | Some (Json.Bool b) -> Ok b
-      | None -> Ok default
-      | Some _ -> Error (Printf.sprintf "scenario: %S must be a boolean" name)
-    in
-    let* name = str_field "name" "scenario" in
-    let* platform = str_field "platform" "" in
-    let* policy_s = str_field "policy" "mc-aware" in
-    let* policy = policy_of_string policy_s in
-    let* mix =
-      match Json.member "mix" doc with
-      | Some (Json.List l) ->
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match v with
-            | Json.String s -> Ok (s :: acc)
-            | _ -> Error "scenario: \"mix\" must be a list of app names")
-          (Ok []) l
-        |> Result.map List.rev
-      | None -> Error "scenario: missing \"mix\" (list of app names)"
-      | Some _ -> Error "scenario: \"mix\" must be a list of app names"
-    in
-    let* tenants = int_field "tenants" 4 in
-    let* arrival_mean = int_field "arrival_mean" 20000 in
-    let* duration = opt_int_field "duration" in
-    let* threads_per_tenant = int_field "threads_per_tenant" 32 in
-    let* seed = int_field "seed" 0 in
-    let* optimized = bool_field "optimized" true in
-    let* frames_per_mc = opt_int_field "frames_per_mc" in
-    validate
+    let* mix = D.field "mix" (D.list D.string) doc in
+    let* tenants = D.field ~default:4 "tenants" D.int doc in
+    let* arrival_mean = D.field ~default:20000 "arrival_mean" D.int doc in
+    let* duration = opt_int "duration" in
+    let* threads_per_tenant = D.field ~default:32 "threads_per_tenant" D.int doc in
+    let* seed = D.field ~default:0 "seed" D.int doc in
+    let* optimized = D.field ~default:true "optimized" D.bool doc in
+    let* frames_per_mc = opt_int "frames_per_mc" in
+    Ok
       {
         name;
         platform;
@@ -160,7 +138,8 @@ let of_json doc =
         optimized;
         frames_per_mc;
       }
-  | _ -> Error "scenario: not a JSON object"
+  in
+  Result.bind (Result.map_error (fun e -> "scenario: " ^ e) decoded) validate
 
 let to_json t =
   Json.obj

@@ -42,6 +42,7 @@ val smoke : ?policy:policy -> ?seed:int -> unit -> t
 val validate : t -> (t, string) result
 
 val of_json : Obs.Json.t -> (t, string) result
+(** Decodes and {!validate}s a scenario; an unknown key is an error. *)
 
 val to_json : t -> Obs.Json.t
 

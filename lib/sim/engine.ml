@@ -754,11 +754,8 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       else begin
         log_leg ~measured:req.measured ~offchip:true req.pend_hops
           req.pend_net;
-        if cfg.optimal then begin
-          req.mc <- nearest_mc req.rnode;
-          mc_arrive req t
-        end
-        else mc_arrive req t
+        if cfg.optimal then req.mc <- nearest_mc req.rnode;
+        mc_arrive req t
       end)
     | Owner_read req ->
       let h = req.rowner in
@@ -838,17 +835,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
      attribution like the queue-depth histogram, so --stats-json carries
      the mesh-contention profile even with tracing off while plain runs
      stay byte-identical *)
-  (match attr with
-  | Some _ ->
-    let reg = Stats.registry stats in
-    let n = Array.length link_utilization in
-    let mx = Array.fold_left Float.max 0. link_utilization in
-    let sum = Array.fold_left ( +. ) 0. link_utilization in
-    Obs.Metrics.set (Obs.Metrics.gauge reg "noc.max_link_utilization") mx;
-    Obs.Metrics.set
-      (Obs.Metrics.gauge reg "noc.avg_link_utilization")
-      (if n = 0 then 0. else sum /. float_of_int n)
-  | None -> ());
+  if Option.is_some attr then Stats.set_link_utilization stats link_utilization;
   {
     stats;
     measured_time;
@@ -869,7 +856,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         mcs;
     mc_max_queue = Array.map Fr_fcfs.max_pending mcs;
     mc_occ_integral = Array.map (fun m -> Fr_fcfs.occ_integral_at m ~at:horizon) mcs;
-    link_utilization = Noc.Network.utilization net ~at:horizon;
+    link_utilization;
     link_busy = Noc.Network.link_busy net;
     pages_allocated = Page_alloc.pages_allocated pa;
   }

@@ -422,14 +422,7 @@ let run_parallel cfg ?desired_mc_of_vpage ?attr ~domains ~jobs parts =
     (* the per-partition engines published these gauges at their local
        horizons; recompute them at the merged horizon exactly as the
        sequential engine does *)
-    let reg = Stats.registry stats in
-    let nl = Array.length link_utilization in
-    let mx = Array.fold_left Float.max 0. link_utilization in
-    let sum = Array.fold_left ( +. ) 0. link_utilization in
-    Obs.Metrics.set (Obs.Metrics.gauge reg "noc.max_link_utilization") mx;
-    Obs.Metrics.set
-      (Obs.Metrics.gauge reg "noc.avg_link_utilization")
-      (if nl = 0 then 0. else sum /. float_of_int nl));
+    Stats.set_link_utilization stats link_utilization);
   {
     Engine.stats;
     measured_time = Array.fold_left max 0 job_measured;

@@ -102,6 +102,13 @@ let note_finish t cycle = M.set_max t.g_finish_time (float_of_int cycle)
 let set_page_fallbacks t n =
   M.add t.c_page_fallbacks (n - M.value t.c_page_fallbacks)
 
+let set_link_utilization t util =
+  let n = Array.length util in
+  M.set (M.gauge t.reg "noc.max_link_utilization") (Array.fold_left Float.max 0. util);
+  M.set
+    (M.gauge t.reg "noc.avg_link_utilization")
+    (if n = 0 then 0. else Array.fold_left ( +. ) 0. util /. float_of_int n)
+
 (* ---- readers ---- *)
 
 let total_accesses t = M.value t.c_total_accesses

@@ -51,6 +51,10 @@ val note_finish : t -> int -> unit
 
 val set_page_fallbacks : t -> int -> unit
 
+val set_link_utilization : t -> float array -> unit
+(** Summarizes per-link utilization as the [noc.max_link_utilization]
+    and [noc.avg_link_utilization] gauges. *)
+
 (** {2 Readers} *)
 
 val total_accesses : t -> int

@@ -30,17 +30,7 @@ let cache_dir dir = Filename.concat dir "cache"
 
 let path ~dir key = Filename.concat (cache_dir dir) (key ^ ".json")
 
-let find ~dir key =
-  let p = path ~dir key in
-  match
-    let ic = open_in_bin p in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Json.of_string s
-  with
-  | Ok j -> Some j
-  | Error _ | (exception Sys_error _) -> None
+let find ~dir key = Result.to_option (Json.of_file (path ~dir key))
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin

@@ -73,61 +73,34 @@ let summary t =
 
 let ( let* ) = Result.bind
 
-let rec map_result f = function
-  | [] -> Stdlib.Ok []
-  | x :: tl ->
-    let* y = f x in
-    let* ys = map_result f tl in
-    Stdlib.Ok (y :: ys)
+module D = Json.Decode
 
-let str ctx = function
-  | Json.String s -> Stdlib.Ok s
-  | _ -> Stdlib.Error ("manifest: " ^ ctx ^ " must be a string")
-
-let get ctx k j =
-  match Json.member k j with
-  | Some v -> Stdlib.Ok v
-  | None -> Stdlib.Error ("manifest: " ^ ctx ^ " lacks " ^ k)
-
-let entry_of_json j =
-  let* id = Result.bind (get "job" "id" j) (str "id") in
-  let* key = Result.bind (get "job" "key" j) (str "key") in
-  let* status_s = Result.bind (get "job" "status" j) (str "status") in
+(* machine-written: unknown keys are ignored, so ledgers of other
+   versions still load *)
+let entry_of_json _ j =
+  let* id = D.field "id" D.string j in
+  let* key = D.field "key" D.string j in
+  let* status = D.field "status" D.string j in
   let* status =
-    match status_s with
+    match status with
     | "pending" -> Stdlib.Ok Pending
     | "ok" -> Stdlib.Ok Ok
     | "cached" -> Stdlib.Ok Cached
     | "failed" ->
-      let reason =
-        match Json.member "error" j with Some (Json.String r) -> r | _ -> ""
-      in
-      Stdlib.Ok (Failed reason)
-    | s -> Stdlib.Error ("manifest: unknown status " ^ s)
+      (* the reason is advisory: a null or malformed one is empty *)
+      Stdlib.Ok (Failed (Result.value (D.field ~default:"" "error" D.string j) ~default:""))
+    | s -> Stdlib.Error ("unknown status " ^ s)
   in
-  let* attempts =
-    match Json.member "attempts" j with
-    | Some (Json.Int i) -> Stdlib.Ok i
-    | _ -> Stdlib.Error "manifest: job lacks attempts"
-  in
-  let wall_ms =
-    match Json.member "wall_ms" j with
-    | Some (Json.Float f) -> f
-    | Some (Json.Int i) -> float_of_int i
-    | _ -> 0.
-  in
+  let* attempts = D.field "attempts" D.int j in
+  let wall_ms = Result.value (D.field ~default:0. "wall_ms" D.float j) ~default:0. in
   Stdlib.Ok { id; key; status; attempts; wall_ms }
 
 let of_json j =
-  let* sweep = Result.bind (get "manifest" "sweep" j) (str "sweep") in
-  let* code_version =
-    Result.bind (get "manifest" "code_version" j) (str "code_version")
-  in
-  let* entries =
-    match Json.member "jobs" j with
-    | Some (Json.List l) -> map_result entry_of_json l
-    | _ -> Stdlib.Error "manifest: lacks the jobs list"
-  in
+  Result.map_error (fun e -> "manifest: " ^ e)
+  @@
+  let* sweep = D.field "sweep" D.string j in
+  let* code_version = D.field "code_version" D.string j in
+  let* entries = D.field "jobs" (D.list entry_of_json) j in
   Stdlib.Ok { sweep; code_version; entries = Array.of_list entries }
 
 let path ~dir = Filename.concat dir "manifest.json"
@@ -140,16 +113,4 @@ let store ~dir t =
   close_out oc;
   Sys.rename tmp final
 
-let load ~dir =
-  let p = path ~dir in
-  let* text =
-    try
-      let ic = open_in_bin p in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Stdlib.Ok s
-    with Sys_error e -> Stdlib.Error e
-  in
-  let* j = Result.map_error (fun e -> p ^ ": " ^ e) (Json.of_string text) in
-  Result.map_error (fun e -> p ^ ": " ^ e) (of_json j)
+let load ~dir = Json.decode_file (path ~dir) of_json

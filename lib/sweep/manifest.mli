@@ -28,6 +28,7 @@ val status_string : status -> string
 val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (t, string) result
+(** Ignores keys it does not know, so ledgers of other versions load. *)
 
 val path : dir:string -> string
 (** [DIR/manifest.json]. *)

@@ -53,8 +53,8 @@ val of_json : Obs.Json.t -> (t, string) result
 
 val load : string -> (t, string) result
 (** Reads and parses a spec file; any problem (unreadable file, JSON
-    syntax, unknown top-level or config field, unknown app or config
-    value) is a one-line [Error]. *)
+    syntax, unknown top-level, config or [search] field, unknown app or
+    config value) is a one-line [Error]. *)
 
 val job_identity : job -> Obs.Json.t
 (** The canonical description of what a job computes — every

@@ -205,6 +205,132 @@ let prop_trace_counts_match =
       count (fun _ -> Lang.Interp.Fn (fun v -> v.(0)))
       = count (fun _ -> Lang.Interp.Fn (fun v -> (v.(0) * 131) + v.(1))))
 
+(* --- mutation fuzz of the JSON input formats --- *)
+
+module Json = Obs.Json
+
+let read_dir dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (fun f ->
+         match Json.of_file (Filename.concat dir f) with
+         | Ok j -> j
+         | Error e -> failwith e)
+
+(* Valid documents of each decoder: the committed examples, every
+   platform preset, a manifest with every status, and the metrics and
+   attribution snapshots of one small attributed run. *)
+let json_seeds =
+  lazy
+    (let decoder f j = Result.map ignore (f j) in
+     let spec = decoder Sweep.Spec.of_json
+     and scenario = decoder Serve.Scenario.of_json
+     and platform = decoder Core.Platform.of_json
+     and manifest = decoder Sweep.Manifest.of_json
+     and metrics = decoder Obs.Metrics.snapshot_of_json
+     and attr = decoder Obs.Attr.of_json in
+     let presets =
+       List.map
+         (fun name ->
+           match Core.Platform.of_spec name with
+           | Ok p -> Core.Platform.to_json p
+           | Error e -> failwith e)
+         Core.Platform.preset_names
+     in
+     let ledger =
+       let entry id status =
+         { Sweep.Manifest.id; key = id ^ "-key"; status; attempts = 1; wall_ms = 2.5 }
+       in
+       Sweep.Manifest.to_json
+         {
+           Sweep.Manifest.sweep = "fuzz";
+           code_version = "v";
+           entries =
+             [|
+               entry "a" Sweep.Manifest.Ok; entry "b" Sweep.Manifest.Cached;
+               entry "c" (Sweep.Manifest.Failed "boom"); entry "d" Sweep.Manifest.Pending;
+             |];
+         }
+     in
+     let _, r, cube = Test_attr.run_attributed () in
+     List.map (fun j -> (spec, j)) (read_dir "../examples/sweeps")
+     @ List.map (fun j -> (scenario, j)) (read_dir "../examples/serve")
+     @ List.map (fun j -> (platform, j)) presets
+     @ [
+         (manifest, ledger);
+         ( metrics,
+           Obs.Metrics.to_json
+             (Obs.Metrics.snapshot (Sim.Stats.registry r.Sim.Engine.stats)) );
+         (attr, Obs.Attr.to_json (Obs.Attr.snapshot cube));
+       ])
+
+(* the same value under another JSON type *)
+let retype : Json.t -> Json.t = function
+  | Json.Int _ -> Json.String "7"
+  | Json.Float _ | Json.String _ -> Json.Int 7
+  | Json.Bool _ -> Json.Null
+  | Json.Null -> Json.Bool true
+  | Json.List l -> Json.Obj (List.mapi (fun i v -> (string_of_int i, v)) l)
+  | Json.Obj fields -> Json.List (List.map snd fields)
+
+(* Applies one mutation to the [target]-th (mod their count) object
+   member or list element, in preorder: 0 drops it, 1 renames its key (a
+   list element is retyped instead), 2 retypes its value. *)
+let mutate kind target doc =
+  let rec count = function
+    | Json.Obj fields -> List.fold_left (fun n (_, v) -> n + 1 + count v) 0 fields
+    | Json.List l -> List.fold_left (fun n v -> n + 1 + count v) 0 l
+    | _ -> 0
+  in
+  let target = target mod max 1 (count doc) in
+  let n = ref (-1) in
+  let rec go = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             incr n;
+             if !n <> target then Some (k, go v)
+             else
+               match kind with
+               | 0 -> None
+               | 1 -> Some (k ^ "x", v)
+               | _ -> Some (k, retype v))
+           fields)
+    | Json.List l ->
+      Json.List
+        (List.filter_map
+           (fun v ->
+             incr n;
+             if !n <> target then Some (go v)
+             else if kind = 0 then None
+             else Some (retype v))
+           l)
+    | v -> v
+  in
+  go doc
+
+(* Every mutant decodes to [Ok] or a one-line [Error]; none raises.  A
+   fourth mutation cuts the valid text at a random byte. *)
+let prop_json_mutants =
+  QCheck.Test.make ~name:"JSON input decoders survive mutation" ~count:500
+    QCheck.(quad small_nat (int_bound 3) (int_bound 100_000) (int_bound 100_000))
+    (fun (seed, kind, target, cut) ->
+      let seeds = Lazy.force json_seeds in
+      let decode, doc = List.nth seeds (seed mod List.length seeds) in
+      let text =
+        if kind = 3 then
+          let s = Json.to_string doc in
+          String.sub s 0 (cut mod (String.length s + 1))
+        else Json.to_string (mutate kind target doc)
+      in
+      match Result.bind (Json.of_string text) decode with
+      | Ok () -> true
+      | Error e -> not (String.contains e '\n')
+      | exception ex ->
+        QCheck.Test.fail_reportf "%s raised %s" text (Printexc.to_string ex))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -216,5 +342,6 @@ let suite =
           prop_layouts_injective;
           prop_simulation_conserves;
           prop_trace_counts_match;
+          prop_json_mutants;
         ] );
   ]

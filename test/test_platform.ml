@@ -222,7 +222,8 @@ let test_of_json_bad_hierarchy () =
           (Printf.sprintf "%s error cites hierarchy (%s)" label e)
           true
           (String.length e > String.length "hierarchy:"
-          && String.equal (String.sub e 0 10) "hierarchy:"))
+          && String.equal (String.sub e 0 10) "hierarchy:"
+          && not (String.contains e '\n')))
     [
       ( "non-dividing grid",
         [ ("chiplets_x", Obs.Json.Int 3); ("chiplets_y", Obs.Json.Int 3) ] );
@@ -244,6 +245,12 @@ let test_of_json_bad_hierarchy () =
       ( "non-integer grid",
         [
           ("chiplets_x", Obs.Json.String "two"); ("chiplets_y", Obs.Json.Int 2);
+        ] );
+      ( {|misspelt key "chiplet_x"|},
+        [
+          ("chiplets_x", Obs.Json.Int 2);
+          ("chiplets_y", Obs.Json.Int 2);
+          ("chiplet_x", Obs.Json.Int 2);
         ] );
     ]
 
@@ -311,10 +318,24 @@ let test_build_keeps_file_interleaving () =
   check ~interleave:"line" Platform.Line_interleaved (256 / 8);
   Sys.remove path
 
+(* each document with the error it must give: a misspelt key at any
+   level is named, never ignored *)
 let test_of_json_garbage () =
-  match Platform.of_json (Obs.Json.String "nope") with
-  | Ok _ -> Alcotest.fail "garbage JSON must be rejected"
-  | Error _ -> ()
+  List.iter
+    (fun (doc, expected) ->
+      match Result.bind (Obs.Json.of_string doc) Platform.of_json with
+      | Ok _ -> Alcotest.failf "%s must be rejected" doc
+      | Error e -> Alcotest.(check string) doc expected e)
+    [
+      ({|"nope"|}, "platform must be an object");
+      ( {|{"mesh_width":8,"mesh_height":8,"clustr":"M2"}|},
+        {|unknown platform field "clustr"|} );
+      ( {|{"mesh_width":8,"mesh_height":8,"cluster":{"cx":2,"cy":2,"kk":1}}|},
+        {|cluster: unknown cluster field "kk"|} );
+      ( {|{"mesh_width":8,"mesh_height":8,
+           "placement":{"sites":[[0,0],[7,0],[0,7],[7,7]],"site":[]}}|},
+        {|placement: unknown placement field "site"|} );
+    ]
 
 (* --- calibration ------------------------------------------------------- *)
 

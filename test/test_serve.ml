@@ -244,6 +244,16 @@ let test_scenario_validation () =
     Alcotest.(check bool) "names the unknown app" true
       (Astring.String.is_infix ~affix:"nosuchapp" e)
   | Ok _ -> Alcotest.fail "unknown app accepted");
+  (* a misspelt key would otherwise run the default (MC-aware) policy *)
+  (match
+     Result.bind
+       (Obs.Json.of_string {|{"mix":["minimd"],"polcy":"first-touch"}|})
+       Scenario.of_json
+   with
+  | Error e ->
+    Alcotest.(check string) "names the misspelt key"
+      {|scenario: unknown scenario field "polcy"|} e
+  | Ok _ -> Alcotest.fail "misspelt key accepted");
   match Scenario.policy_of_string "round-robin" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown policy accepted"

@@ -95,7 +95,9 @@ let test_spec_malformed () =
         (Printf.sprintf {|{"apps":["apsi"],"configs":[{%S:1}]}|} k))
     [ "bogus"; "width"; "height" ];
   expect_error ~message:{|unknown sweep field "domains"|}
-    {|{"apps":["apsi"],"domains":2}|}
+    {|{"apps":["apsi"],"domains":2}|};
+  expect_error ~message:{|unknown search field "restart"|}
+    {|{"apps":["apsi"],"configs":[{"search":{"restart":3}}]}|}
 
 (* The cache identity covers every Config field, including the ones the
    result document's config summary leaves out: two jobs that differ only
