@@ -225,20 +225,8 @@ let avg_occupancy r = mean (Array.to_list r.mc_occupancy)
 
 (* --- formatting --- *)
 
-(* Optional machine-readable output: OFFCHIP_CSV=path collects every
-   (section, label, metric, value) the harness prints, for plotting;
-   --json DIR writes the same rows as one JSON document per section. *)
-let csv_channel =
-  lazy
-    (match Sys.getenv_opt "OFFCHIP_CSV" with
-    | None -> None
-    | Some path ->
-      let oc = open_out path in
-      output_string oc "section,label,metric,value
-";
-      at_exit (fun () -> close_out oc);
-      Some oc)
-
+(* Optional machine-readable output: --json DIR writes every (label,
+   metric, value) row a section prints as DIR/<section>.json. *)
 let current_section = ref ""
 
 (* the --only key of the current section, which names its JSON file *)
@@ -251,7 +239,7 @@ let json_rows : (string * string * float) list ref = ref []
 
 let flush_json_section () =
   (match (!json_dir, !json_rows) with
-  | Some dir, _ :: _ ->
+  | Some dir, _ :: _ -> (
     let rows =
       List.rev_map
         (fun (label, metric, value) ->
@@ -272,28 +260,26 @@ let flush_json_section () =
           ("rows", Obs.Json.List rows);
         ]
     in
-    let path = Filename.concat dir (!current_key ^ ".json") in
-    let oc = open_out path in
-    Obs.Json.to_channel oc doc;
-    output_char oc '\n';
-    close_out oc
+    match Obs.Json.to_file (Filename.concat dir (!current_key ^ ".json")) doc with
+    | Ok () -> ()
+    | Error e ->
+      prerr_endline ("bench: " ^ e);
+      exit Cli.user_error)
   | _ -> ());
   json_rows := []
 
 let set_json_dir dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  json_dir := Some dir;
-  at_exit flush_json_section
+  match Unix.mkdir dir 0o755 with
+  | () | (exception Unix.Unix_error (Unix.EEXIST, _, _)) ->
+    json_dir := Some dir;
+    Ok ()
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "%s: %s" dir (Unix.error_message e))
 
-let csv_row label metric value =
-  (match Lazy.force csv_channel with
-  | None -> ()
-  | Some oc ->
-    Printf.fprintf oc "%s,%s,%s,%.3f
-" !current_section label metric value);
+let row label metric value =
   if !json_dir <> None then json_rows := (label, metric, value) :: !json_rows
 
-(* starts section [key]: "Figure 14: ..." is CSV/JSON section "Figure 14" *)
+(* starts section [key]: "Figure 14: ..." is JSON section "Figure 14" *)
 let header key title paper_ref =
   flush_json_section ();
   current_key := key;
@@ -302,15 +288,11 @@ let header key title paper_ref =
     | None -> title);
   Printf.printf "\n=== %s ===\n%s\n" title paper_ref
 
-let csv_row4 label (f : four) =
-  csv_row label "onchip_net" f.onchip_net;
-  csv_row label "offchip_net" f.offchip_net;
-  csv_row label "memory" f.memory;
-  csv_row label "exec" f.exec
-
-
 let row4 name (f : four) =
-  csv_row4 name f;
+  row name "onchip_net" f.onchip_net;
+  row name "offchip_net" f.offchip_net;
+  row name "memory" f.memory;
+  row name "exec" f.exec;
   Printf.printf "  %-10s %+8.1f%% %+8.1f%% %+8.1f%% %+8.1f%%\n" name f.onchip_net
     f.offchip_net f.memory f.exec
 

@@ -43,7 +43,7 @@ let fig3 () =
     List.map
       (fun app ->
         let f = 100. *. (H.get cfg ~optimized:false app).H.derived "offchip_fraction" in
-        H.csv_row app.App.name "offchip_pct" f;
+        H.row app.App.name "offchip_pct" f;
         Printf.printf "  %-10s %5.1f%% %s\n" app.App.name f (H.bar f 10. 30);
         f)
       (H.apps ())
@@ -108,7 +108,7 @@ let fig13 () =
         let f =
           100. *. float_of_int reqs.(node).(0) /. float_of_int (max 1 total)
         in
-        H.csv_row label (Printf.sprintf "node%d" node) f;
+        H.row label (Printf.sprintf "node%d" node) f;
         Printf.printf " %5.1f" f
       done;
       print_newline ()
@@ -167,10 +167,10 @@ let fig15 () =
     "on-chip opt" "off-chip orig" "off-chip opt";
   for x = 0 to 14 do
     let links = Printf.sprintf "<=%d" x in
-    H.csv_row links "onchip_orig" (100. *. on_orig.(x));
-    H.csv_row links "onchip_opt" (100. *. on_opt.(x));
-    H.csv_row links "offchip_orig" (100. *. off_orig.(x));
-    H.csv_row links "offchip_opt" (100. *. off_opt.(x));
+    H.row links "onchip_orig" (100. *. on_orig.(x));
+    H.row links "onchip_opt" (100. *. on_opt.(x));
+    H.row links "offchip_orig" (100. *. off_orig.(x));
+    H.row links "offchip_opt" (100. *. off_opt.(x));
     Printf.printf "  <=%-4d %12.0f%% %11.0f%% %12.0f%% %12.0f%%\n" x
       (100. *. on_orig.(x))
       (100. *. on_opt.(x))
@@ -198,8 +198,8 @@ let fig17 () =
       let base = H.get m1o ~optimized:false app in
       let p1 = H.get m1o ~optimized:true app in
       let p2 = H.get m2o ~optimized:true app in
-      H.csv_row app.App.name "M1" (H.exec_improvement base p1);
-      H.csv_row app.App.name "M2" (H.exec_improvement base p2);
+      H.row app.App.name "M1" (H.exec_improvement base p1);
+      H.row app.App.name "M2" (H.exec_improvement base p2);
       Printf.printf "  %-10s %+7.1f%% %+7.1f%%\n" app.App.name
         (H.exec_improvement base p1) (H.exec_improvement base p2))
     (H.apps ())
@@ -307,7 +307,7 @@ let fig23 () =
         let g =
           H.exec_improvement (H.get ft ~optimized:false app) (H.get ours ~optimized:true app)
         in
-        H.csv_row app.App.name "exec" g;
+        H.row app.App.name "exec" g;
         Printf.printf "  %-10s %+7.1f%%%s\n" app.App.name g
           (if app.App.first_touch_friendly then "   (first-touch friendly)"
            else "");
@@ -582,14 +582,17 @@ let main only more_sections platform json jobs =
     match if platform = "" then Ok None else Result.map Option.some (Core.Platform.of_spec platform) with
     | Error e -> fail "--platform %s: %s" platform e
     | Ok p ->
+      match Option.fold ~none:(Ok ()) ~some:H.set_json_dir json with
+      | Error e -> fail "%s" e
+      | Ok () ->
       H.platform_override := p;
       H.workers := if jobs = 1 then 0 else jobs;
-      Option.iter H.set_json_dir json;
       let t0 = Unix.gettimeofday () in
       let code =
         run_sections
           (List.filter (fun (name, _) -> only = None || List.mem name names) sections)
       in
+      H.flush_json_section ();
       Printf.printf "\n(total wall time: %.0f s)\n" (Unix.gettimeofday () -. t0);
       code)
 

@@ -80,10 +80,16 @@ let print_diags ?src diags =
     diags
 
 let write_diag_json ?src path diags =
-  let oc = if String.equal path "-" then stdout else open_out path in
-  Obs.Json.to_channel oc (Lang.Diag.list_to_json ?src diags);
-  output_char oc '\n';
-  if not (String.equal path "-") then close_out oc
+  let doc = Lang.Diag.list_to_json ?src diags in
+  if String.equal path "-" then Ok (Obs.Json.to_channel stdout doc)
+  else Obs.Json.to_file path doc
+
+(* an output that cannot be written ends the run: exit 1, one line *)
+let written = function
+  | Ok () -> ()
+  | Error e ->
+    Printf.eprintf "occ: %s\n" e;
+    exit Cli.user_error
 
 let run file app platform l2 interleave mapping calibrate
     search_out search_pool search_seed report layouts explain timings emit_c
@@ -167,26 +173,19 @@ let run file app platform l2 interleave mapping calibrate
           ~cfg:ccfg source
       in
       (match (search_out, result.Core.Pipeline.artifacts.Core.Pipeline.search) with
-      | Some path, Some outcome -> (
-        try
-          let oc = open_out path in
-          Obs.Json.to_channel oc
-            (Core.Platform.to_json outcome.Core.Place_search.platform);
-          output_char oc '\n';
-          close_out oc;
-          Format.eprintf "// searched platform written to %s@." path
-        with Sys_error e ->
-          Printf.eprintf "occ: cannot write searched platform: %s\n" e)
+      | Some path, Some outcome ->
+        written
+          (Obs.Json.to_file path
+             (Core.Platform.to_json outcome.Core.Place_search.platform));
+        Format.eprintf "// searched platform written to %s@." path
       | Some _, None ->
         prerr_endline "occ: the placement search produced no platform"
       | None, _ -> ());
       print_diags ?src result.Core.Pipeline.diags;
-      (match diag_json with
-      | Some path -> (
-        try write_diag_json ?src path result.Core.Pipeline.diags
-        with Sys_error e ->
-          Printf.eprintf "occ: cannot write diagnostics: %s\n" e)
-      | None -> ());
+      Option.iter
+        (fun path ->
+          written (write_diag_json ?src path result.Core.Pipeline.diags))
+        diag_json;
       let rep = result.Core.Pipeline.artifacts.Core.Pipeline.report in
       let transformed =
         result.Core.Pipeline.artifacts.Core.Pipeline.transformed
@@ -210,14 +209,11 @@ let run file app platform l2 interleave mapping calibrate
                 rep.Core.Transform.decisions)
           rep;
         (match (emit_c, result.Core.Pipeline.artifacts.Core.Pipeline.c_code) with
-        | Some path, Some c -> (
-          try
-            let oc = open_out path in
-            output_string oc c;
-            close_out oc;
-            Format.printf "// C code written to %s@." path
-          with Sys_error e ->
-            Printf.eprintf "occ: cannot write C output: %s\n" e)
+        | Some path, Some c ->
+          written
+            (try Ok (Out_channel.with_open_text path (fun oc -> output_string oc c))
+             with Sys_error e -> Error e);
+          Format.printf "// C code written to %s@." path
         | _ -> ());
         Option.iter
           (fun t -> Format.printf "%a@." Lang.Ast.pp_program t)

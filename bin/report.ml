@@ -47,14 +47,20 @@ let run stats_path diag_path format out title =
           | `Md -> Obs.Report.to_markdown ~title sections
           | `Html -> Obs.Report.to_html ~title sections
         in
-        (match out with
-        | None -> print_string body
-        | Some path ->
-          let oc = open_out path in
-          output_string oc body;
-          close_out oc;
-          Printf.printf "report written to %s\n" path);
-        Cli.ok))
+        match out with
+        | None ->
+          print_string body;
+          Cli.ok
+        | Some path -> (
+          match
+            Out_channel.with_open_text path (fun oc -> output_string oc body)
+          with
+          | () ->
+            Printf.printf "report written to %s\n" path;
+            Cli.ok
+          | exception Sys_error e ->
+            Printf.eprintf "report: %s\n" e;
+            Cli.user_error)))
 
 let stats_arg =
   Arg.(

@@ -102,15 +102,13 @@ let run_cmd path smoke policy seed attr progress stats_json domains =
         (match stats_json with
         | None -> Cli.ok
         | Some out -> (
-          try
-            let oc = open_out out in
-            Obs.Json.to_channel oc (Serve.Server.result_json run);
-            close_out oc;
+          match Obs.Json.to_file out (Serve.Server.result_json run) with
+          | Ok () ->
             Format.printf "stats written to %s@." out;
             Cli.ok
-          with Sys_error e ->
-            Printf.eprintf "serve: cannot write output: %s\n" e;
-            exit 1)))))
+          | Error e ->
+            Printf.eprintf "serve: %s\n" e;
+            Cli.user_error)))))
 
 let scenario_arg =
   Arg.(

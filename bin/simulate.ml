@@ -95,27 +95,27 @@ let run name optimized platform l2 interleave policy mapping tpc optimal
         else None
       in
       let r = Sim.Runner.run_many ~trace ?attr ~domains ?on_plan cfg ~jobs in
-      (try
-         (match trace_out with
-         | Some path ->
-           Obs.Trace.write_file trace path;
-           Format.printf
-             "trace: %d events (%d dropped, 1 in %d misses) written to %s@."
-             (List.length (Obs.Trace.events trace))
-             (Obs.Trace.dropped trace) (Obs.Trace.sample trace) path
-         | None -> ());
-         match stats_json with
-         | Some path ->
-           let oc = open_out path in
-           Obs.Json.to_channel oc
-             (Sweep.Exec.result_json ?attr ~app:name cfg r);
-           output_char oc '\n';
-           close_out oc;
-           Format.printf "stats written to %s@." path
-         | None -> ()
-       with Sys_error e ->
-         Printf.eprintf "simulate: cannot write output: %s\n" e;
-         exit 1);
+      let written = function
+        | Ok () -> ()
+        | Error e ->
+          Printf.eprintf "simulate: %s\n" e;
+          exit Cli.user_error
+      in
+      Option.iter
+        (fun path ->
+          written (Obs.Trace.write_file trace path);
+          Format.printf
+            "trace: %d events (%d dropped, 1 in %d misses) written to %s@."
+            (List.length (Obs.Trace.events trace))
+            (Obs.Trace.dropped trace) (Obs.Trace.sample trace) path)
+        trace_out;
+      Option.iter
+        (fun path ->
+          written
+            (Obs.Json.to_file path
+               (Sweep.Exec.result_json ?attr ~app:name cfg r));
+          Format.printf "stats written to %s@." path)
+        stats_json;
       (match attr with
       | Some a ->
         Format.printf "off-chip attribution:@.%a@."

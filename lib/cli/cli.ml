@@ -73,7 +73,7 @@ let domains =
         ~doc:
           "Simulate with N worker domains (parallel engine).  Results are \
            byte-identical to --domains 1 for every N; workloads the \
-           partitioner cannot prove decomposable fall back to the \
+           planner cannot split into partitions fall back to the \
            sequential engine with a printed reason.")
 
 let check_domains n =

@@ -67,7 +67,7 @@ let record t ~site ~mc ~bank ~hops =
 let record_queue t ~site ~queue =
   let s = row t site in
   let q = max 0 queue in
-  let b = Metrics.bucket_index Metrics.Log2 q in
+  let b = Metrics.bucket_index q in
   let i = (s * queue_buckets) + b in
   t.t_queue_counts.(i) <- t.t_queue_counts.(i) + 1;
   t.t_queue_sum.(s) <- t.t_queue_sum.(s) + q;

@@ -90,6 +90,23 @@ let to_channel oc v =
   output_string oc (to_string v);
   output_char oc '\n'
 
+let to_file path v =
+  (* unique per process, so concurrent writers never share a temp file *)
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  try
+    Out_channel.with_open_bin tmp (fun oc -> to_channel oc v);
+    Sys.rename tmp path;
+    Ok ()
+  with Sys_error e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    (* keep the reason, name the path the caller asked for *)
+    let reason =
+      match String.rindex_opt e ':' with
+      | Some i -> String.trim (String.sub e (i + 1) (String.length e - i - 1))
+      | None -> e
+    in
+    Error (Printf.sprintf "%s: cannot write: %s" path reason)
+
 (* ---- parsing ---- *)
 
 exception Parse_error of string

@@ -22,6 +22,11 @@ val to_string : ?minify:bool -> t -> string
 val to_channel : out_channel -> t -> unit
 (** Pretty-printed, with a trailing newline. *)
 
+val to_file : string -> t -> (unit, string) result
+(** Writes [to_channel]'s text to [path] atomically: a temporary file in
+    the same directory, then a rename, so a reader never sees half a
+    document.  The error is one line naming [path]. *)
+
 val of_string : string -> (t, string) result
 (** Parses one JSON value (trailing whitespace allowed).  Numbers without
     fraction or exponent parse as [Int]. *)

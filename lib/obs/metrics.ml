@@ -2,13 +2,10 @@ type counter = { c_name : string; mutable c_value : int }
 
 type gauge = { g_name : string; mutable g_value : float }
 
-type buckets = Log2 | Linear of { width : int; buckets : int }
-
 let max_log2_buckets = 63
 
 type histogram = {
   h_name : string;
-  h_kind : buckets;
   h_counts : int array;
   mutable h_sum : int;
   mutable h_total : int;
@@ -19,7 +16,6 @@ type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 type registry = { tbl : (string, metric) Hashtbl.t }
 
 type hist_snapshot = {
-  kind : buckets;
   counts : int array;
   sum : int;
   total : int;
@@ -51,38 +47,21 @@ let gauge reg name =
     Hashtbl.replace reg.tbl name (Gauge g);
     g
 
-let num_buckets = function
-  | Log2 -> max_log2_buckets
-  | Linear { buckets; _ } ->
-    if buckets <= 0 then invalid_arg "Metrics: Linear needs buckets > 0";
-    buckets
-
-let histogram reg ~buckets name =
-  match buckets with
-  | Linear { width; _ } when width <= 0 ->
-    Error "Metrics: Linear needs width > 0"
-  | Linear { buckets = b; _ } when b <= 0 ->
-    Error "Metrics: Linear needs buckets > 0"
-  | _ -> (
-    match Hashtbl.find_opt reg.tbl name with
-    | Some (Histogram h) ->
-      if h.h_kind <> buckets then
-        Error
-          ("Metrics.histogram: " ^ name ^ " re-registered with different buckets")
-      else Ok h
-    | Some _ -> Error ("Metrics.histogram: " ^ name ^ " is not a histogram")
-    | None ->
-      let h =
-        {
-          h_name = name;
-          h_kind = buckets;
-          h_counts = Array.make (num_buckets buckets) 0;
-          h_sum = 0;
-          h_total = 0;
-        }
-      in
-      Hashtbl.replace reg.tbl name (Histogram h);
-      Ok h)
+let histogram reg name =
+  match Hashtbl.find_opt reg.tbl name with
+  | Some (Histogram h) -> Ok h
+  | Some _ -> Error ("Metrics.histogram: " ^ name ^ " is not a histogram")
+  | None ->
+    let h =
+      {
+        h_name = name;
+        h_counts = Array.make max_log2_buckets 0;
+        h_sum = 0;
+        h_total = 0;
+      }
+    in
+    Hashtbl.replace reg.tbl name (Histogram h);
+    Ok h
 
 let incr c = c.c_value <- c.c_value + 1
 
@@ -101,27 +80,20 @@ let log2_floor v =
   let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
   go v 0
 
-let bucket_index kind v =
+let bucket_index v =
   let v = max 0 v in
-  match kind with
-  | Log2 -> if v = 0 then 0 else min (max_log2_buckets - 1) (log2_floor v + 1)
-  | Linear { width; buckets } -> min (buckets - 1) (v / width)
+  if v = 0 then 0 else min (max_log2_buckets - 1) (log2_floor v + 1)
 
-let bucket_bounds kind i =
-  match kind with
-  | Log2 ->
-    (* bucket 0 = {0}; bucket i>=1 = [2^(i-1), 2^i); the last bucket is
-       open-ended (its lower bound still fits: 2^61 <= max_int) *)
-    if i = 0 then (0, 1)
-    else if i >= max_log2_buckets - 1 then (1 lsl (max_log2_buckets - 2), max_int)
-    else (1 lsl (i - 1), 1 lsl i)
-  | Linear { width; buckets } ->
-    if i >= buckets - 1 then ((buckets - 1) * width, max_int)
-    else (i * width, (i + 1) * width)
+(* bucket 0 = {0}; bucket i>=1 = [2^(i-1), 2^i); the last bucket is
+   open-ended (its lower bound still fits: 2^61 <= max_int) *)
+let bucket_bounds i =
+  if i = 0 then (0, 1)
+  else if i >= max_log2_buckets - 1 then (1 lsl (max_log2_buckets - 2), max_int)
+  else (1 lsl (i - 1), 1 lsl i)
 
 let observe h v =
   let v = max 0 v in
-  let i = bucket_index h.h_kind v in
+  let i = bucket_index v in
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_sum <- h.h_sum + v;
   h.h_total <- h.h_total + 1
@@ -140,7 +112,6 @@ let snapshot reg =
         hs :=
           ( name,
             {
-              kind = h.h_kind;
               counts = Array.copy h.h_counts;
               sum = h.h_sum;
               total = h.h_total;
@@ -164,11 +135,8 @@ let rec merge_assoc combine a b =
     else if c < 0 then (ka, va) :: merge_assoc combine ta b
     else (kb, vb) :: merge_assoc combine a tb
 
-let merge_hist name a b =
-  if a.kind <> b.kind then
-    invalid_arg ("Metrics.merge: histogram " ^ name ^ " has incompatible buckets");
+let merge_hist _ a b =
   {
-    kind = a.kind;
     counts = Array.mapi (fun i v -> v + b.counts.(i)) a.counts;
     sum = a.sum + b.sum;
     total = a.total + b.total;
@@ -187,10 +155,10 @@ let merge_into ~into src =
       | Counter c -> add (counter into name) c.c_value
       | Gauge g -> set_max (gauge into name) g.g_value
       | Histogram h -> (
-        (* merge_into keeps its documented raise: a bucketing conflict
-           between two live registries is a programming error, not an
-           input error *)
-        match histogram into ~buckets:h.h_kind name with
+        (* merge_into keeps its documented raise: a name registered as
+           two kinds of metric is a programming error, not an input
+           error *)
+        match histogram into name with
         | Error e -> invalid_arg e
         | Ok dst ->
           Array.iteri
@@ -207,12 +175,7 @@ let hist_to_json (h : hist_snapshot) =
   let counts = Array.sub h.counts 0 (!last + 1) in
   Json.obj
     [
-      ( "kind",
-        match h.kind with
-        | Log2 -> Json.String "log2"
-        | Linear { width; buckets } ->
-          Json.Obj [ ("linear_width", Json.Int width); ("buckets", Json.Int buckets) ]
-      );
+      ("kind", Json.String "log2");
       ("counts", Json.int_array counts);
       ("sum", Json.Int h.sum);
       ("total", Json.Int h.total);
@@ -235,28 +198,23 @@ module D = Json.Decode
 
 (* machine-written: unknown keys are ignored *)
 let hist_of_json name j =
-  let* kind =
+  let* () =
     D.field "kind"
       (fun _ -> function
-        | Json.String "log2" -> Ok Log2
-        | Json.Obj _ as k -> (
-          match (D.field "linear_width" D.int k, D.field "buckets" D.int k) with
-          | Ok width, Ok buckets when width > 0 && buckets > 0 ->
-            Ok (Linear { width; buckets })
-          | _ -> Error ("bad linear kind in " ^ name))
-        | _ -> Error ("bad kind in " ^ name))
+        | Json.String "log2" -> Ok ()
+        | _ -> Error (Printf.sprintf "histogram %s: kind must be \"log2\"" name))
       j
   in
   let* counts = D.field "counts" (D.list D.int) j in
-  let n = num_buckets kind in
-  if List.length counts > n then Error (name ^ " has more counts than buckets")
+  if List.length counts > max_log2_buckets then
+    Error (name ^ " has more counts than buckets")
   else begin
     (* the encoder trims trailing empty buckets; restore the full width *)
-    let full = Array.make n 0 in
+    let full = Array.make max_log2_buckets 0 in
     List.iteri (fun i v -> full.(i) <- v) counts;
     let* sum = D.field "sum" D.int j in
     let* total = D.field "total" D.int j in
-    Ok { kind; counts = full; sum; total }
+    Ok { counts = full; sum; total }
   end
 
 let snapshot_of_json = function

@@ -15,18 +15,12 @@ type histogram
 
 type registry
 
-(** Bucketing scheme for histograms.
-
-    [Log2] buckets observation [v >= 0] into [floor(log2 v) + 1] (bucket 0
-    holds v = 0), clamped to [max_log2_buckets - 1] — constant bucket
-    count, O(1) record, covers any int.  [Linear { width; buckets }] holds
-    [v / width], clamped into the last bucket. *)
-type buckets = Log2 | Linear of { width : int; buckets : int }
-
+(** Histograms bucket an observation [v >= 0] into [floor(log2 v) + 1]
+    (bucket 0 holds v = 0), clamped to [max_log2_buckets - 1] — constant
+    bucket count, O(1) record, covers any int. *)
 val max_log2_buckets : int
 
 type hist_snapshot = {
-  kind : buckets;
   counts : int array;
   sum : int;  (** sum of observed values *)
   total : int;  (** number of observations *)
@@ -45,10 +39,9 @@ val counter : registry -> string -> counter
 
 val gauge : registry -> string -> gauge
 
-val histogram :
-  registry -> buckets:buckets -> string -> (histogram, string) result
-(** [Error] when re-registering an existing name with a different
-    bucketing (or kind), or on a malformed [Linear] spec — registration
+val histogram : registry -> string -> (histogram, string) result
+(** Registers (or returns the existing) histogram under [name]; [Error]
+    when [name] is already another kind of metric — registration
     conflicts come from configuration, so they surface as values instead
     of exceptions (repo policy: no raising APIs). *)
 
@@ -68,10 +61,10 @@ val gauge_value : gauge -> float
 val observe : histogram -> int -> unit
 (** O(1); negative observations clamp into bucket 0. *)
 
-val bucket_index : buckets -> int -> int
+val bucket_index : int -> int
 (** The bucket [observe] files a value under (exposed for tests). *)
 
-val bucket_bounds : buckets -> int -> int * int
+val bucket_bounds : int -> int * int
 (** [(lo, hi)] of a bucket: values [v] with [lo <= v < hi] land in it
     ([hi] of the last bucket is [max_int]). *)
 
@@ -83,8 +76,7 @@ val snapshot : registry -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Counters and histograms add; gauges keep the maximum.  Metrics present
-    on one side only pass through.  Raises [Invalid_argument] on
-    incompatible histogram bucketing. *)
+    on one side only pass through. *)
 
 val merge_into : into:registry -> registry -> unit
 (** Folds a source registry into [into] with {!merge} semantics,

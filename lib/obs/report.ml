@@ -130,7 +130,7 @@ let platform_section doc =
     | _ -> [])
   | _ -> []
 
-let run_section doc =
+let run_section ?metrics doc =
   let items = ref [] in
   let add i = items := i :: !items in
   (match Json.member "app" doc with
@@ -139,30 +139,27 @@ let run_section doc =
   (match Json.member "measured_time" doc with
   | Some v -> add (Text (Printf.sprintf "Measured time: %s cycles" (num_str v)))
   | None -> ());
-  (match Option.bind (Json.member "stats" doc) (Json.member "metrics") with
-  | Some m -> (
-    match Metrics.snapshot_of_json m with
-    | Ok snap ->
+  (match metrics with
+  | Some snap ->
+    add
+      (Table
+         {
+           header = [ "counter"; "value" ];
+           rows =
+             List.map
+               (fun (n, v) -> [ n; string_of_int v ])
+               snap.Metrics.counters;
+         });
+    if snap.Metrics.gauges <> [] then
       add
         (Table
            {
-             header = [ "counter"; "value" ];
+             header = [ "gauge"; "value" ];
              rows =
                List.map
-                 (fun (n, v) -> [ n; string_of_int v ])
-                 snap.Metrics.counters;
-           });
-      if snap.Metrics.gauges <> [] then
-        add
-          (Table
-             {
-               header = [ "gauge"; "value" ];
-               rows =
-                 List.map
-                   (fun (n, v) -> [ n; Printf.sprintf "%.4g" v ])
-                   snap.Metrics.gauges;
-             })
-    | Error e -> add (Text ("metrics not decodable: " ^ e)))
+                 (fun (n, v) -> [ n; Printf.sprintf "%.4g" v ])
+                 snap.Metrics.gauges;
+           })
   | None -> ());
   (match Option.bind (Json.member "stats" doc) (Json.member "derived") with
   | Some (Json.Obj kvs) ->
@@ -384,12 +381,16 @@ let build ?diags doc =
   (* every stats document carries a "stats" object: a document without
      one is not a run's stats, whatever else it holds *)
   match Json.member "stats" doc with
-  | Some (Json.Obj _) ->
-    Ok
-      (platform_section doc
-      @ (run_section doc :: tenants_section doc)
-      @ attribution_section doc @ heatmap_section doc @ mapping_section diags
-      @ search_section diags)
+  | Some (Json.Obj _ as stats) -> (
+    match Option.map Metrics.snapshot_of_json (Json.member "metrics" stats) with
+    | Some (Error e) -> Error e
+    | metrics ->
+      let metrics = Option.map Result.get_ok metrics in
+      Ok
+        (platform_section doc
+        @ (run_section ?metrics doc :: tenants_section doc)
+        @ attribution_section doc @ heatmap_section doc @ mapping_section diags
+        @ search_section diags))
   | Some _ -> Error "field \"stats\" must be an object"
   | None -> Error "missing field \"stats\""
 

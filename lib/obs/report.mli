@@ -23,7 +23,8 @@ val bank_heat : int array array -> string
 
 val build : ?diags:Json.t -> Json.t -> (section list, string) result
 (** Structures one stats-JSON document into report sections; a document
-    without a ["stats"] object is an error.  A platform
+    without a ["stats"] object, or whose metrics do not decode, is an
+    error.  A platform
     header (mesh geometry, hierarchy or "flat", mapping, placement and a
     short geometry digest) leads when the document embeds its config.
     Other sections appear only when the document carries their data:

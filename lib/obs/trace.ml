@@ -107,8 +107,4 @@ let to_json t =
           ] );
     ]
 
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Json.to_channel oc (to_json t))
+let write_file t path = Json.to_file path (to_json t)

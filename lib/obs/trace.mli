@@ -67,4 +67,5 @@ val to_json : t -> Json.t
 (** The Chrome [trace_event] envelope:
     [{"traceEvents": [...], "displayTimeUnit": "ms", ...}]. *)
 
-val write_file : t -> string -> unit
+val write_file : t -> string -> (unit, string) result
+(** {!to_json} written with {!Json.to_file}. *)

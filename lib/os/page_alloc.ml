@@ -89,6 +89,13 @@ let alloc_on t ~owner m =
   in
   try_mc 0
 
+let home_mc policy ~num_mcs ~node ~vpage =
+  match policy with
+  | Hardware_interleaved -> vpage mod num_mcs
+  | First_touch cluster_mc -> cluster_mc node
+  | Mc_aware { desired; fallback } -> (
+    match desired vpage with Some m -> m | None -> fallback node)
+
 let translate_owned t ~owner ~node ~vaddr =
   let page_bytes = t.map.Dram.Address_map.page_bytes in
   let vpage = vaddr / page_bytes in
@@ -116,14 +123,10 @@ let translate_owned t ~owner ~node ~vaddr =
               t.next_seq <- f + 1;
               f
           end
-        | Dram.Address_map.Page_interleaved -> (
-          match t.policy with
-          | Hardware_interleaved ->
-            alloc_on t ~owner (vpage mod t.map.Dram.Address_map.num_mcs)
-          | First_touch cluster_mc -> alloc_on t ~owner (cluster_mc node)
-          | Mc_aware { desired; fallback } ->
-            alloc_on t ~owner
-              (match desired vpage with Some m -> m | None -> fallback node))
+        | Dram.Address_map.Page_interleaved ->
+          alloc_on t ~owner
+            (home_mc t.policy ~num_mcs:t.map.Dram.Address_map.num_mcs ~node
+               ~vpage)
       in
       Page_tbl.replace t.table vpage f;
       f

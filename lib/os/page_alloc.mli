@@ -32,6 +32,12 @@ type policy =
       (** [desired vpage] from the layout; [fallback node] is the
           first-touch cluster controller for unhinted pages *)
 
+val home_mc : policy -> num_mcs:int -> node:int -> vpage:int -> int
+(** The controller a page-interleaved allocation of [vpage], first
+    touched from [node], tries first; a full controller spills to the
+    next one with room.  The one statement of the placement rule: the
+    allocator and the parallel engine's plan both ask it. *)
+
 type t
 
 val create :

@@ -154,6 +154,27 @@ let new_req slot =
   in
   r
 
+let page_policy ?desired_mc_of_vpage (cfg : Config.t) =
+  let cluster = Config.cluster cfg and topo = Config.topo cfg in
+  (* first touch homes a page on the head controller of the touching
+     node's cluster *)
+  let cluster_head node =
+    List.hd
+      (Core.Cluster.mcs_of_cluster cluster
+         (Core.Cluster.cluster_of_node cluster topo node))
+  in
+  match cfg.page_policy with
+  | Config.Hardware -> Page_alloc.Hardware_interleaved
+  | Config.First_touch -> Page_alloc.First_touch cluster_head
+  | Config.Mc_aware ->
+    let num_mcs = Config.num_mcs cfg in
+    let desired =
+      match desired_mc_of_vpage with
+      | Some f -> f
+      | None -> fun vpage -> Some (vpage mod num_mcs)
+    in
+    Page_alloc.Mc_aware { desired; fallback = cluster_head }
+
 let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     ?attr ~jobs () =
   (* platform values hoisted into locals: the hot closures below must not
@@ -185,10 +206,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     match attr with
     | None -> None
     | Some _ -> (
-      match
-        Obs.Metrics.histogram (Stats.registry stats) ~buckets:Obs.Metrics.Log2
-          "mem.queue_depth"
-      with
+      match Obs.Metrics.histogram (Stats.registry stats) "mem.queue_depth" with
       | Ok h -> Some h
       | Error _ -> None)
   in
@@ -216,28 +234,10 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
           ?depth_hook ~banks:(Config.banks_per_mc cfg) ())
   in
   let mc_next_wake = Array.make num_mcs max_int in
-  let policy =
-    match cfg.page_policy with
-    | Config.Hardware -> Page_alloc.Hardware_interleaved
-    | Config.First_touch ->
-      Page_alloc.First_touch
-        (fun node ->
-          let cl = Core.Cluster.cluster_of_node cluster topo node in
-          List.hd (Core.Cluster.mcs_of_cluster cluster cl))
-    | Config.Mc_aware ->
-      let desired =
-        match desired_mc_of_vpage with
-        | Some f -> f
-        | None -> fun vpage -> Some (vpage mod num_mcs)
-      in
-      let fallback node =
-        let cl = Core.Cluster.cluster_of_node cluster topo node in
-        List.hd (Core.Cluster.mcs_of_cluster cluster cl)
-      in
-      Page_alloc.Mc_aware { desired; fallback }
-  in
   let pa =
-    Page_alloc.create ~map:amap ~policy ~frames_per_mc:cfg.frames_per_mc ()
+    Page_alloc.create ~map:amap
+      ~policy:(page_policy ?desired_mc_of_vpage cfg)
+      ~frames_per_mc:cfg.frames_per_mc ()
   in
   let heap : action Event_heap.t = Event_heap.create () in
   let js =
@@ -595,6 +595,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
           >= 0
         then begin
           let m = Address_map.mc_of_paddr amap paddr in
+          req.mc <- m;
           let dst = mc_node m in
           let arr = send_req req ~now:t ~src:node ~dst ~bytes:ctrl_bytes in
           req.pend_hops <- hops_between node dst;

@@ -78,6 +78,15 @@ type result = {
   pages_allocated : int;
 }
 
+val page_policy :
+  ?desired_mc_of_vpage:(int -> int option) ->
+  Config.t ->
+  Os_sim.Page_alloc.policy
+(** The run's page-placement policy: [cfg]'s page policy, with first
+    touch (and unhinted MC-aware pages) homed on the head controller of
+    the touching node's cluster.  [desired_mc_of_vpage] feeds the
+    MC-aware hints; without it every page desires [vpage mod num_mcs]. *)
+
 val run :
   Config.t ->
   ?desired_mc_of_vpage:(int -> int option) ->

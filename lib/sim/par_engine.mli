@@ -1,12 +1,12 @@
 (** Conservative parallel discrete-event simulation over mesh partitions.
 
-    The mesh is partitioned by cluster: each cluster's cores, its memory
-    controllers and the mesh links their XY routes traverse form one
-    partition, simulated on its own OCaml 5 domain with its own
-    {!Event_heap}, request pool, caches, network and controllers (a
-    whole per-partition {!Engine.run}).  The sequential engine stays
-    untouched as the oracle: a parallel run must be byte-identical to
-    [--domains 1].
+    The mesh is partitioned by cluster: a partition is a set of clusters
+    that can interact — their cores, their memory controllers and the
+    mesh links their XY routes traverse — simulated on its own OCaml 5
+    domain with its own {!Event_heap}, request pool, caches, network and
+    controllers (a whole per-partition {!Engine.run}).  The sequential
+    engine stays untouched as the oracle: a parallel run must be
+    byte-identical to [--domains 1].
 
     {b Synchronization.}  A conservative parallel DES lets a partition
     advance to time [t] only once every peer has promised (via a null
@@ -14,44 +14,35 @@
     the {e lookahead} — here the minimum NoC link traversal latency, the
     soonest a message leaving one partition could arrive in another.
     This engine runs the degenerate — and fastest — case of that
-    protocol: {!plan} proves {e statically} that the workload can send
-    no cross-partition event at all (every job, page, controller and
-    route is confined to one partition), which makes every null message
-    carry lookahead +∞ and lets the domains run to completion without
-    blocking once.  Workloads where the proof fails (shared pages, line
-    interleaving, cross-cluster page hints, jobs spanning clusters,
-    shared L2, routes through foreign partitions…) fall back to the
-    sequential engine with a reason — correct for every workload,
-    parallel for decomposable ones.
+    protocol: {!plan} builds the partitions as the connected components
+    of "these two clusters could exchange an event", so no event ever
+    crosses a partition, every null message carries lookahead +∞ and
+    the domains run to completion without blocking once.  When all jobs
+    end up in one component the sequential engine runs instead —
+    correct for every workload, parallel for decomposable ones.
 
-    {b Why merge order cannot affect results.}  With confinement proven,
-    a partition dispatches exactly the sequential run's event subsequence
-    for its own jobs (same times, same heap insertion order, same jitter
-    streams — foreign jobs keep their list positions but carry no
-    phases), so per-partition integer counters, hop histograms and
-    per-node/per-MC/per-job arrays are disjoint slices of the sequential
-    run's.  The merge adds counters and histograms, takes each per-MC and
-    per-job cell from its owning partition, sums disjoint per-link busy
-    cycles, and re-divides the raw occupancy integrals and link busy
-    cycles by the merged horizon [max 1 finish_time] — every operation
-    is either a sum over disjoint supports or a per-cell copy, so no
-    ordering of partitions can change a byte of the output. *)
+    {b Why merge order cannot affect results.}  No event crosses a
+    partition, so a partition dispatches exactly the sequential run's
+    event subsequence for its own jobs (same times, same heap insertion
+    order, same jitter streams — foreign jobs keep their list positions
+    but carry no phases), and per-partition integer counters, hop
+    histograms and per-node/per-MC/per-job arrays are disjoint slices of
+    the sequential run's.  The merge adds counters and histograms, takes
+    each per-MC and per-job cell from its owning partition, sums
+    disjoint per-link busy cycles, and re-divides the raw occupancy
+    integrals and link busy cycles by the merged horizon
+    [max 1 finish_time] — every operation is either a sum over disjoint
+    supports or a per-cell copy, so no ordering of partitions can change
+    a byte of the output. *)
 
 type partition = {
-  part_cluster : int;
-      (** representative (lowest) cluster index this partition simulates *)
-  part_clusters : int list;
-      (** every cluster it simulates (ascending) — a singleton on a flat
-          platform; on a hierarchical platform whose clusters nest inside
-          chiplets, all of one chiplet's clusters *)
-  part_mcs : int list;  (** controllers owned (ascending) *)
-  part_nodes : int list;  (** mesh nodes owned (ascending) *)
+  part_clusters : int list;  (** the clusters it simulates (ascending) *)
+  part_mcs : int list;  (** their controllers (ascending) *)
   part_jobs : int list;  (** indices of the jobs it runs (ascending) *)
 }
 
 type plan =
-  | Parallel of partition array
-      (** in ascending cluster (flat) or chiplet (hierarchical) order *)
+  | Parallel of partition array  (** in ascending lowest-cluster order *)
   | Sequential of string  (** not decomposable — the reason why *)
 
 val plan :
@@ -60,21 +51,20 @@ val plan :
   jobs:Engine.job list ->
   unit ->
   plan
-(** Static confinement proof over the jobs' precomputed access traces.
-    [Parallel] is returned only when all of the following hold: private
-    L2, page interleaving, at least two clusters with jobs, every job's
-    threads inside one cluster, admission chains intra-cluster, every
-    touched virtual page touched by one cluster only and placed (under
-    the run's page policy and [desired_mc_of_vpage] hints) on one of
-    that cluster's controllers within its frame budget, freed ranges not
-    overlapping foreign pages, and the partitions' XY route link sets
-    pairwise disjoint.  Anything else is [Sequential reason].
-
-    On a hierarchical platform whose clusters nest inside chiplets, the
-    per-cluster partitions of each chiplet are merged into one partition
-    per chiplet before the route check: chiplet boundaries are natural
-    partition cuts, so clusters sharing on-die links inside a chiplet no
-    longer force a sequential fallback. *)
+(** The partitions: connected components of the clusters over the jobs'
+    precomputed access traces.  Two clusters join when a job's threads
+    span them, an admission chain links their jobs, a virtual page is
+    touched from both, a job's freed range covers a page the other
+    touched, a page's home controller ({!Os_sim.Page_alloc.home_mc}
+    under the run's policy and [desired_mc_of_vpage] hints) sits in the
+    other, under [--optimal] a thread's nearest controller sits in the
+    other, or the XY routes between the components' nodes and controller
+    sites share a mesh link.  Each component that runs jobs is a
+    partition; fewer than two is [Sequential], naming the join that
+    merged the last two (e.g. ["virtual page 812 joins clusters 0 and
+    2"]).  Shared L2, line interleaving, a job without threads, a desired
+    controller out of range and a controller over its frame budget are
+    [Sequential] whatever the components. *)
 
 val describe : plan -> domains:int -> string
 (** One line for humans: the partition/worker layout, or the fallback

@@ -71,8 +71,8 @@ val prepare_replicas :
   prepared list
 (** One {!confine}d copy of the program per cluster, on disjoint 256 MB
     virtual slices — the canonical decomposable workload: under page
-    interleaving with the first-touch policy, {!Par_engine.plan} proves
-    it parallel.  [threads] defaults to one cluster's cores ×
+    interleaving with the first-touch policy, {!Par_engine.plan} splits
+    it into partitions.  [threads] defaults to one cluster's cores ×
     threads-per-core. *)
 
 val run :

@@ -29,8 +29,8 @@ let max_hops = 64
 
 (* a fresh registry cannot hold a conflicting registration, so the
    histogram Result is safe to force here *)
-let fresh_histogram reg ~buckets name =
-  match M.histogram reg ~buckets name with
+let fresh_histogram reg name =
+  match M.histogram reg name with
   | Ok h -> h
   | Error e -> invalid_arg e
 
@@ -52,8 +52,8 @@ let create ~nodes ~mcs =
     c_writebacks = M.counter reg "sim.writebacks";
     c_page_fallbacks = M.counter reg "os.page_fallbacks";
     g_finish_time = M.gauge reg "sim.finish_time";
-    h_mem_latency = fresh_histogram reg ~buckets:M.Log2 "mem.latency";
-    h_mem_queue = fresh_histogram reg ~buckets:M.Log2 "mem.queue_delay";
+    h_mem_latency = fresh_histogram reg "mem.latency";
+    h_mem_queue = fresh_histogram reg "mem.queue_delay";
     onchip_hops = Array.make (max_hops + 1) 0;
     offchip_hops = Array.make (max_hops + 1) 0;
     node_mc_requests = Array.init nodes (fun _ -> Array.make mcs 0);

@@ -42,10 +42,6 @@ let ensure ~dir = mkdir_p (cache_dir dir)
 
 let store ~dir key doc =
   mkdir_p (cache_dir dir);
-  let final = path ~dir key in
-  (* unique temp name per process: concurrent workers never collide *)
-  let tmp = Printf.sprintf "%s.%d.tmp" final (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Json.to_channel oc doc;
-  close_out oc;
-  Sys.rename tmp final
+  match Json.to_file (path ~dir key) doc with
+  | Ok () -> ()
+  | Error e -> raise (Sys_error e)

@@ -106,11 +106,8 @@ let of_json j =
 let path ~dir = Filename.concat dir "manifest.json"
 
 let store ~dir t =
-  let final = path ~dir in
-  let tmp = Printf.sprintf "%s.%d.tmp" final (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Json.to_channel oc (to_json t);
-  close_out oc;
-  Sys.rename tmp final
+  match Json.to_file (path ~dir) (to_json t) with
+  | Ok () -> ()
+  | Error e -> raise (Sys_error e)
 
 let load ~dir = Json.decode_file (path ~dir) of_json

@@ -77,12 +77,9 @@ let merge_results ~out (m : Manifest.t) =
 
 let write_merged ~out doc =
   let final = Filename.concat out "merged.json" in
-  let tmp = Printf.sprintf "%s.%d.tmp" final (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Json.to_channel oc doc;
-  close_out oc;
-  Sys.rename tmp final;
-  final
+  match Json.to_file final doc with
+  | Ok () -> final
+  | Error e -> raise (Sys_error e)
 
 let run_sweep ?(workers = 4) ?timeout_s ?retries ?(backoff_s = 0.5)
     ?(force = false) ?inject_fail ?(log = fun _ -> ())

@@ -99,24 +99,18 @@ let prop_json_roundtrip_minified =
 
 (* --- metrics: histogram bucketing --- *)
 
-let in_bucket kind v =
-  let i = M.bucket_index kind v in
-  let lo, hi = M.bucket_bounds kind i in
+let in_bucket v =
+  let i = M.bucket_index v in
+  let lo, hi = M.bucket_bounds i in
   lo <= v && (v < hi || hi = max_int)
 
 let prop_log2_buckets =
   QCheck.Test.make ~name:"log2 bucket bounds contain their values" ~count:1000
     QCheck.(make Gen.(oneof [ int_range 0 1_000_000; int_bound max_int ]))
-    (fun v -> in_bucket M.Log2 v)
-
-let prop_linear_buckets =
-  QCheck.Test.make ~name:"linear bucket bounds contain their values"
-    ~count:1000
-    QCheck.(make Gen.(pair (int_range 0 100_000) (int_range 1 50)))
-    (fun (v, width) -> in_bucket (M.Linear { width; buckets = 10 }) v)
+    in_bucket
 
 let test_log2_boundaries () =
-  let idx = M.bucket_index M.Log2 in
+  let idx = M.bucket_index in
   Alcotest.(check int) "v=0" 0 (idx 0);
   Alcotest.(check int) "v=1" 1 (idx 1);
   Alcotest.(check int) "v=2" 2 (idx 2);
@@ -128,16 +122,16 @@ let test_log2_boundaries () =
     (M.max_log2_buckets - 1) (idx max_int);
   (* successive bucket bounds tile the nonnegative ints *)
   for i = 0 to M.max_log2_buckets - 2 do
-    let _, hi = M.bucket_bounds M.Log2 i in
-    let lo, _ = M.bucket_bounds M.Log2 (i + 1) in
+    let _, hi = M.bucket_bounds i in
+    let lo, _ = M.bucket_bounds (i + 1) in
     Alcotest.(check int) (Printf.sprintf "contiguous at bucket %d" i) hi lo
   done
 
 (* --- metrics: registry --- *)
 
 (* tests know their registrations are fresh, so force the Result *)
-let hist reg ~buckets name =
-  match M.histogram reg ~buckets name with
+let hist reg name =
+  match M.histogram reg name with
   | Ok h -> h
   | Error e -> failwith e
 
@@ -155,7 +149,7 @@ let test_registry_basics () =
   M.set g 2.0;
   M.set_max g 1.0;
   Alcotest.(check (float 1e-9)) "set_max keeps max" 2.0 (M.gauge_value g);
-  let h = hist reg ~buckets:M.Log2 "h" in
+  let h = hist reg "h" in
   M.observe h 0;
   M.observe h 5;
   M.observe h (-3);
@@ -165,17 +159,11 @@ let test_registry_basics () =
     (Invalid_argument "Metrics.gauge: c is not a gauge") (fun () ->
       ignore (M.gauge reg "c"));
   (* histogram conflicts surface as values, not exceptions *)
-  (match M.histogram reg ~buckets:(M.Linear { width = 2; buckets = 4 }) "h" with
-  | Ok _ -> Alcotest.fail "bucket mismatch accepted"
-  | Error _ -> ());
-  (match M.histogram reg ~buckets:M.Log2 "c" with
+  (match M.histogram reg "c" with
   | Ok _ -> Alcotest.fail "counter re-registered as histogram"
   | Error _ -> ());
-  (match M.histogram reg ~buckets:(M.Linear { width = 0; buckets = 4 }) "w" with
-  | Ok _ -> Alcotest.fail "zero-width buckets accepted"
-  | Error _ -> ());
-  (* same name, same bucketing: idempotent, same cells *)
-  M.observe (hist reg ~buckets:M.Log2 "h") 1;
+  (* same name: idempotent, same cells *)
+  M.observe (hist reg "h") 1;
   Alcotest.(check int) "histogram registration idempotent" 4 (M.hist_count h)
 
 let test_snapshot_merge () =
@@ -188,14 +176,14 @@ let test_snapshot_merge () =
     mk (fun reg ->
         M.add (M.counter reg "x") 2;
         M.set (M.gauge reg "g") 5.;
-        M.observe (hist reg ~buckets:M.Log2 "h") 7)
+        M.observe (hist reg "h") 7)
   in
   let b =
     mk (fun reg ->
         M.add (M.counter reg "x") 3;
         M.add (M.counter reg "only_b") 1;
         M.set (M.gauge reg "g") 9.;
-        M.observe (hist reg ~buckets:M.Log2 "h") 9)
+        M.observe (hist reg "h") 9)
   in
   let m = M.merge a b in
   Alcotest.(check int) "counters add" 5 (List.assoc "x" m.M.counters);
@@ -208,12 +196,45 @@ let test_snapshot_merge () =
   Alcotest.(check int) "histogram sum" 16 h.M.sum;
   Alcotest.(check int) "histogram bucket"
     2
-    (h.M.counts.(M.bucket_index M.Log2 7) + h.M.counts.(M.bucket_index M.Log2 9))
+    (h.M.counts.(M.bucket_index 7) + h.M.counts.(M.bucket_index 9))
+
+let test_metrics_kind_only_log2 () =
+  (* histograms are log2 only: any other kind is a one-line error, even
+     one asking for more buckets than memory holds *)
+  let doc kind =
+    Printf.sprintf
+      {|{"histograms": {"mem.latency": {"kind": %s, "counts": [1], "sum": 1, "total": 1}}}|}
+      kind
+  in
+  let decode kind =
+    match J.of_string (doc kind) with
+    | Ok j ->
+      (* report reads the same snapshot out of a stats document *)
+      let report = Obs.Report.build (J.Obj [ ("stats", J.Obj [ ("metrics", j) ]) ]) in
+      let snap = M.snapshot_of_json j in
+      Alcotest.(check bool) "report agrees" (Result.is_ok snap) (Result.is_ok report);
+      snap
+    | Error e -> Alcotest.fail e
+  in
+  (match decode {|"log2"|} with
+  | Ok s -> Alcotest.(check int) "log2 decodes" 1 (List.length s.M.histograms)
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun kind ->
+      match decode kind with
+      | Ok _ -> Alcotest.failf "kind %s accepted" kind
+      | Error e ->
+        Alcotest.(check bool) ("one line: " ^ e) false (String.contains e '\n'))
+    [
+      {|{"linear_width":1,"buckets":4611686018427387903}|};
+      {|{"linear_width":4,"buckets":8}|};
+      {|"linear"|};
+    ]
 
 let test_metrics_json () =
   let reg = M.create () in
   M.add (M.counter reg "sim.accesses") 42;
-  M.observe (hist reg ~buckets:M.Log2 "lat") 100;
+  M.observe (hist reg "lat") 100;
   let j = M.to_json (M.snapshot reg) in
   (* the export must itself be valid, parseable JSON *)
   match J.of_string (J.to_string j) with
@@ -422,11 +443,12 @@ let suite =
         QCheck_alcotest.to_alcotest prop_json_roundtrip;
         QCheck_alcotest.to_alcotest prop_json_roundtrip_minified;
         QCheck_alcotest.to_alcotest prop_log2_buckets;
-        QCheck_alcotest.to_alcotest prop_linear_buckets;
         Alcotest.test_case "log2 boundaries" `Quick test_log2_boundaries;
         Alcotest.test_case "registry basics" `Quick test_registry_basics;
         Alcotest.test_case "snapshot merge" `Quick test_snapshot_merge;
         Alcotest.test_case "metrics json" `Quick test_metrics_json;
+        Alcotest.test_case "histogram kind is log2 only" `Quick
+          test_metrics_kind_only_log2;
         Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
         Alcotest.test_case "trace ring" `Quick test_trace_ring;
         Alcotest.test_case "trace sampling" `Quick test_trace_sampling;

@@ -10,11 +10,10 @@ module Runner = Sim.Runner
 module Json = Obs.Json
 
 let cfg_of ?(interleave = "page") ?(policy = "first-touch") ?(l2 = "private")
-    ?(width = 4) ?(height = 4) ?(seed = 0) () =
+    ?(platform = "mesh4x4-mc4") ?(optimal = false) ?(seed = 0) () =
   match
-    Config.build ~scaled:true
-      ~platform:(Printf.sprintf "mesh%dx%d-mc4" width height)
-      ~l2 ~interleave ~policy ~mapping:"" ~tpc:1 ~optimal:false ~seed ()
+    Config.build ~scaled:true ~platform ~l2 ~interleave ~policy ~mapping:""
+      ~tpc:1 ~optimal ~seed ()
   with
   | Ok c -> c
   | Error e -> Alcotest.failf "config: %s" e
@@ -53,7 +52,8 @@ let test_plan_accepts_replicas () =
     Alcotest.(check int) "one partition per cluster" 4 (Array.length parts);
     Array.iteri
       (fun i p ->
-        Alcotest.(check int) "ascending cluster order" i p.Par.part_cluster;
+        Alcotest.(check (list int)) "one cluster each, ascending" [ i ]
+          p.Par.part_clusters;
         Alcotest.(check bool) "owns controllers" true (p.Par.part_mcs <> []);
         Alcotest.(check bool) "owns a job" true (p.Par.part_jobs <> []))
       parts
@@ -66,47 +66,12 @@ let reject ?interleave ?policy ?l2 name =
     Alcotest.(check bool) "has a reason" true (reason <> "")
   | Par.Parallel _ -> Alcotest.fail "expected a sequential fallback"
 
-let test_plan_merges_by_chiplet () =
-  (* on chiplet2x2-mc8 the M1x8 clusters are 4x2 tiles, two per 4x4
-     chiplet: the planner coarsens to one partition per chiplet, so the
-     die boundary — not the cluster — is the unit of confinement *)
-  let cfg =
-    match
-      Config.build ~scaled:true ~platform:"chiplet2x2-mc8" ~l2:"private"
-        ~interleave:"page" ~policy:"first-touch" ~mapping:"" ~tpc:1
-        ~optimal:false ~seed:0 ()
-    with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "config: %s" e
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
-  let preps = replicas cfg "minimd" in
-  (match plan_of cfg preps with
-  | Par.Parallel parts ->
-    Alcotest.(check int) "one partition per chiplet" 4 (Array.length parts);
-    Array.iter
-      (fun p ->
-        Alcotest.(check int) "two clusters merged" 2
-          (List.length p.Par.part_clusters))
-      parts
-  | Par.Sequential reason -> Alcotest.failf "expected parallel plan: %s" reason);
-  (* and the oracle still holds on the merged partitions *)
-  let doc domains =
-    Json.to_string
-      (Sweep.Exec.result_json ~app:"minimd" cfg
-         (Runner.run_many ~domains cfg ~jobs:preps))
-  in
-  Alcotest.(check string) "chiplet domains 4 == domains 1" (doc 1) (doc 4)
-
-let test_plan_rejects_line () = reject ~interleave:"line" "minimd"
-let test_plan_rejects_shared_l2 () = reject ~l2:"shared" "minimd"
-let test_plan_rejects_hardware () = reject ~policy:"hardware" "minimd"
-
-let test_plan_rejects_whole_machine () =
-  (* one job bound across every cluster cannot be partitioned *)
-  let cfg = cfg_of () in
-  match plan_of cfg [ whole_machine cfg "minimd" ] with
-  | Par.Sequential _ -> ()
-  | Par.Parallel _ -> Alcotest.fail "whole-machine job must fall back"
+  go 0
 
 (* --- the byte oracle --- *)
 
@@ -119,14 +84,61 @@ let plain_doc cfg app preps domains =
   let r = Runner.run_many ~domains cfg ~jobs:preps in
   Json.to_string (Sweep.Exec.result_json ~app cfg r)
 
-let test_identity_plain () =
-  let cfg = cfg_of () in
+let test_plan_joins_interacting_clusters () =
+  (* on chiplet2x2-mc8 the M1x8 clusters are 4x2 tiles, two per 4x4
+     chiplet: only the pair whose routes share on-die links (2 and 3)
+     becomes one partition, and no chiplet special case merges the rest *)
+  let cfg = cfg_of ~platform:"chiplet2x2-mc8" () in
   let preps = replicas cfg "minimd" in
-  let d1 = plain_doc cfg "minimd" preps 1 in
-  Alcotest.(check string) "domains 2 == domains 1" d1
-    (plain_doc cfg "minimd" preps 2);
-  Alcotest.(check string) "domains 4 == domains 1" d1
+  (match plan_of cfg preps with
+  | Par.Parallel parts ->
+    Alcotest.(check int) "seven partitions" 7 (Array.length parts);
+    Alcotest.(check (list (list int)))
+      "clusters 2 and 3 joined"
+      [ [ 0 ]; [ 1 ]; [ 2; 3 ]; [ 4 ]; [ 5 ]; [ 6 ]; [ 7 ] ]
+      (Array.to_list (Array.map (fun p -> p.Par.part_clusters) parts))
+  | Par.Sequential reason -> Alcotest.failf "expected parallel plan: %s" reason);
+  Alcotest.(check string) "chiplet domains 4 == domains 1"
+    (plain_doc cfg "minimd" preps 1)
     (plain_doc cfg "minimd" preps 4)
+
+let test_plan_rejects_line () = reject ~interleave:"line" "minimd"
+let test_plan_rejects_shared_l2 () = reject ~l2:"shared" "minimd"
+let test_plan_rejects_hardware () = reject ~policy:"hardware" "minimd"
+
+let test_plan_rejects_whole_machine () =
+  (* one job bound across every cluster cannot be partitioned *)
+  let cfg = cfg_of () in
+  match plan_of cfg [ whole_machine cfg "minimd" ] with
+  | Par.Sequential reason ->
+    Alcotest.(check bool)
+      ("reason names a join: " ^ reason)
+      true
+      (contains ~sub:" joins clusters " reason)
+  | Par.Parallel _ -> Alcotest.fail "whole-machine job must fall back"
+
+let test_identity_plain () =
+  (* mesh8x8-mc8: clusters 2 and 3 share route links, so the plan joins
+     that pair instead of giving up on the whole machine.
+     --optimal: a miss another L2 can serve goes through its page's
+     controller, and the forward and invalidations start there too. *)
+  List.iter
+    (fun (what, cfg, app) ->
+      let preps = replicas cfg app in
+      (match plan_of cfg preps with
+      | Par.Parallel _ -> ()
+      | Par.Sequential reason ->
+        Alcotest.failf "%s: expected parallel plan: %s" what reason);
+      let d1 = plain_doc cfg app preps 1 in
+      Alcotest.(check string) (what ^ " domains 2 == domains 1") d1
+        (plain_doc cfg app preps 2);
+      Alcotest.(check string) (what ^ " domains 4 == domains 1") d1
+        (plain_doc cfg app preps 4))
+    [
+      ("mesh4x4-mc4", cfg_of (), "minimd");
+      ("mesh8x8-mc8", cfg_of ~platform:"mesh8x8-mc8" (), "hpccg");
+      ("optimal", cfg_of ~optimal:true (), "minimd");
+    ]
 
 let test_identity_attributed () =
   (* the attributed document embeds the full attribution cube and its
@@ -150,6 +162,10 @@ let test_identity_fallback_dispatch () =
   Alcotest.(check bool)
     "plan line reports the fallback" true
     (starts_with "sequential engine" !reason);
+  Alcotest.(check bool)
+    ("fallback names a join: " ^ !reason)
+    true
+    (contains ~sub:" joins clusters " !reason);
   Alcotest.(check string) "fallback is byte-identical"
     (Json.to_string (Sweep.Exec.result_json ~app:"gafort" cfg r1))
     (Json.to_string (Sweep.Exec.result_json ~app:"gafort" cfg r4))
@@ -187,19 +203,19 @@ let arb_draw =
     let open QCheck.Gen in
     let* app = oneofl [ "minimd"; "gafort"; "hpccg" ] in
     let* seed = int_range 0 3 in
-    let* width = oneofl [ 4; 8 ] in
-    return (app, seed, width)
+    let* platform = oneofl [ "mesh4x4-mc4"; "mesh8x8-mc4"; "mesh8x8-mc8" ] in
+    return (app, seed, platform)
   in
   QCheck.make
-    ~print:(fun (a, s, w) -> Printf.sprintf "%s seed=%d mesh=%dx%d" a s w w)
+    ~print:(fun (a, s, p) -> Printf.sprintf "%s seed=%d %s" a s p)
     gen
 
 let prop_identity =
   QCheck.Test.make
     ~name:"attributed stats JSON identical across domains 1/2/4" ~count:4
     arb_draw
-    (fun (app, seed, width) ->
-      let cfg = cfg_of ~seed ~width ~height:width () in
+    (fun (app, seed, platform) ->
+      let cfg = cfg_of ~seed ~platform () in
       let preps = replicas ~attr:true cfg app in
       let d1 = attributed_doc cfg app preps 1 in
       d1 = attributed_doc cfg app preps 2
@@ -211,8 +227,8 @@ let suite =
       [
         Alcotest.test_case "plan accepts confined replicas" `Quick
           test_plan_accepts_replicas;
-        Alcotest.test_case "plan merges partitions by chiplet" `Quick
-          test_plan_merges_by_chiplet;
+        Alcotest.test_case "plan joins only interacting clusters" `Quick
+          test_plan_joins_interacting_clusters;
         Alcotest.test_case "plan rejects line interleaving" `Quick
           test_plan_rejects_line;
         Alcotest.test_case "plan rejects shared L2" `Quick

@@ -234,18 +234,14 @@ let test_metrics_snapshot_roundtrip () =
   let c = Obs.Metrics.counter reg "requests" in
   Obs.Metrics.add c 17;
   Obs.Metrics.set (Obs.Metrics.gauge reg "queue.max") 5.5;
-  let hist reg ~buckets name =
-    match Obs.Metrics.histogram reg ~buckets name with
+  let hist reg name =
+    match Obs.Metrics.histogram reg name with
     | Ok h -> h
     | Error e -> failwith e
   in
-  let h = hist reg ~buckets:Obs.Metrics.Log2 "latency" in
+  let h = hist reg "latency" in
   List.iter (Obs.Metrics.observe h) [ 0; 1; 3; 100; 4096 ];
-  let hl =
-    hist reg
-      ~buckets:(Obs.Metrics.Linear { width = 4; buckets = 8 })
-      "occupancy"
-  in
+  let hl = hist reg "occupancy" in
   List.iter (Obs.Metrics.observe hl) [ 0; 7; 31; 500 ];
   let snap = Obs.Metrics.snapshot reg in
   let json = Obs.Metrics.to_json snap in
