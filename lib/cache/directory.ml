@@ -56,21 +56,27 @@ let holders d ~line =
     done;
     !acc
 
-(* Holders in ascending node order, keeping the first strict minimum:
-   among equally distant holders the lowest-numbered wins. *)
+(* Holders in ascending node order, visiting set bits only, keeping the
+   first strict minimum: among equally distant holders the lowest-numbered
+   wins. *)
 let closest_holder d ~line ~excluding ~distance =
   match Line_tbl.find d.table line with
   | exception Not_found -> -1
   | set ->
     let best = ref (-1) and best_dist = ref 0 in
-    for n = 0 to d.nodes - 1 do
-      if n <> excluding && set.(n / bits) land (1 lsl (n mod bits)) <> 0 then begin
-        let dist = distance.(n) in
-        if !best < 0 || dist < !best_dist then begin
-          best := n;
-          best_dist := dist
+    for w = 0 to d.words - 1 do
+      let x = ref set.(w) in
+      while !x <> 0 do
+        let n = (w * bits) + Bits.lowest !x in
+        x := !x land (!x - 1);
+        if n <> excluding then begin
+          let dist = distance.(n) in
+          if !best < 0 || dist < !best_dist then begin
+            best := n;
+            best_dist := dist
+          end
         end
-      end
+      done
     done;
     !best
 

@@ -10,17 +10,19 @@
     can start by the given time and reports completions; {!next_wake} says
     when issuing could next make progress.
 
-    Cost: O(banks) per issued request, one request record per enqueue and
-    no allocation per scan.  Each bank keeps its reads and its writes in
-    two arrays, oldest first, and caches its candidate (which queue, which
-    index).  The cache is dropped when the bank receives a request, when
-    it issues, and, for every bank, when the controller's pending-write
-    count crosses the drain watermark in either direction; rebuilding it,
-    like erasing an issued request, is one pass over that bank's queue.
-    A scan recomputes each candidate's earliest start in O(1), since
-    another bank's issue on the same channel moves the bus.  {!next_wake}
-    returns what the last scan found; that result is dropped on enqueue
-    and on issue. *)
+    Cost: no allocation per enqueue, and per scan O(stale banks) plus
+    one pass over an int array of banks.  Each bank keeps its reads and
+    its writes as parallel int arrays (id, arrival, row), oldest first,
+    and caches its candidate (which queue, which index); rebuilding the
+    candidate, like erasing an issued request, is one pass over that
+    bank's queue.  Every bank's candidate earliest start is cached too,
+    and recomputed only for the banks marked stale since the last scan:
+    an enqueue marks its bank, an issue marks every bank on its channel
+    (the bus moved), and the controller's pending-write count crossing
+    the drain watermark in either direction marks every bank and drops
+    its candidate.  A scan takes the lowest-indexed bank among the
+    earliest starts; {!next_wake} returns the last scan's result while
+    no bank is stale. *)
 
 type completion = {
   id : int;  (** caller's request identifier *)

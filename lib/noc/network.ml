@@ -89,10 +89,10 @@ let transfer ?on_hop net ~now ~src ~dst ~bytes =
   if src = dst then now
   else begin
     let serialization =
-      max 1 ((bytes + net.config.link_bytes - 1) / net.config.link_bytes)
+      Int.max 1 ((bytes + net.config.link_bytes - 1) / net.config.link_bytes)
     in
     let ser_cross =
-      if net.hier then max 1 ((bytes + net.chip_bytes - 1) / net.chip_bytes)
+      if net.hier then Int.max 1 ((bytes + net.chip_bytes - 1) / net.chip_bytes)
       else serialization
     in
     let route = route net ~src ~dst in
@@ -103,7 +103,7 @@ let transfer ?on_hop net ~now ~src ~dst ~bytes =
       let crossing = net.hier && Array.unsafe_get net.cross id in
       let ser = if crossing then ser_cross else serialization in
       let lat = if crossing then net.chip_latency else net.config.per_hop_latency in
-      let start = max !t net.free_at.(id) in
+      let start = Int.max !t net.free_at.(id) in
       net.free_at.(id) <- start + ser;
       net.link_busy.(id) <- net.link_busy.(id) + ser;
       net.busy <- net.busy + ser;
@@ -141,10 +141,10 @@ let send ?on_hop net ~now ~src ~dst ~bytes =
   if src = dst then (now, 0, 0)
   else begin
     let serialization =
-      max 1 ((bytes + net.config.link_bytes - 1) / net.config.link_bytes)
+      Int.max 1 ((bytes + net.config.link_bytes - 1) / net.config.link_bytes)
     in
     let ser_cross =
-      if net.hier then max 1 ((bytes + net.chip_bytes - 1) / net.chip_bytes)
+      if net.hier then Int.max 1 ((bytes + net.chip_bytes - 1) / net.chip_bytes)
       else serialization
     in
     let t = transfer ?on_hop net ~now ~src ~dst ~bytes in

@@ -81,8 +81,8 @@ let log2_floor v =
   go v 0
 
 let bucket_index v =
-  let v = max 0 v in
-  if v = 0 then 0 else min (max_log2_buckets - 1) (log2_floor v + 1)
+  let v = Int.max 0 v in
+  if v = 0 then 0 else Int.min (max_log2_buckets - 1) (log2_floor v + 1)
 
 (* bucket 0 = {0}; bucket i>=1 = [2^(i-1), 2^i); the last bucket is
    open-ended (its lower bound still fits: 2^61 <= max_int) *)
@@ -92,7 +92,7 @@ let bucket_bounds i =
   else (1 lsl (i - 1), 1 lsl i)
 
 let observe h v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   let i = bucket_index v in
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_sum <- h.h_sum + v;

@@ -264,11 +264,10 @@ let tenants_section doc =
 
 let attribution_section doc =
   match Json.member "attribution" doc with
-  | None -> []
+  | None -> Ok []
   | Some a -> (
     match Attr.of_json a with
-    | Error e ->
-      [ { title = "Attribution"; items = [ Text ("undecodable: " ^ e) ] } ]
+    | Error e -> Error ("attribution: " ^ e)
     | Ok snap ->
       let total = Attr.snap_total snap in
       let agree =
@@ -286,17 +285,18 @@ let attribution_section doc =
         | None ->
           Printf.sprintf "Attributed %d off-chip accesses." total
       in
-      [
-        {
-          title = "Attribution";
-          items =
-            [
-              Text agree;
-              Pre (Format.asprintf "%a" Attr.pp_table snap);
-              Pre (bank_heat (Attr.bank_load snap));
-            ];
-        };
-      ])
+      Ok
+        [
+          {
+            title = "Attribution";
+            items =
+              [
+                Text agree;
+                Pre (Format.asprintf "%a" Attr.pp_table snap);
+                Pre (bank_heat (Attr.bank_load snap));
+              ];
+          };
+        ])
 
 let heatmap_section doc =
   match Json.member "heatmaps" doc with
@@ -382,14 +382,17 @@ let build ?diags doc =
      one is not a run's stats, whatever else it holds *)
   match Json.member "stats" doc with
   | Some (Json.Obj _ as stats) -> (
-    match Option.map Metrics.snapshot_of_json (Json.member "metrics" stats) with
-    | Some (Error e) -> Error e
-    | metrics ->
+    match
+      ( Option.map Metrics.snapshot_of_json (Json.member "metrics" stats),
+        attribution_section doc )
+    with
+    | Some (Error e), _ | _, Error e -> Error e
+    | metrics, Ok attribution ->
       let metrics = Option.map Result.get_ok metrics in
       Ok
         (platform_section doc
         @ (run_section ?metrics doc :: tenants_section doc)
-        @ attribution_section doc @ heatmap_section doc @ mapping_section diags
+        @ attribution @ heatmap_section doc @ mapping_section diags
         @ search_section diags))
   | Some _ -> Error "field \"stats\" must be an object"
   | None -> Error "missing field \"stats\""

@@ -433,7 +433,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
      predecessor (if any) has finished; completion reclaims its pages and
      releases its successors.  An empty job completes at its start. *)
   let rec start_job s at =
-    let at = max at 0 in
+    let at = Int.max at 0 in
     job_start.(s.jid) <- at;
     if s.j.warmup_phases <= 0 then s.warmup_end <- at;
     if s.nphases = 0 then complete_job s at
@@ -457,7 +457,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     List.iter
       (fun sid ->
         let succ = js.(sid) in
-        start_job succ (max succ.j.start_time at))
+        start_job succ (Int.max succ.j.start_time at))
       successors.(s.jid)
   in
   (* ---- thread execution ---- *)
@@ -516,7 +516,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     go t
   and finish_thread s _tid t =
     s.remaining <- s.remaining - 1;
-    s.barrier <- max s.barrier t;
+    s.barrier <- Int.max s.barrier t;
     if s.remaining = 0 then begin
       if s.phase = s.j.warmup_phases - 1 then s.warmup_end <- s.barrier;
       s.phase <- s.phase + 1;
@@ -803,7 +803,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
             end)
           completions;
         match Fr_fcfs.next_wake mcs.(m) with
-        | Some tw -> schedule_mc_wake m (max tw (t + 1))
+        | Some tw -> schedule_mc_wake m (Int.max tw (t + 1))
         | None -> ()
       end
     | Wb_arrive (m, paddr) -> enqueue_mc ~now:t ~m ~id:wb_id ~write:true paddr

@@ -1,8 +1,13 @@
-(** Binary min-heap of timestamped events.
+(** Priority queue of timestamped events: a calendar queue.
 
-    Ties are broken by insertion order, which keeps runs deterministic.
-    The keys are int-packed into unboxed parallel arrays with a payload
-    array alongside, so steady-state pushes and the
+    Events pop in time order, ties in insertion order, which keeps runs
+    deterministic.  Events less than 4096 cycles after the time last
+    popped or peeked sit in one-cycle FIFO buckets, so a push there is
+    an append and a pop takes a bucket's head; an occupancy bitmap finds
+    the next non-empty bucket in a scan of at most 128 words.  Events
+    further ahead, or pushed before that time, wait in a binary heap and
+    move into the buckets as the window reaches them.  Once the
+    slot pool has grown to the run's peak population, {!push} and the
     {!next_time}/{!pop_payload} pair allocate nothing. *)
 
 type 'a t

@@ -231,6 +231,19 @@ let test_metrics_kind_only_log2 () =
       {|"linear"|};
     ]
 
+let test_report_rejects_bad_attribution () =
+  (* an attribution the report cannot decode fails the whole document,
+     as undecodable metrics do *)
+  match J.of_string {|{"stats": {}, "attribution": {"bogus": 1}}|} with
+  | Error e -> Alcotest.fail e
+  | Ok doc -> (
+    match Obs.Report.build doc with
+    | Ok _ -> Alcotest.fail "undecodable attribution accepted"
+    | Error e ->
+      Alcotest.(check bool) ("names the section: " ^ e) true
+        (String.length e > 13 && String.sub e 0 13 = "attribution: ");
+      Alcotest.(check bool) "one line" false (String.contains e '\n'))
+
 let test_metrics_json () =
   let reg = M.create () in
   M.add (M.counter reg "sim.accesses") 42;
@@ -449,6 +462,8 @@ let suite =
         Alcotest.test_case "metrics json" `Quick test_metrics_json;
         Alcotest.test_case "histogram kind is log2 only" `Quick
           test_metrics_kind_only_log2;
+        Alcotest.test_case "report rejects an undecodable attribution" `Quick
+          test_report_rejects_bad_attribution;
         Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
         Alcotest.test_case "trace ring" `Quick test_trace_ring;
         Alcotest.test_case "trace sampling" `Quick test_trace_sampling;

@@ -31,6 +31,58 @@ let prop_heap_sorted =
       in
       drain min_int)
 
+(* The queue against a list kept in push order, whose earliest entry
+   pops first (a stable sort by time).  Pushes land at the last popped
+   time, before it, inside the 4096-cycle bucket window, on its edge,
+   beyond it, and on a coarse grid of absolute times, so that one time
+   collects events pushed while it lay beyond the window and after the
+   window reached it; peeks move the window without popping. *)
+let prop_heap_exact_order =
+  QCheck.Test.make ~name:"heap pops the stable time sort of its pushes" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 600) (pair (int_range 0 8) (int_range 0 20000))))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and last = ref 0 and seq = ref 0 in
+      let push time =
+        Heap.push h ~time !seq;
+        model := !model @ [ (time, !seq) ];
+        incr seq
+      in
+      let earliest () =
+        List.fold_left
+          (fun best (t, p) -> match best with Some (bt, _) when bt <= t -> best | _ -> Some (t, p))
+          None !model
+      in
+      let pop () =
+        match (Heap.pop h, earliest ()) with
+        | None, None -> true
+        | Some (t, p), Some (t', p') ->
+          model := List.filter (fun (_, q) -> q <> p') !model;
+          last := t;
+          t = t' && p = p'
+        | _ -> false
+      in
+      let step (kind, x) =
+        let ok =
+          match kind with
+          | 0 | 1 -> pop ()
+          | 2 -> push !last; true
+          | 3 -> push (Int.max 0 (!last - (x mod 300))); true
+          | 4 -> push (!last + (x mod 4096)); true
+          | 5 -> push (!last + x); true
+          | 6 -> push (!last + 4096 - (x mod 3)); true
+          | 7 -> push (x mod 24 * 512); true
+          | _ -> (
+            match earliest () with
+            | None -> Heap.is_empty h
+            | Some (t, _) -> Heap.next_time h = t)
+        in
+        ok && Heap.size h = List.length !model && Heap.is_empty h = (!model = [])
+      in
+      let rec drain () = Heap.is_empty h || (pop () && drain ()) in
+      List.for_all step ops && drain () && !model = [])
+
 (* --- config --- *)
 
 let ok = function Ok v -> v | Error e -> failwith e
@@ -477,7 +529,7 @@ let suite =
         Alcotest.test_case "next_time / pop_payload" `Quick
           test_heap_next_time_pop_payload;
       ]
-      @ qsuite [ prop_heap_sorted ] );
+      @ qsuite [ prop_heap_sorted; prop_heap_exact_order ] );
     ( "sim.config",
       [
         Alcotest.test_case "table 1 defaults" `Quick test_default_config;
