@@ -4,25 +4,54 @@ type metrics = {
   mcs_per_cluster : int;
 }
 
-let evaluate topo (c : Cluster.t) placement =
-  let cores = Cluster.num_cores c in
-  let total = ref 0 and cross = ref 0 and count = ref 0 in
-  for t = 0 to cores - 1 do
+(* The mean over (thread, controller-of-its-cluster) pairs splits per
+   controller: [Σ_t Σ_{m ∈ mcs(cluster t)} d(node t, site m)] is
+   [Σ_m D.(cluster m).(site m)] with [D.(j).(s) = Σ_{t ∈ cluster j}
+   d(node t, s)], and likewise for chiplet crossings.  A table holds both
+   sums for every (cluster, mesh node) pair, so pricing a placement
+   reads one entry per controller.  The sums are integers and there are
+   [cores·k] pairs, so the means are the per-thread loop's floats, bit for
+   bit. *)
+type table = {
+  cluster : Cluster.t;
+  topo : Noc.Topology.t;
+  nodes : int;
+  dist : int array;  (** [dist.(j·nodes + s)] *)
+  hops : int array;  (** chiplet crossings, same indexing *)
+}
+
+let table topo (c : Cluster.t) =
+  let nodes = Noc.Topology.nodes topo in
+  let dist = Array.make (Cluster.num_clusters c * nodes) 0 in
+  let hops = Array.make (Array.length dist) 0 in
+  for t = 0 to Cluster.num_cores c - 1 do
     let node = Cluster.node_of_thread c topo t in
-    let cluster = Cluster.cluster_of_node c topo node in
-    List.iter
-      (fun m ->
-        let mc = Noc.Placement.mc_node placement m in
-        total := !total + Noc.Topology.distance topo node mc;
-        cross := !cross + Noc.Topology.chiplet_hops topo node mc;
-        incr count)
-      (Cluster.mcs_of_cluster c cluster)
+    let row = Cluster.cluster_of_node c topo node * nodes in
+    for s = 0 to nodes - 1 do
+      dist.(row + s) <- dist.(row + s) + Noc.Topology.distance topo node s;
+      hops.(row + s) <- hops.(row + s) + Noc.Topology.chiplet_hops topo node s
+    done
   done;
+  { cluster = c; topo; nodes; dist; hops }
+
+let evaluate_table t placement =
+  let c = t.cluster in
+  let total = ref 0 and cross = ref 0 in
+  for m = 0 to Cluster.num_mcs c - 1 do
+    let s = Noc.Placement.mc_node placement m in
+    if s < 0 || s >= t.nodes then invalid_arg "Mapping_select: site off the mesh";
+    let i = (Cluster.cluster_of_mc c m * t.nodes) + s in
+    total := !total + t.dist.(i);
+    cross := !cross + t.hops.(i)
+  done;
+  let count = float_of_int (Cluster.num_cores c * c.k) in
   {
-    avg_distance = float_of_int !total /. float_of_int !count;
-    avg_chiplet_hops = float_of_int !cross /. float_of_int !count;
+    avg_distance = float_of_int !total /. count;
+    avg_chiplet_hops = float_of_int !cross /. count;
     mcs_per_cluster = c.k;
   }
+
+let evaluate topo c placement = evaluate_table (table topo c) placement
 
 (* Cost model constants: per-hop latency from the NoC config, the
    calibrated marginal queue cost per unit of bank-queue pressure, and the
@@ -46,15 +75,15 @@ let queue_weight = 24.0
 
 let xfer_per_mc = 3.0
 
-let estimated_cost topo c placement ~bank_pressure =
-  let m = evaluate topo c placement in
-  let mcs = Cluster.num_mcs c in
+let cost t placement ~bank_pressure =
+  let m = evaluate_table t placement in
+  let mcs = Cluster.num_mcs t.cluster in
   (* every hop is priced at the on-die latency; a hop that crosses a
      chiplet boundary additionally pays the link class's extra latency.
      The term is exactly zero on a flat mesh, so flat costs (and the
      selection notes pinned by dev-check) are unchanged. *)
   let cross_extra =
-    match topo.Noc.Topology.chiplets with
+    match t.topo.Noc.Topology.chiplets with
     | None -> 0.
     | Some g -> float_of_int g.Noc.Topology.link_latency -. per_hop
   in
@@ -67,6 +96,9 @@ let estimated_cost topo c placement ~bank_pressure =
   in
   let transfer = xfer_per_mc *. float_of_int mcs in
   network +. queue +. transfer
+
+let estimated_cost topo c placement ~bank_pressure =
+  cost (table topo c) placement ~bank_pressure
 
 type scored = {
   cluster : Cluster.t;
@@ -98,6 +130,10 @@ let choose_opt topo ~candidates ~bank_pressure =
 
 (* --- bank-pressure calibration ----------------------------------------- *)
 
+let check_pressure p =
+  if Float.is_finite p && p >= 0. then Ok p
+  else Error (Printf.sprintf "bank pressure %g is not a finite number >= 0" p)
+
 let queue_cycles_name = "mem.queue_cycles"
 
 let finish_time_name = "sim.finish_time"
@@ -109,9 +145,9 @@ let bank_pressure_of_snapshot (s : Obs.Metrics.snapshot) =
   with
   | None, _ -> Error ("stats have no counter " ^ queue_cycles_name)
   | _, None -> Error ("stats have no gauge " ^ finish_time_name)
-  | Some _, Some finish when finish <= 0. ->
-    Error "stats report a non-positive finish time"
-  | Some queued, Some finish -> Ok (float_of_int queued /. finish)
+  | Some _, Some finish when finish <= 0. || not (Float.is_finite finish) ->
+    Error "stats report a non-positive or non-finite finish time"
+  | Some queued, Some finish -> check_pressure (float_of_int queued /. finish)
 
 let bank_pressure_of_stats j =
   (* accept either a full stats file (simulate --stats-json / sweep results:

@@ -18,6 +18,20 @@ type metrics = {
 }
 
 val evaluate : Noc.Topology.t -> Cluster.t -> Noc.Placement.t -> metrics
+(** Read from a {!table} built for the call.  The placement must attach
+    every controller of the cluster shape to a node of the mesh;
+    [Invalid_argument] otherwise. *)
+
+type table
+(** One cluster shape's distance sums: for every cluster [j] and mesh node
+    [s], the total hops and chiplet crossings from the cores of [j] to
+    [s].  A placement's {!metrics} then cost one lookup per controller
+    instead of one distance per (core, controller) pair — the same
+    integer sums, so the same floats. *)
+
+val table : Noc.Topology.t -> Cluster.t -> table
+(** [O(cores · nodes)]; build it once per cluster shape and price every
+    placement of that shape against it with {!cost}. *)
 
 val estimated_cost :
   Noc.Topology.t ->
@@ -35,6 +49,9 @@ val estimated_cost :
     transfer term grows with the number of active controllers (the
     package's channel budget is fixed, so each of [N] controllers gets
     [1/N] of it). *)
+
+val cost : table -> Noc.Placement.t -> bank_pressure:float -> float
+(** {!estimated_cost} against a prebuilt table. *)
 
 type scored = {
   cluster : Cluster.t;
@@ -58,13 +75,21 @@ val choose_opt :
   (Cluster.t * Noc.Placement.t) option
 (** Head of {!score}; [None] when the candidate list is empty. *)
 
+val check_pressure : float -> (float, string) result
+(** A bank pressure the cost model can price: finite and [>= 0].  A
+    negative one would make extra controllers look costlier the more
+    loaded the banks are; an infinite one prices every mapping at
+    infinity.  Anything else is a one-line error. *)
+
 val bank_pressure_of_snapshot :
   Obs.Metrics.snapshot -> (float, string) result
 (** Derives the calibrated bank pressure from a profiled run's metrics:
     [mem.queue_cycles / sim.finish_time], i.e. (by Little's law) the
     time-averaged number of requests waiting in bank queues.  The 1.0
     default the pipeline uses corresponds to roughly one perpetually
-    queued request platform-wide. *)
+    queued request platform-wide.  A finish time that is not positive
+    and finite, or a pressure {!check_pressure} refuses (a negative
+    queue count), is an error. *)
 
 val bank_pressure_of_stats : Obs.Json.t -> (float, string) result
 (** {!bank_pressure_of_snapshot} on a stats document: accepts either a

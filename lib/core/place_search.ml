@@ -88,18 +88,19 @@ let centroids_of cluster =
   Array.init (Cluster.num_mcs cluster) (fun m ->
       Cluster.centroid_of_cluster cluster (Cluster.cluster_of_mc cluster m))
 
-let cost_of topo cluster ~bank_pressure ~evaluations sites =
+let cost_of topo table ~bank_pressure ~evaluations sites =
   incr evaluations;
   match Noc.Placement.of_coords_result topo "search" sites with
   | Error _ -> infinity
-  | Ok p -> Mapping_select.estimated_cost topo cluster p ~bank_pressure
+  | Ok p -> Mapping_select.cost table p ~bank_pressure
 
 (* Best-improvement descent: evaluate the full neighborhood, take the
    strictly cheapest successor (first in enumeration order on ties), stop
-   at a local minimum. *)
-let descend topo cluster ~pool_sites ~bank_pressure ~evaluations ~trajectory
+   at a local minimum.  [table] is the cluster shape's distance sums,
+   shared by every start of that shape. *)
+let descend topo table ~pool_sites ~bank_pressure ~evaluations ~trajectory
     ~label sites0 =
-  let cost s = cost_of topo cluster ~bank_pressure ~evaluations s in
+  let cost s = cost_of topo table ~bank_pressure ~evaluations s in
   let sites = ref sites0 and current = ref (cost sites0) in
   trajectory := Printf.sprintf "%s: start cost=%.1f" label !current :: !trajectory;
   let improved = ref true in
@@ -170,6 +171,7 @@ let search ?(params = default_params) ~bank_pressure (base : Platform.t) =
         let cluster = p.Platform.cluster in
         let n = Cluster.num_mcs cluster in
         let centroids = centroids_of cluster in
+        let table = Mapping_select.table topo cluster in
         (* start 0: the preset's own placement — the searched minimum can
            therefore never exceed the preset minimum *)
         let preset_sites = coords_of_placement topo p.Platform.placement in
@@ -195,7 +197,7 @@ let search ?(params = default_params) ~bank_pressure (base : Platform.t) =
               Printf.sprintf "%s/%s" cluster.Cluster.name start_name
             in
             let sites, cost =
-              descend topo cluster ~pool_sites ~bank_pressure ~evaluations
+              descend topo table ~pool_sites ~bank_pressure ~evaluations
                 ~trajectory ~label sites0
             in
             consider cluster sites cost)

@@ -176,6 +176,46 @@ type sink = {
    [((i/5)/8)%4], stage as one division. *)
 let foldable k1 k2 = k1 > 0 && k2 > 0 && k1 <= max_int / k2
 
+(* A chain [f(x)] of [/] and [mod] by positive literals over its
+   innermost operand [x = chain_base e]: the strip-mined subscripts the
+   pass emits, such as [((i/5)/8)%4].  [chain_value e x] is its value at
+   [x], with the operators' own truncation toward zero. *)
+let rec chain_base = function
+  | Ast.Div (a, Ast.Int k) | Ast.Mod (a, Ast.Int k) when k > 0 -> chain_base a
+  | a -> a
+
+let rec chain_value e x =
+  match e with
+  | Ast.Div (a, Ast.Int k) when k > 0 -> chain_value a x / k
+  | Ast.Mod (a, Ast.Int k) when k > 0 -> chain_value a x mod k
+  | _ -> x
+
+(* The chain's operators alone: equal chains over different operands
+   share one table. *)
+let rec chain_ops = function
+  | Ast.Div (a, (Ast.Int k as d)) when k > 0 -> Ast.Div (chain_ops a, d)
+  | Ast.Mod (a, (Ast.Int k as d)) when k > 0 -> Ast.Mod (chain_ops a, d)
+  | _ -> Ast.Int 0
+
+(* Largest chain table, in entries; a wider operand range evaluates the
+   chain directly. *)
+let max_table = 1 lsl 16
+
+(* Interval bounds are kept within [±2^30], so no sum or product of two
+   of them overflows. *)
+let range_limit = 1 lsl 30
+
+(* Subscripts that can neither raise nor emit: no array read, only bound
+   names, and division only by positive literals.  Past the cap a
+   reference made of them has nothing to do but count. *)
+let rec pure scope = function
+  | Ast.Int _ -> true
+  | Ast.Var x -> List.mem_assoc x scope
+  | Ast.Neg a -> pure scope a
+  | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b) -> pure scope a && pure scope b
+  | Ast.Div (a, Ast.Int k) | Ast.Mod (a, Ast.Int k) -> k > 0 && pure scope a
+  | Ast.Div _ | Ast.Mod _ | Ast.Load _ -> false
+
 let unbound x () =
   raise
     (Diag.Fatal (Diag.error ~code:"I001" Span.dummy ("unbound variable " ^ x)))
@@ -206,6 +246,45 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
   let nparams = List.length p.params in
   let env = Array.make (nparams + depth p.nests) 0 in
   List.iteri (fun i (_, v) -> env.(i) <- v) p.params;
+  (* [bounds.(s)]: the values slot [s] can hold — a parameter's value, or
+     the interval a loop index ranges over, set while its body stages *)
+  let bounds =
+    Array.mapi (fun s v -> if s < nparams then Some (v, v) else None) env
+  in
+  let rec range scope e =
+    let both a b f =
+      match (range scope a, range scope b) with
+      | Some x, Some y -> f x y
+      | _ -> None
+    in
+    let r =
+      match e with
+      | Ast.Int n -> Some (n, n)
+      | Ast.Var x -> Option.bind (List.assoc_opt x scope) (fun s -> bounds.(s))
+      | Ast.Neg a -> Option.map (fun (l, h) -> (-h, -l)) (range scope a)
+      | Ast.Add (a, b) -> both a b (fun (l, h) (l', h') -> Some (l + l', h + h'))
+      | Ast.Sub (a, b) -> both a b (fun (l, h) (l', h') -> Some (l - h', h - l'))
+      | Ast.Mul (a, b) ->
+        both a b (fun (l, h) (l', h') ->
+            let p = [ l * l'; l * h'; h * l'; h * h' ] in
+            Some (List.fold_left min max_int p, List.fold_left max min_int p))
+      | Ast.Div (a, Ast.Int k) when k > 0 ->
+        Option.map (fun (l, h) -> (l / k, h / k)) (range scope a)
+      | Ast.Mod (a, Ast.Int k) when k > 0 ->
+        Option.map
+          (fun (l, h) ->
+            if l > -k && h < k && (l >= 0 || h <= 0) then (l, h)
+            else if l >= 0 then (0, k - 1)
+            else if h <= 0 then (1 - k, 0)
+            else (1 - k, k - 1))
+          (range scope a)
+      | Ast.Div _ | Ast.Mod _ | Ast.Load _ -> None
+    in
+    match r with
+    | Some (l, h) when l >= - range_limit && h <= range_limit -> r
+    | _ -> None
+  in
+  let tables = Hashtbl.create 16 in
   (* innermost binding first; a repeated parameter name keeps its last
      value *)
   let params = List.rev (List.mapi (fun i (n, _) -> (n, i)) p.params) in
@@ -233,7 +312,33 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
     sink.cur <- sink.bufs.(t);
     if tagging then sink.scur <- sink.sbufs.(t)
   in
+  (* A chain over an operand whose range is known and at most [max_table]
+     wide is one lookup into its values over that range; an operand
+     outside it evaluates the chain directly. *)
   let rec expr scope e : unit -> int =
+    match e with
+    | (Ast.Div (_, Ast.Int k) | Ast.Mod (_, Ast.Int k)) when k > 0 -> (
+      let base = chain_base e in
+      match range scope base with
+      | Some (lo, hi) when hi - lo < max_table ->
+        let key = (chain_ops e, lo, hi) in
+        let values =
+          match Hashtbl.find_opt tables key with
+          | Some t -> t
+          | None ->
+            let t = Array.init (hi - lo + 1) (fun i -> chain_value e (lo + i)) in
+            Hashtbl.replace tables key t;
+            t
+        in
+        let x = expr scope base in
+        fun () ->
+          let v = x () in
+          let i = v - lo in
+          if i >= 0 && i < Array.length values then values.(i)
+          else chain_value e v
+      | _ -> direct scope e)
+    | _ -> direct scope e
+  and direct scope e : unit -> int =
     match e with
     | Ast.Int n -> fun () -> n
     | Ast.Add (a, Ast.Int k) ->
@@ -344,9 +449,17 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
   (* One access of a reference whose value is not needed.  Affine
      subscripts read no array and cannot fail, so such a reference runs
      none of them: it computes its address from the loop slots through
-     {!compose}, and past the cap it only counts. *)
+     {!compose}, and past the cap it only counts.  Any other {!pure}
+     reference evaluates its subscripts only to store the access. *)
   and access scope (r : Ast.ref_) w : unit -> unit =
     match affine_ref scope r with
+    | None when List.for_all (pure scope) r.subs ->
+      if exclude r.array then fun () -> ()
+      else
+        let read = reference scope r w in
+        fun () ->
+          let b = sink.cur in
+          if b.len < cap then ignore (read ()) else b.dropped <- b.dropped + 1
     | None ->
       let read = reference scope r w in
       fun () -> ignore (read ())
@@ -402,6 +515,10 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
         ignore (rhs ());
         lhs ()
     | Ast.Loop l ->
+      bounds.(slot) <-
+        (match (range scope l.lo, range scope l.hi) with
+         | Some (lo, _), Some (_, hi) when lo <= hi -> Some (lo, hi)
+         | _ -> None);
       let lo = expr scope l.lo and hi = expr scope l.hi in
       let scope = (l.index, slot) :: scope in
       if l.parallel && not inside then begin

@@ -18,8 +18,13 @@
     [k * e], [e * k], [e / k], [e mod k]) becomes one closure, and so
     do [x / k] or [x mod k] on a bound name [x] and [(e / k1) mod k2];
     a chain [(e / k1) / k2] of positive literals is one division by
-    [k1·k2], which truncation makes equal.  A literal emits no access,
-    so this moves nothing in the order below.  Accesses are
+    [k1·k2], which truncation makes equal.  A chain of [/] and [mod] by
+    positive literals over an operand whose range the loop bounds and
+    parameters determine (at most 65536 values) is one lookup into a
+    table of the chain's values over that range, computed with the same
+    operators; an operand outside the table evaluates the chain
+    directly.  A literal emits no access, so this moves nothing in the
+    order below.  Accesses are
     emitted in this evaluation order, which the trace (and every golden
     built from it) encodes:
     - a binary operator evaluates its {e right} operand first;
@@ -138,10 +143,13 @@ val trace_capped :
 (** Like {!trace}, but each thread stores only its first [cap] accesses
     of a phase: [(streams, counts)] where [counts.(t)] is the number of
     accesses thread [t] performed and [streams.(t)] the first
-    [min cap counts.(t)] of them.  Past the cap an affine reference
-    only counts; any other still evaluates its subscripts (and
-    [index_lookup] still runs), but [addr_of] is not called, so a
-    reference whose first run lies past the cap never resolves.  A
+    [min cap counts.(t)] of them.  Past the cap a reference whose
+    subscripts cannot fail — no array read, only bound names, division
+    only by positive literals, as every affine and strip-mined subscript
+    is — only counts; any other still evaluates its subscripts (and
+    [index_lookup] still runs), so it raises where {!trace} would.
+    [addr_of] is not called past the cap, so a reference whose first
+    run lies past the cap never resolves.  A
     reference to an array for which [exclude] (default: none) holds
     emits nothing and is not counted; its non-affine subscripts and
     [index_lookup] still run.  The stored prefix is

@@ -37,6 +37,10 @@ let search_of ctx = function
         ~default:Core.Place_search.default_params.Core.Place_search.restarts
         "restarts" D.int j
     in
+    let* () =
+      if restarts < 0 then Error (ctx ^ ": \"restarts\" must be >= 0")
+      else Ok ()
+    in
     let* pool_name = D.field ~default:"perimeter" "pool" D.string j in
     let* pool =
       Result.map_error
@@ -44,6 +48,11 @@ let search_of ctx = function
         (Noc.Placement.pool_of_string pool_name)
     in
     let* pressure = D.field ~default:1.0 "pressure" D.float j in
+    let* pressure =
+      Result.map_error
+        (fun e -> ctx ^ ": \"pressure\": " ^ e)
+        (Core.Mapping_select.check_pressure pressure)
+    in
     Ok (Some ({ Core.Place_search.pool; seed; restarts }, pressure))
   | _ -> Error (ctx ^ " must be a boolean or an object")
 

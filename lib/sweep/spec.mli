@@ -27,7 +27,9 @@
     machine ([mesh<W>x<H>-mc4] for another mesh size); [interleave] and
     [mapping] re-configure it, and [""] (their default) keeps the
     platform's own; [search] ([true] or
-    [{"seed", "pool", "restarts", "pressure"}]) runs the deterministic
+    [{"seed", "pool", "restarts", "pressure"}], [restarts >= 0] and
+    [pressure] per {!Core.Mapping_select.check_pressure}) runs the
+    deterministic
     {!Core.Place_search} and substitutes the searched machine for the
     config's platform — the searched placement name embeds a site digest,
     so cached results on different searched machines never collide;

@@ -5,12 +5,14 @@
      dune exec test/gen_golden.exe -- --attr golden/seed0_attr.txt
      dune exec test/gen_golden.exe -- --emits test/golden
      dune exec test/gen_golden.exe -- --dram test/golden
+     dune exec test/gen_golden.exe -- --search test/golden
 
    The seed-0 stats golden pins the simulator's observable behavior: the
    engine refactors (event heap, request pool, route memoization) must
    keep it byte-identical.  The --dram goldens pin the same run under
    the memory controller's non-default paths.  The --emits goldens pin the compiler
-   pipeline's stage dumps (occ --emit) for jacobi and hpccg.
+   pipeline's stage dumps (occ --emit) for jacobi and hpccg.  The --search
+   goldens pin the placement search as occ runs it.
    Regenerating either is legitimate only when a change intentionally
    alters the simulated timing model or the pass artifacts — never to
    absorb an accidental behavior change; say why in the commit that
@@ -145,8 +147,49 @@ let serve_goldens dir =
         Printf.printf "golden written to %s\n" path)
     [ 0; 1 ]
 
+(* The placement-search goldens: [occ --app apsi --mapping search
+   --platform P --search-seed S] on both 8-controller presets, seeds 0
+   and 1.  [search_P_seedS.json] is the --search-out file, byte for byte;
+   [search_P_seedS.txt] holds the C004 notes, then the whole descent
+   trajectory (the note elides all but its first 40 steps). *)
+let search_goldens dir =
+  let app = Workloads.Suite.by_name "apsi" in
+  List.iter
+    (fun (platform, seed) ->
+      let cfg =
+        match Sim.Config.build ~scaled:false ~platform ~mapping:"" () with
+        | Ok c -> c
+        | Error e -> failwith e
+      in
+      let r =
+        Core.Pipeline.compile ~verify:false ~bank_pressure:1.0
+          ~platform:(Sim.Config.platform cfg)
+          ~search:{ Core.Place_search.default_params with seed }
+          ~cfg:(Sim.Config.customize_config cfg)
+          (Core.Pipeline.Program (Workloads.App.program app))
+      in
+      let o = Option.get r.Core.Pipeline.artifacts.Core.Pipeline.search in
+      let stem = Filename.concat dir (Printf.sprintf "search_%s_seed%d" platform seed) in
+      (match
+         Obs.Json.to_file (stem ^ ".json")
+           (Core.Platform.to_json o.Core.Place_search.platform)
+       with
+       | Ok () -> ()
+       | Error e -> failwith e);
+      let oc = open_out (stem ^ ".txt") in
+      List.iter
+        (fun (d : Lang.Diag.t) ->
+          if String.equal d.Lang.Diag.code "C004" then
+            output_string oc (d.Lang.Diag.message ^ "\n"))
+        r.Core.Pipeline.diags;
+      List.iter (fun l -> output_string oc (l ^ "\n")) o.Core.Place_search.trajectory;
+      close_out oc;
+      Printf.printf "goldens written to %s.{json,txt}\n" stem)
+    [ ("mesh8x8-mc8", 0); ("mesh8x8-mc8", 1); ("chiplet2x2-mc8", 0); ("chiplet2x2-mc8", 1) ]
+
 let () =
   match Array.to_list Sys.argv with
+  | _ :: "--search" :: dir :: _ -> search_goldens dir
   | _ :: "--emits" :: dir :: _ -> emit_goldens dir
   | _ :: "--attr" :: rest -> attr_golden (List.nth_opt rest 0)
   | _ :: "--serve" :: dir :: _ -> serve_goldens dir

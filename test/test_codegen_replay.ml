@@ -3,9 +3,9 @@
    side's [__home] reads; [Naive_codegen_replay] traces everything and
    filters.  Both must give the same diagnostics, text for text, on every
    compiled workload and on transformed programs mutated to diverge
-   inside the comparison cap, beyond it, in length only, or by a dropped
-   statement (test_pipeline.ml adds the untransformed program replayed as
-   the emitted one).  The workload cases double as the clean-V007 gate: every
+   inside the comparison cap, beyond it, in length only, by a dropped
+   statement, or by a division by zero beyond the cap (test_pipeline.ml
+   adds the untransformed program replayed as the emitted one).  The workload cases double as the clean-V007 gate: every
    app whose emitted C replays must stay silent, and hpccg's and
    minimd's known defect must keep its exact text. *)
 
@@ -171,6 +171,17 @@ let extra_read = function
   | Ast.Assign (r, e) :: rest -> Ast.Assign (r, Ast.Add (e, Ast.Load r)) :: rest
   | _ -> failwith "extra_read: no leading assignment"
 
+(* the first statement's written element divided, in its last
+   dimension, by [i - i]: zero, but not a literal *)
+let zero_divisor = function
+  | Ast.Assign (r, e) :: rest ->
+    let subs = List.rev r.Ast.subs in
+    let subs =
+      List.rev (Ast.Div (List.hd subs, Ast.Sub (row, row)) :: List.tl subs)
+    in
+    Ast.Assign ({ r with Ast.subs }, e) :: rest
+  | _ -> failwith "zero_divisor: no leading assignment"
+
 let check_mutant ~expect mutate () =
   let c = Lazy.force kernel in
   Alcotest.(check (list string)) "the unmutated kernel replays clean" []
@@ -229,6 +240,13 @@ let suite =
                  ]
                (map_inner 0 (fun b ->
                     guarded row Ast.Eq (Ast.Int 14) (extra_read b) b)));
+          Alcotest.test_case "zero divisor beyond the cap" `Quick
+            (check_mutant
+               ~expect:[ "codegen replay failed to trace: Division_by_zero" ]
+               (map_inner 0 (fun b ->
+                    guarded
+                      (Ast.Mod (row, Ast.Int 16))
+                      Ast.Ge (Ast.Int 14) (zero_divisor b) b)));
           Alcotest.test_case "dropped statement" `Quick
             (check_mutant
                ~expect:

@@ -23,11 +23,40 @@ let subscript_choices_2d =
 
 type kernel = { src : string; n : int }
 
+(* A strip-mined chain over an affine [e] — [((e/k1)/k2)%k3] as the pass
+   emits it, or a shorter [/]/[%] chain — with positive literal divisors;
+   rarely a division by the parameter [R] instead, which is not a
+   literal.  [e] may be negative, and [K*i] with a large [K] spans more
+   values than a chain table holds. *)
+let gen_chain it other =
+  let open Gen in
+  let v = Ast.Var it and k = int_range 1 9 in
+  let* e =
+    frequency
+      [
+        (3, return v);
+        (2, map (fun c -> Ast.Add (v, Ast.Int c)) (int_range (-3) 3));
+        (1, return (Ast.Add (Ast.Mul (Ast.Var "R", v), Ast.Var other)));
+        (1, return (Ast.Sub (Ast.Sub (Ast.Var "N", Ast.Int 1), v)));
+        (1, map (fun c -> Ast.Add (Ast.Neg v, Ast.Int c)) (int_range (-3) 3));
+        (1, map (fun c -> Ast.Mul (Ast.Int c, v)) (int_range 1700 5000));
+      ]
+  in
+  let* k1 = k and* k2 = k and* k3 = k in
+  frequency
+    [
+      (4, return (Ast.Mod (Ast.Div (Ast.Div (e, Ast.Int k1), Ast.Int k2), Ast.Int k3)));
+      (1, return (Ast.Mod (Ast.Div (e, Ast.Int k1), Ast.Int k2)));
+      (1, return (Ast.Div (Ast.Mod (e, Ast.Int k1), Ast.Int k2)));
+      (1, return (Ast.Mod (e, Ast.Int k1)));
+      (1, return (Ast.Mod (Ast.Div (e, Ast.Var "R"), Ast.Int k1)));
+    ]
+
 (* The wide subscript grammar, one dimension over iterator [it] with
    [other] the other iterator: constant offsets, parameter products
    ([R*i+j], [R*i+k]), negated iterators ([N-1-i], [-i+k]), and offsets
-   large enough to leave the array; [i/2] keeps a non-affine form in the
-   mix. *)
+   large enough to leave the array; [i/2] and the {!gen_chain} chains
+   keep non-affine forms in the mix. *)
 let gen_wide_sub it other =
   let open Gen in
   let v = Ast.Var it and k = int_range (-3) 3 in
@@ -41,14 +70,15 @@ let gen_wide_sub it other =
       (1, map (fun c -> Ast.Add (Ast.Neg v, Ast.Int c)) k);
       (1, map (fun c -> Ast.Sub (v, Ast.Int c)) (int_range 4 40));
       (1, return (Ast.Div (v, Ast.Int 2)));
+      (2, gen_chain it other);
     ]
 
 (* One statement per array, [A[s] = B[r] + 1], optionally widened with
    the shapes the trace generator must order exactly: a second load in
    the right operand of the [+], an [if] with loads on both sides of its
    condition, and a reference subscripted through an index array.  With
-   [wide], subscripts come from {!gen_wide_sub} and the loop bounds and
-   [N] may be odd. *)
+   [wide], subscripts come from {!gen_wide_sub}, the loop bounds and [N]
+   may be odd, and the loops may start below zero. *)
 let gen_kernel_of ~wide : kernel Gen.t =
   let open Gen in
   let* n_arrays = int_range 1 3 in
@@ -56,7 +86,7 @@ let gen_kernel_of ~wide : kernel Gen.t =
     if wide then int_range 8 40 else map (fun k -> 8 * k) (int_range 4 8)
   in
   let* r = int_range 2 3 in
-  let* lo = if wide then int_range 0 3 else return 2 in
+  let* lo = if wide then int_range (-4) 3 else return 2 in
   let* hi_gap = if wide then int_range 1 4 else return 3 in
   (* one subscript choice per load until they run out, then (i, j) *)
   let* sub_choices =

@@ -166,6 +166,40 @@ let prop_capped =
       in
       want = capped && !calls = stored)
 
+(* [trace_capped] against the naive walk itself, on wide kernels with
+   strip-mined [((e/k1)/k2)%k3] chains, negative and odd loop ranges:
+   at caps 0, 1, 7 and unbounded, each thread stores the head of the
+   naive stream and counts all of it.  Chain subscripts stage as tables
+   over their operand's range and, past the cap, a reference made only
+   of them skips its subscripts; neither may move an access or a
+   count. *)
+let prop_capped_chains =
+  let mix v = Array.fold_left (fun a x -> (a * 131) + x) 0 v land 0xffffff in
+  let addr_of name v = (Hashtbl.hash name land 0xff lsl 24) lor mix v in
+  let gen = Gen.pair Test_fuzz.gen_kernel_wide (Gen.int_range 1 8) in
+  QCheck.Test.make ~name:"capped = naive on strip-mined chains" ~count:200
+    (QCheck.make
+       ~print:(fun (k, threads) ->
+         Printf.sprintf "%s\nthreads=%d" k.Test_fuzz.src threads)
+       gen)
+    (fun (k, threads) ->
+      let p = Test_fuzz.parse k.Test_fuzz.src in
+      let index_lookup _ v = Array.fold_left ( + ) 0 v mod 5 in
+      let want =
+        Naive_interp.trace_gen ~threads ~addr_of ~index_lookup
+          ~site_of:(fun _ -> 0) p
+      in
+      List.for_all
+        (fun cap ->
+          let head s = Array.sub s 0 (min cap (Array.length s)) in
+          Lang.Interp.trace_capped ~threads ~cap
+            ~addr_of:(fun a -> Lang.Interp.Fn (addr_of a))
+            ~index_lookup p
+          = List.map
+              (fun (ph, _) -> (Array.map head ph, Array.map Array.length ph))
+              want)
+        [ 0; 1; 7; max_int ])
+
 (* Composed addresses: each array of a wide random kernel (constant
    offsets, [R*i+j], negated iterators, odd bounds, subscripts that leave
    the array) gets a random layout from [Test_core.gen_layout], and the
@@ -366,7 +400,8 @@ let suite =
   [
     ( "interp_oracle",
       List.map QCheck_alcotest.to_alcotest
-        (prop_fuzz_kernels :: prop_capped :: prop_composed_addresses
+        (prop_fuzz_kernels :: prop_capped :: prop_capped_chains
+       :: prop_composed_addresses
         :: List.map prop_named named_cases)
       @ [
           Alcotest.test_case "constant operands keep the failure points" `Quick

@@ -269,6 +269,41 @@ let test_search_mapping_selection () =
       c.Core.Customize.placement.Noc.Placement.name
   | None -> Alcotest.fail "no chosen config"
 
+(* --- calibration inputs (occ --calibrate) ------------------------------ *)
+
+(* A stats file whose bank pressure the cost model cannot price is a
+   one-line error naming the file, read as occ reads it: a negative queue
+   count, an infinite finish time, and a pressure that overflows to
+   infinity. *)
+let test_calibrate_rejects_bad_pressure () =
+  let stats ~queued ~finish =
+    Printf.sprintf
+      {|{"stats":{"metrics":{"counters":{"mem.queue_cycles":%d},"gauges":{"sim.finish_time":%s}}}}|}
+      queued finish
+  in
+  List.iter
+    (fun (what, text) ->
+      let path = Filename.temp_file "calibrate" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          match
+            Obs.Json.decode_file path Core.Mapping_select.bank_pressure_of_stats
+          with
+          | Ok p -> Alcotest.failf "%s: accepted bank pressure %g" what p
+          | Error e ->
+            Alcotest.(check bool) (what ^ ": one line") false (String.contains e '\n');
+            Alcotest.(check bool) (what ^ ": names the file") true
+              (Astring.String.is_prefix ~affix:(path ^ ": ") e)))
+    [
+      ("negative queue cycles", stats ~queued:(-1459684) ~finish:"1474200");
+      ("infinite finish time", stats ~queued:1459684 ~finish:"1e999");
+      ("infinite pressure", stats ~queued:1459684 ~finish:"1e-320");
+    ];
+  Alcotest.(check bool) "zero pressure is valid" true
+    (Core.Mapping_select.check_pressure 0. = Ok 0.)
+
 (* --- C003: fixable kept-array warnings -------------------------------- *)
 
 let test_keep_warning_no_profile () =
@@ -570,6 +605,8 @@ let suite =
           test_verifier_catches_corrupted_mapping;
         Alcotest.test_case "auto mapping selection (C002)" `Quick
           test_auto_mapping_selection;
+        Alcotest.test_case "calibration rejects a bad bank pressure" `Quick
+          test_calibrate_rejects_bad_pressure;
         Alcotest.test_case "placement search selection (C004)" `Quick
           test_search_mapping_selection;
         Alcotest.test_case "kept-array warning (C003)" `Quick

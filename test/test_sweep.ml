@@ -97,7 +97,17 @@ let test_spec_malformed () =
   expect_error ~message:{|unknown sweep field "domains"|}
     {|{"apps":["apsi"],"domains":2}|};
   expect_error ~message:{|unknown search field "restart"|}
-    {|{"apps":["apsi"],"configs":[{"search":{"restart":3}}]}|}
+    {|{"apps":["apsi"],"configs":[{"search":{"restart":3}}]}|};
+  (* the cost model's inputs: negative restarts, a negative or infinite
+     pressure *)
+  expect_error ~message:{|field "search": "restarts" must be >= 0|}
+    {|{"apps":["apsi"],"configs":[{"search":{"restarts":-3,"pressure":1.0}}]}|};
+  expect_error
+    ~message:{|field "search": "pressure": bank pressure -5 is not a finite number >= 0|}
+    {|{"apps":["apsi"],"configs":[{"search":{"restarts":3,"pressure":-5.0}}]}|};
+  expect_error
+    ~message:{|field "search": "pressure": bank pressure inf is not a finite number >= 0|}
+    {|{"apps":["apsi"],"configs":[{"search":{"pressure":1e999}}]}|}
 
 (* The cache identity covers every Config field, including the ones the
    result document's config summary leaves out: two jobs that differ only
