@@ -30,13 +30,11 @@ let read_source file app =
     with
     | src -> Ok (Core.Pipeline.Source { file = f; src }, Some src, None)
     | exception Sys_error e -> Error e)
-  | None, Some name -> (
-    match Workloads.Suite.by_name name with
-    | app -> Ok (Core.Pipeline.Program (Workloads.App.program app), None, Some app)
-    | exception Not_found ->
-      Error
-        (Printf.sprintf "unknown application %S (known: %s)" name
-           (String.concat ", " Workloads.Suite.names)))
+  | None, Some name ->
+    Result.map
+      (fun app ->
+        (Core.Pipeline.Program (Workloads.App.program app), None, Some app))
+      (Workloads.Suite.by_name_result name)
   | Some _, Some _ -> Error "give either a file or --app, not both"
   | None, None -> Error "give a source file or --app NAME"
 

@@ -23,12 +23,11 @@ let run name optimized platform l2 interleave policy mapping tpc optimal
     Printf.eprintf "simulate: %s\n" e;
     Cli.user_error
   | Ok () -> (
-  match Workloads.Suite.by_name name with
-  | exception Not_found ->
-    Printf.eprintf "simulate: unknown application %S (known: %s)\n" name
-      (String.concat ", " Workloads.Suite.names);
+  match Workloads.Suite.by_name_result name with
+  | Error e ->
+    prerr_endline ("simulate: " ^ e);
     Cli.user_error
-  | app -> (
+  | Ok app -> (
     match
       Sim.Config.build ~scaled:(not full_scale) ~platform ~l2 ~interleave
         ~policy ~mapping ~tpc ~optimal ~seed ()

@@ -5,8 +5,6 @@ let make matrix offset =
     invalid_arg "Access.make: offset/matrix mismatch";
   { matrix; offset }
 
-let identity m = { matrix = Matrix.identity m; offset = Vec.zero m }
-
 let rank r = Matrix.rows r.matrix
 
 let depth r = Matrix.cols r.matrix
@@ -17,8 +15,6 @@ let submatrix r ~u = Matrix.drop_col r.matrix u
 
 let transform u r =
   { matrix = Matrix.mul u r.matrix; offset = Matrix.mul_vec u r.offset }
-
-let equal a b = Matrix.equal a.matrix b.matrix && Vec.equal a.offset b.offset
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>A =@,%a@,o = %a@]" Matrix.pp r.matrix Vec.pp r.offset

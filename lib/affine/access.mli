@@ -10,9 +10,6 @@ val make : Matrix.t -> Vec.t -> t
 (** Raises [Invalid_argument] if the offset dimension does not match the
     matrix row count. *)
 
-val identity : int -> t
-(** The reference [X[i₁]…[iₘ]] of rank [m]. *)
-
 val rank : t -> int
 (** Array rank [n] (number of subscripts). *)
 
@@ -30,7 +27,5 @@ val submatrix : t -> u:int -> Matrix.t
 val transform : Matrix.t -> t -> t
 (** [transform u r] is the reference after the unimodular layout
     transformation [u]: [r' = U·A·i + U·o]. *)
-
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -13,10 +13,6 @@ val column_echelon : Matrix.t -> Matrix.t * Matrix.t * int
     unimodular, [h] is in column echelon form (each successive pivot row
     strictly below the previous; columns beyond [rank] are zero). *)
 
-val nullspace : Matrix.t -> Vec.t list
-(** [nullspace m] is a basis of the integer kernel lattice
-    [{x | m·x = 0}].  The empty list means the kernel is trivial. *)
-
 val kernel_vector : Matrix.t -> Vec.t option
 (** [kernel_vector m] is a primitive nontrivial solution of [m·x = 0], or
     [None] when only the trivial solution exists.  Among the basis vectors

@@ -1,7 +1,5 @@
 type t = int array array
 
-let make ~rows ~cols c = Array.init rows (fun _ -> Array.make cols c)
-
 let identity n = Array.init n (fun i -> Vec.unit n i)
 
 let rows m = Array.length m
@@ -21,10 +19,6 @@ let row m i = Vec.copy m.(i)
 let col m j = Array.init (rows m) (fun i -> m.(i).(j))
 
 let copy m = Array.map Vec.copy m
-
-let transpose m =
-  let r = rows m and c = cols m in
-  Array.init c (fun j -> Array.init r (fun i -> m.(i).(j)))
 
 let mul a b =
   if cols a <> rows b then invalid_arg "Matrix.mul";
@@ -122,5 +116,3 @@ let pp ppf m =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,")
        Vec.pp)
     (Array.to_list m)
-
-let to_string m = Format.asprintf "%a" pp m

@@ -8,8 +8,6 @@
 
 type t = int array array
 
-val make : rows:int -> cols:int -> int -> t
-
 val identity : int -> t
 
 val rows : t -> int
@@ -28,8 +26,6 @@ val col : t -> int -> Vec.t
 (** [col m j] is a copy of the [j]-th column. *)
 
 val copy : t -> t
-
-val transpose : t -> t
 
 val mul : t -> t -> t
 (** Matrix product.  Raises [Invalid_argument] on dimension mismatch. *)
@@ -58,5 +54,3 @@ val inverse : t -> t
 val swap_rows : t -> int -> int -> unit
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

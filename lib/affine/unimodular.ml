@@ -12,26 +12,3 @@ let complete_row g ~v =
   let u = Matrix.inverse c in
   if v <> 0 then Matrix.swap_rows u 0 v;
   u
-
-let hermite_normal_form m0 =
-  let n = Matrix.rows m0 in
-  if n <> Matrix.cols m0 then invalid_arg "Unimodular.hermite_normal_form";
-  if Matrix.det m0 = 0 then
-    invalid_arg "Unimodular.hermite_normal_form: singular";
-  let h, _, _ = Gauss.column_echelon m0 in
-  (* h is lower triangular with positive diagonal; reduce the entries to the
-     left of each diagonal into [0, h.(i).(i)). *)
-  let fdiv a b =
-    (* floor division for positive b *)
-    if a >= 0 then a / b else -(((-a) + b - 1) / b)
-  in
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      let q = fdiv h.(i).(j) h.(i).(i) in
-      if q <> 0 then
-        for r = i to n - 1 do
-          h.(r).(j) <- h.(r).(j) - (q * h.(r).(i))
-        done
-    done
-  done;
-  h

@@ -12,9 +12,3 @@ val complete_row : Vec.t -> v:int -> Matrix.t
     [Invalid_argument] otherwise.  The other rows are chosen so that, when
     [g] is a unit vector, [u] is a pure dimension permutation (the common
     case, producing the cheapest transformed subscripts). *)
-
-val hermite_normal_form : Matrix.t -> Matrix.t
-(** Row-style Hermite normal form of a nonsingular square integer matrix
-    (lower triangular, positive diagonal, entries below the diagonal
-    reduced modulo it), obtained by unimodular column operations.  Used in
-    tests and mirrors Algorithm 1's line 11 fallback. *)

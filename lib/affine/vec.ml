@@ -1,7 +1,5 @@
 type t = int array
 
-let make n c = Array.make n c
-
 let zero n = Array.make n 0
 
 let unit n i =
@@ -13,8 +11,6 @@ let unit n i =
 let dim = Array.length
 
 let of_list = Array.of_list
-
-let to_list = Array.to_list
 
 let copy = Array.copy
 

@@ -8,9 +8,6 @@
 
 type t = int array
 
-val make : int -> int -> t
-(** [make n c] is the [n]-dimensional vector with every component [c]. *)
-
 val zero : int -> t
 (** [zero n] is the [n]-dimensional zero vector. *)
 
@@ -22,8 +19,6 @@ val dim : t -> int
 (** Number of components. *)
 
 val of_list : int list -> t
-
-val to_list : t -> int list
 
 val copy : t -> t
 
@@ -44,10 +39,6 @@ val dot : t -> t -> int
 val is_zero : t -> bool
 
 val equal : t -> t -> bool
-
-val gcd : int -> int -> int
-(** Greatest common divisor on naturals; [gcd 0 0 = 0].  Arguments may be
-    negative (their absolute values are used). *)
 
 val content : t -> int
 (** [content v] is the gcd of all components (0 for the zero vector). *)

@@ -9,20 +9,17 @@ val ok : int
 
 val user_error : int
 
-val internal_error : int
-
 val eval : ?argv:string array -> int Cmdliner.Cmd.t -> int
 (** Evaluates a driver's command line ([argv] defaults to
     [Sys.argv]) and returns its exit code: the body's own code, {!ok}
     for [--help]/[--version], {!user_error} for a bad flag or value
-    (reported as one line on stderr) and {!internal_error} for an
-    exception escaping an unguarded body. *)
+    (reported as one line on stderr) and [2] for an exception escaping
+    an unguarded body. *)
 
 val guard : name:string -> (unit -> int) -> int
 (** Runs the driver body; an escaping exception is reported as
     [<name>: internal error: ...] on stderr (with a backtrace when
-    [OCAMLRUNPARAM] asks for one) and becomes exit code
-    {!internal_error}. *)
+    [OCAMLRUNPARAM] asks for one) and becomes exit code [2]. *)
 
 (** {2 Shared platform flags}
 

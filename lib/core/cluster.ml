@@ -56,9 +56,10 @@ let m1 ~width ~height = make_result ~name:"M1" ~width ~height ~cx:2 ~cy:2 ~k:1
 let m2 ~width ~height = make_result ~name:"M2" ~width ~height ~cx:2 ~cy:1 ~k:2
 
 let with_mcs_result ~width ~height ~mcs =
-  (* as square a cluster grid as evenly tiles the mesh *)
+  (* as square a cluster grid as evenly tiles the mesh; a split [d]
+     past the width cannot divide it *)
   let rec best_split d best =
-    if d > mcs then best
+    if d > mcs || d > width then best
     else
       let ok = mcs mod d = 0 && width mod d = 0 && height mod (mcs / d) = 0 in
       let score = abs (d - (mcs / d)) in

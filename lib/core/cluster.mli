@@ -50,9 +50,6 @@ val num_cores : t -> int
 
 val cores_per_cluster : t -> int
 
-val cluster_of_coord : t -> Noc.Coord.t -> int
-(** Cluster index [Cx·cy + Cy] of a mesh coordinate. *)
-
 val cluster_of_node : t -> Noc.Topology.t -> int -> int
 
 val mcs_of_cluster : t -> int -> int list

@@ -33,11 +33,6 @@ type config = {
   elem_bytes : int;
 }
 
-val transformed_extents :
-  u:Affine.Matrix.t -> extents:int array -> int array * Affine.Vec.t
-(** Bounding box of [U] applied to the data space: per-dimension extents
-    of [a' = U·a + shift] and the normalizing [shift]. *)
-
 val customize :
   config -> array:string -> extents:int array -> u:Affine.Matrix.t -> v:int -> Layout.t
 (** The full customization for one array.  [v] is the data-partition
@@ -48,5 +43,3 @@ val allowed_mcs : config -> home_thread:int -> bool array
     whose home bank is [home_thread]'s node — the desired (cluster)
     controllers plus those adjacent to them.  [C] in Algorithm 1 is the
     complement of this set. *)
-
-val ceil_div : int -> int -> int

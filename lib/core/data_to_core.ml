@@ -23,9 +23,6 @@ let kernel_for ~rank ~v = function
     let m = Matrix.of_rows constraints in
     Affine.Gauss.kernel_vector m
 
-let solve_single access ~u ~v =
-  kernel_for ~rank:(Access.rank access) ~v (constraints_of access ~u)
-
 let satisfies g access ~u =
   List.for_all (fun c -> Vec.dot g c = 0) (constraints_of access ~u)
 

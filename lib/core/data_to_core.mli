@@ -6,7 +6,9 @@
     must map to the same hyperplane, which reduces to the homogeneous
     system [Bᵀ·gᵥᵀ = 0] (Eq. 3) with [B] the access matrix minus the
     iteration-partition column.  With several references, submatrices are
-    weighted by trip count and the heaviest solvable system wins. *)
+    weighted by trip count and the heaviest solvable system wins.  With
+    no constraints (depth-1 nests) the unit vector along [v] solves,
+    keeping the original layout. *)
 
 type weighted_ref = {
   access : Affine.Access.t;
@@ -21,15 +23,6 @@ type solution = {
       (** total weight of references whose system [g] also solves *)
   total_weight : int;
 }
-
-val constraints_of : Affine.Access.t -> u:int -> Affine.Vec.t list
-(** The rows of [Bᵀ]: the columns of the access matrix other than the
-    [u]-th.  [gᵥ] must be orthogonal to each. *)
-
-val solve_single : Affine.Access.t -> u:int -> v:int -> Affine.Vec.t option
-(** [gᵥ] for one reference, or [None] when only the trivial solution
-    exists.  With no constraints (depth-1 nests) the unit vector along
-    [v] is returned, keeping the original layout. *)
 
 val satisfies : Affine.Vec.t -> Affine.Access.t -> u:int -> bool
 (** Does [g] solve this reference's system? *)

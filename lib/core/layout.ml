@@ -30,15 +30,6 @@ let identity ~array ~extents ~elem_bytes =
     p_elems = 1;
   }
 
-let is_identity l =
-  Matrix.equal l.u (Matrix.identity (Array.length l.orig_extents))
-  && Array.length l.out = Array.length l.orig_extents
-  && Array.for_all Fun.id
-       (Array.mapi
-          (fun i d -> d.expr = D i && d.extent = l.orig_extents.(i))
-          l.out)
-  && Vec.is_zero l.a_shift
-
 let make ~array ~u ?a_shift ~out ~orig_extents ~elem_bytes ~p_elems () =
   let a_shift =
     match a_shift with Some s -> s | None -> Vec.zero (Matrix.rows u)
@@ -156,8 +147,6 @@ let addr_map ?(base = 0) ?(scale = 1) l =
       comps;
       whole = (fun a' -> base + (scale * offset_of_transformed l a'));
     }
-
-let offset_fn l = Lang.Interp.apply (addr_map l)
 
 let rec pp_dim_expr ~names ppf = function
   | D i -> Format.pp_print_string ppf (List.nth names i)

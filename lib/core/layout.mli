@@ -42,8 +42,6 @@ type t = {
 val identity : array:string -> extents:int array -> elem_bytes:int -> t
 (** The untransformed row-major layout. *)
 
-val is_identity : t -> bool
-
 val make :
   array:string ->
   u:Affine.Matrix.t ->
@@ -65,12 +63,6 @@ val size_elems : t -> int
 
 val size_bytes : t -> int
 
-val eval_dim : dim_expr -> Affine.Vec.t -> int
-(** [eval_dim e a'] evaluates one output dimension on [a' = U·a +
-    a_shift]: truncating [/] and [mod], table lookup for [Perm].  It is
-    the only out-dimension evaluator: {!offset_of_index} calls it per
-    dimension, {!addr_map} fills its tables with it. *)
-
 val offset_of_index : t -> Affine.Vec.t -> int
 (** Element offset (within the array allocation) of an {e original} data
     vector: [a' = U·a + a_shift], then every output dimension in order,
@@ -85,7 +77,8 @@ val addr_map : ?base:int -> ?scale:int -> t -> Lang.Interp.addr_map
     plain [D r] is one coefficient ({!Lang.Interp.Coef}); any other is a
     table ({!Lang.Interp.Table}) over the range [a'_r] takes on the
     original data space's bounding box (from [U]'s row, the shift and
-    [orig_extents]), filled once by {!eval_dim}.  A table holds at most
+    [orig_extents]), filled once with the out-dimension evaluator
+    {!offset_of_index} uses.  A table holds at most
     twice as many entries as the array has elements; a longer range gets
     no table.  Outside its table, where filling it raised
     ([Division_by_zero], a [Perm] index out of range), and wherever a
@@ -93,14 +86,6 @@ val addr_map : ?base:int -> ?scale:int -> t -> Lang.Interp.addr_map
     evaluated directly, so addresses and exceptions are exactly those of
     {!offset_of_index}.  Raises [Invalid_argument "Vec.add"] when the
     shift's length is not [U]'s row count. *)
-
-val offset_fn : t -> Affine.Vec.t -> int
-(** [offset_fn l] is {!offset_of_index}[ l] through [l]'s {!addr_map}
-    tables: staged once, then re-entrant, and allocation-free per call
-    unless an index leaves the tables. *)
-
-val pp_dim_expr : names:string list -> Format.formatter -> dim_expr -> unit
-(** Prints with [D i] rendered as the [i]-th of [names]. *)
 
 val transformed_subscripts : t -> Lang.Ast.expr list -> Lang.Ast.expr list
 (** Rewrites the subscript expressions of a reference: given the original

@@ -81,17 +81,13 @@ val check_pressure : float -> (float, string) result
     loaded the banks are; an infinite one prices every mapping at
     infinity.  Anything else is a one-line error. *)
 
-val bank_pressure_of_snapshot :
-  Obs.Metrics.snapshot -> (float, string) result
-(** Derives the calibrated bank pressure from a profiled run's metrics:
+val bank_pressure_of_stats : Obs.Json.t -> (float, string) result
+(** Derives the calibrated bank pressure from a profiled run's stats
+    document — a full [simulate --stats-json] / sweep result file
+    (snapshot under [.stats.metrics]) or a bare metrics snapshot:
     [mem.queue_cycles / sim.finish_time], i.e. (by Little's law) the
     time-averaged number of requests waiting in bank queues.  The 1.0
     default the pipeline uses corresponds to roughly one perpetually
     queued request platform-wide.  A finish time that is not positive
     and finite, or a pressure {!check_pressure} refuses (a negative
     queue count), is an error. *)
-
-val bank_pressure_of_stats : Obs.Json.t -> (float, string) result
-(** {!bank_pressure_of_snapshot} on a stats document: accepts either a
-    full [simulate --stats-json] / sweep result file (snapshot under
-    [.stats.metrics]) or a bare metrics snapshot. *)

@@ -26,8 +26,6 @@ type ('a, 'b) pass = {
   run : 'a -> ('b, Lang.Diag.t list) result;
 }
 
-val pass : string -> ('a -> ('b, Lang.Diag.t list) result) -> ('a, 'b) pass
-
 type artifacts = {
   mutable program : Lang.Ast.program option;  (** after parse + check *)
   mutable analysis : Lang.Analysis.t option;
@@ -96,10 +94,6 @@ type stage =
   | Transformed
   | Sites_
   | C
-
-val stages : (string * stage) list
-(** CLI name → stage: ast, analysis, solve, mapping, report,
-    transformed, sites, c. *)
 
 val stage_names : string list
 

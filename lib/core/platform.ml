@@ -50,10 +50,34 @@ let placement_for ?sites topo (cluster : Cluster.t) =
         ~name:(Printf.sprintf "perimeter-%d" mcs)
         ~centroids
 
+(* The largest mesh a platform may have.  The simulator's per-node-pair
+   state grows with the square of the node count: simulate apsi peaks
+   near 300 MB on a 64x64 mesh and near 1.6 GB on 100x100. *)
+let max_nodes = 4096
+
+(* The most DRAM banks, and separately the most channels, a machine may
+   have across all its controllers: the controllers keep state per bank
+   and per channel, and attribution keeps a per-(site, controller, bank)
+   cube.  4096 controllers of the default 16 banks is the largest. *)
+let max_banks = 65536
+
+let check_mesh ~name ~width ~height =
+  if width < 1 || height < 1 then
+    Error (Printf.sprintf "platform %s: bad mesh %dx%d" name width height)
+  else if width > max_nodes / height then
+    Error
+      (Printf.sprintf "platform %s: a %dx%d mesh has more than %d nodes" name
+         width height max_nodes)
+  else Ok ()
+
 let make_result ?placement ?(interleaving = Line_interleaved)
     ?(line_bytes = 256) ?(page_bytes = 4096) ?(elem_bytes = 8)
     ?(banks_per_mc = 16) ?(channels_per_mc = 4) ~name ~topo
     ~(cluster : Cluster.t) () =
+  let* () =
+    check_mesh ~name ~width:topo.Noc.Topology.width
+      ~height:topo.Noc.Topology.height
+  in
   let* () =
     if cluster.Cluster.width <> topo.Noc.Topology.width
        || cluster.Cluster.height <> topo.Noc.Topology.height
@@ -64,6 +88,9 @@ let make_result ?placement ?(interleaving = Line_interleaved)
            name cluster.Cluster.name cluster.Cluster.width
            cluster.Cluster.height topo.Noc.Topology.width
            topo.Noc.Topology.height)
+    else if cluster.Cluster.k > max_nodes / Cluster.num_clusters cluster then
+      Error
+        (Printf.sprintf "platform %s: more than %d controllers" name max_nodes)
     else Ok ()
   in
   let* () =
@@ -86,6 +113,15 @@ let make_result ?placement ?(interleaving = Line_interleaved)
         (Printf.sprintf
            "platform %s: banks_per_mc and channels_per_mc must be positive"
            name)
+    else if
+      max banks_per_mc channels_per_mc > max_banks / Cluster.num_mcs cluster
+    then
+      Error
+        (Printf.sprintf
+           "platform %s: %d controllers of %d banks and %d channels: more \
+            than %d banks or channels"
+           name (Cluster.num_mcs cluster) banks_per_mc channels_per_mc
+           max_banks)
     else Ok ()
   in
   let* placement =
@@ -246,9 +282,11 @@ let preset_result name =
       | _ -> None)
     | _ -> None
   in
-  let build ~name ~topo mapping =
-    let width = topo.Noc.Topology.width
-    and height = topo.Noc.Topology.height in
+  (* the mesh is checked before the cluster, whose controller-count
+     split walks the divisors of the mesh width *)
+  let build ?chiplets ~width ~height mapping =
+    let* () = check_mesh ~name ~width ~height in
+    let topo = Noc.Topology.make ?chiplets ~width ~height () in
     let cluster =
       match mapping with
       | `M1 -> Cluster.m1 ~width ~height
@@ -281,8 +319,13 @@ let preset_result name =
           | _ -> None)
     in
     (match (dims "mesh", dims "chiplet", mapping_of map) with
-    | Some (width, height), _, Some mapping ->
-      build ~name ~topo:(Noc.Topology.make ~width ~height ()) mapping
+    | Some (width, height), _, Some mapping -> build ~width ~height mapping
+    | None, Some (gx, gy), Some _
+      when gx > max_nodes / chiplet_tile / chiplet_tile / gy ->
+      Error
+        (Printf.sprintf
+           "platform %s: a %dx%d chiplet grid has more than %d nodes" name gx
+           gy max_nodes)
     | None, Some (gx, gy), Some mapping ->
       let chiplets =
         {
@@ -292,11 +335,8 @@ let preset_result name =
           link_bytes = chiplet_link_bytes;
         }
       in
-      let topo =
-        Noc.Topology.make ~chiplets ~width:(gx * chiplet_tile)
-          ~height:(gy * chiplet_tile) ()
-      in
-      build ~name ~topo mapping
+      build ~chiplets ~width:(gx * chiplet_tile) ~height:(gy * chiplet_tile)
+        mapping
     | _ -> fail ())
 
 let default () =
@@ -390,10 +430,7 @@ let of_json j =
   let* name = D.field ~default:"custom" "name" D.string j in
   let* width = D.field "mesh_width" D.int j in
   let* height = D.field "mesh_height" D.int j in
-  let* () =
-    if width >= 1 && height >= 1 then Ok ()
-    else Error (Printf.sprintf "bad mesh %dx%d" width height)
-  in
+  let* () = check_mesh ~name ~width ~height in
   let topo = Noc.Topology.make ~width ~height () in
   let* hierarchy =
     sub_object "hierarchy"
@@ -451,20 +488,3 @@ let of_file path = Obs.Json.decode_file path of_json
 
 let of_spec spec =
   if Sys.file_exists spec then of_file spec else preset_result spec
-
-let pp ppf t =
-  let hierarchy =
-    match t.topo.Noc.Topology.chiplets with
-    | None -> ""
-    | Some g ->
-      Printf.sprintf " (%dx%d chiplets, cross-links %d cycles/%d B)"
-        g.Noc.Topology.grid_x g.Noc.Topology.grid_y g.Noc.Topology.link_latency
-        g.Noc.Topology.link_bytes
-  in
-  Format.fprintf ppf
-    "@[<v>platform %s: %dx%d mesh%s, %a, placement %s, %s interleaving (%d B \
-     lines, %d B pages), %d banks/MC, %d channels/MC@]"
-    t.name t.topo.Noc.Topology.width t.topo.Noc.Topology.height hierarchy
-    Cluster.pp t.cluster t.placement.Noc.Placement.name
-    (Dram.Address_map.interleaving_to_string t.interleaving)
-    t.line_bytes t.page_bytes t.banks_per_mc t.channels_per_mc

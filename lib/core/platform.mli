@@ -36,9 +36,6 @@ val num_mcs : t -> int
 val granule_bytes : t -> int
 (** The interleaving granule in bytes ([line_bytes] or [page_bytes]). *)
 
-val corner_sites : Noc.Topology.t -> Noc.Coord.t array
-(** The four mesh corners, NW, NE, SW, SE — P1's candidate sites. *)
-
 val placement_for :
   ?sites:Noc.Coord.t array ->
   Noc.Topology.t ->
@@ -61,7 +58,10 @@ val make_result :
   cluster:Cluster.t ->
   unit ->
   (t, string) result
-(** Validates that the cluster tiles the topology, that the placement (if
+(** Validates that the mesh has at most 4096 nodes (the simulator's
+    per-node-pair state grows with the square of the node count), that
+    the cluster tiles the topology with at most that many controllers,
+    that the placement (if
     given) has one site per controller, and that line/page/element sizes
     nest evenly.  Defaults are Table 1's: line interleaving, 256 B lines,
     4 KB pages, 8 B elements, 16 banks and 4 channels per MC; the
@@ -121,5 +121,3 @@ val of_json : Obs.Json.t -> (t, string) result
 
 val of_file : string -> (t, string) result
 (** Reads and decodes a platform file; errors read [PATH: message]. *)
-
-val pp : Format.formatter -> t -> unit

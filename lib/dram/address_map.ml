@@ -45,13 +45,3 @@ let bank_of_paddr t paddr = channel_addr t paddr / t.page_bytes mod t.banks_per_
 
 let row_of_paddr t paddr =
   channel_addr t paddr / t.page_bytes / t.banks_per_mc
-
-let mc_of_vaddr_line t vaddr =
-  match t.interleaving with
-  | Line_interleaved -> vaddr / t.line_bytes mod t.num_mcs
-  | Page_interleaved ->
-    invalid_arg "Address_map.mc_of_vaddr_line: page-interleaved"
-
-let page_of_vaddr t vaddr = vaddr / t.page_bytes
-
-let frame_of_paddr t paddr = paddr / t.page_bytes

@@ -39,15 +39,3 @@ val bank_of_paddr : t -> int -> int
 
 val row_of_paddr : t -> int -> int
 (** DRAM row within the bank (row buffer granularity). *)
-
-val mc_of_vaddr_line : t -> int -> int
-(** Controller selected by the {e virtual} address under cache-line
-    interleaving.  Valid because with line interleaving the MC-selection
-    bits sit inside the page offset, so virtual-to-physical translation
-    does not modify them (Section 3) — this is the property the compiler
-    exploits.  Raises [Invalid_argument] under page interleaving, where
-    the OS controls those bits. *)
-
-val page_of_vaddr : t -> int -> int
-
-val frame_of_paddr : t -> int -> int

@@ -21,12 +21,3 @@ let ddr3_1600 =
     row_conflict = t_rp + t_rcd + t_cas + t_burst;
     burst = t_burst;
   }
-
-let scale f t =
-  let s x = max 1 (int_of_float (ceil (float_of_int x *. f))) in
-  {
-    row_hit = s t.row_hit;
-    row_empty = s t.row_empty;
-    row_conflict = s t.row_conflict;
-    burst = s t.burst;
-  }

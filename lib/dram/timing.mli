@@ -20,6 +20,3 @@ type t = {
 }
 
 val ddr3_1600 : t
-
-val scale : float -> t -> t
-(** Uniformly scales all parameters (sensitivity studies). *)

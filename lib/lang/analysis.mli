@@ -47,10 +47,6 @@ val analyze_result : Ast.program -> (t, Diag.t list) result
 val array_info : t -> string -> array_info
 (** Raises [Not_found] for an undeclared array. *)
 
-val const_expr : (string * int) list -> Ast.expr -> int option
-(** Evaluates an expression that involves only constants and the given
-    bindings; [None] if it mentions anything else. *)
-
 val affine_of_expr :
   params:(string * int) list ->
   iters:string list ->

@@ -35,8 +35,6 @@ val warning : ?code:string -> ?notes:note list -> Span.t -> string -> t
 
 val note : ?span:Span.t -> string -> note
 
-val severity_string : severity -> string
-
 val is_error : t -> bool
 
 val has_errors : t list -> bool
@@ -49,8 +47,6 @@ val pp : ?src:string -> Format.formatter -> t -> unit
     offending source text when [src] is supplied. *)
 
 val to_string : ?src:string -> t -> string
-
-val to_json : ?src:string -> t -> Obs.Json.t
 
 val list_to_json : ?src:string -> t list -> Obs.Json.t
 (** Sorted array of diagnostics — the payload of [occ --diag-json]. *)

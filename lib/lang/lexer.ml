@@ -32,8 +32,6 @@ type token =
 
 type spanned = { tok : token; span : Span.t }
 
-exception Error of string * int
-
 let keyword = function
   | "param" -> Some KW_PARAM
   | "array" -> Some KW_ARRAY
@@ -158,11 +156,6 @@ let scan ?(file = "<input>") src =
   | None ->
     push EOF n n;
     Ok (List.rev !toks)
-
-let tokenize src =
-  match scan src with
-  | Ok spanned -> List.map (fun s -> s.tok) spanned
-  | Error d -> raise (Error (d.Diag.message, d.Diag.span.Span.lo))
 
 let pp_token ppf = function
   | IDENT s -> Format.fprintf ppf "ident %s" s

@@ -34,18 +34,10 @@ type token =
 
 type spanned = { tok : token; span : Span.t }
 
-exception Error of string * int
-(** [Error (message, position)] — legacy wrapper form of a lexical
-    diagnostic, raised only by {!tokenize}. *)
-
 val scan : ?file:string -> string -> (spanned list, Diag.t) result
 (** Tokenizes a full source string into spanned tokens ending with [EOF].
     Comments run from [//] to end of line or between [/*] and [*/]; an
     unterminated block comment or a stray character yields a located
     diagnostic ([L002] / [L001]) instead of silent truncation. *)
-
-val tokenize : string -> token list
-(** Span-free convenience wrapper over {!scan}.  Raises {!Error} on a
-    lexical diagnostic. *)
 
 val pp_token : Format.formatter -> token -> unit

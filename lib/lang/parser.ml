@@ -352,16 +352,3 @@ let parse_result ?file src =
   match parse_program_result ?file src with
   | Result.Error _ as e -> e
   | Ok p -> check_result p
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
-let parse_file_result path =
-  match read_file path with
-  | src -> parse_result ~file:path src
-  | exception Sys_error e ->
-    Result.Error [ Diag.error ~code:"P000" (Span.make ~file:path ~lo:0 ~hi:0) e ]

@@ -31,9 +31,6 @@ val parse_result :
     diagnostic; semantic checking collects one located diagnostic per
     offending reference or loop header. *)
 
-val parse_file_result : string -> (Ast.program, Diag.t list) result
-(** Reads and parses a file; an unreadable file is a [P000] diagnostic. *)
-
 val check_result : Ast.program -> (Ast.program, Diag.t list) result
 (** Scope check alone, for programmatically constructed programs: every
     referenced array declared with a matching subscript count ([S004],

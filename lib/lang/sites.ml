@@ -16,8 +16,6 @@ type t = {
 
 let sites t = t.site_list
 
-let length t = Array.length t.site_list
-
 let id_of_ref t (r : Ast.ref_) =
   match Hashtbl.find_opt t.by_array r.Ast.array with
   | None -> -1
@@ -27,9 +25,6 @@ let id_of_ref t (r : Ast.ref_) =
       | (r', id) :: rest -> if r' == r then id else scan rest
     in
     scan !bucket
-
-let site_of t r =
-  match id_of_ref t r with -1 -> None | id -> Some t.site_list.(id)
 
 (* The walk mirrors the interpreter's emission order exactly (interp.ml):
    an expression emits its loads innermost-subscript first, an assignment
@@ -102,16 +97,3 @@ let pp ?src ppf t =
         s.array s.phase (Span.pp ?src) s.span)
     t.site_list;
   Format.fprintf ppf "@]"
-
-let to_json ?src t =
-  Obs.Json.array
-    (fun s ->
-      Obs.Json.obj
-        [
-          ("id", Obs.Json.Int s.id);
-          ("array", Obs.Json.String s.array);
-          ("write", Obs.Json.Bool s.write);
-          ("phase", Obs.Json.Int s.phase);
-          ("loc", Obs.Json.String (Span.to_string ?src s.span));
-        ])
-    t.site_list

@@ -33,16 +33,10 @@ val of_program : Ast.program -> t
 val sites : t -> site array
 (** All sites, index = id. *)
 
-val length : t -> int
-
 val id_of_ref : t -> Ast.ref_ -> int
 (** The site id of a reference node of the program the table was built
     from, by physical identity; [-1] for foreign nodes. *)
 
-val site_of : t -> Ast.ref_ -> site option
-
 val pp : ?src:string -> Format.formatter -> t -> unit
 (** One line per site: id, array, R/W, phase, location ([src] renders
     line:column positions, as in {!Span.pp}). *)
-
-val to_json : ?src:string -> t -> Obs.Json.t

@@ -10,11 +10,6 @@ let make ~file ~lo ~hi = { file; lo; hi }
 
 let is_dummy s = s.file = "<none>" && s.lo = 0 && s.hi = 0
 
-let join a b =
-  if is_dummy a then b
-  else if is_dummy b then a
-  else { file = a.file; lo = min a.lo b.lo; hi = max a.hi b.hi }
-
 type position = { line : int; col : int }
 
 (* Line/column (both 1-based) of a byte offset in [src]. *)

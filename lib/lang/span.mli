@@ -16,9 +16,6 @@ val make : file:string -> lo:int -> hi:int -> t
 
 val is_dummy : t -> bool
 
-val join : t -> t -> t
-(** Smallest span covering both; a dummy operand yields the other span. *)
-
 type position = { line : int; col : int }  (** both 1-based *)
 
 val position_of : src:string -> int -> position

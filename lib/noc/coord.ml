@@ -5,5 +5,3 @@ let make x y = { x; y }
 let manhattan a b = abs (a.x - b.x) + abs (a.y - b.y)
 
 let equal a b = a.x = b.x && a.y = b.y
-
-let pp ppf c = Format.fprintf ppf "(%d,%d)" c.x c.y

@@ -10,5 +10,3 @@ val make : int -> int -> t
 val manhattan : t -> t -> int
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -117,49 +117,6 @@ let transfer ?on_hop net ~now ~src ~dst ~bytes =
     !t + !last_ser - 1
   end
 
-(* Unloaded latency of the (src, dst) route: the contention-free baseline
-   [send] subtracts.  Flat meshes keep the closed form; hierarchical ones
-   walk the memoized route so each link charges its class latency. *)
-let unloaded net ~src ~dst ~serialization ~ser_cross =
-  if not net.hier then
-    (Topology.distance net.topo src dst * net.config.per_hop_latency)
-    + serialization - 1
-  else begin
-    let route = route net ~src ~dst in
-    let t = ref 0 in
-    let last_ser = ref serialization in
-    for k = 0 to Array.length route - 1 do
-      let id = Array.unsafe_get route k in
-      let crossing = Array.unsafe_get net.cross id in
-      t := !t + (if crossing then net.chip_latency else net.config.per_hop_latency);
-      last_ser := if crossing then ser_cross else serialization
-    done;
-    !t + !last_ser - 1
-  end
-
-let send ?on_hop net ~now ~src ~dst ~bytes =
-  if src = dst then (now, 0, 0)
-  else begin
-    let serialization =
-      Int.max 1 ((bytes + net.config.link_bytes - 1) / net.config.link_bytes)
-    in
-    let ser_cross =
-      if net.hier then Int.max 1 ((bytes + net.chip_bytes - 1) / net.chip_bytes)
-      else serialization
-    in
-    let t = transfer ?on_hop net ~now ~src ~dst ~bytes in
-    let hops = Topology.distance net.topo src dst in
-    let unloaded = unloaded net ~src ~dst ~serialization ~ser_cross in
-    (t, hops, t - now - unloaded)
-  end
-
-let reset net =
-  Array.fill net.free_at 0 (Array.length net.free_at) 0;
-  Array.fill net.link_busy 0 (Array.length net.link_busy) 0;
-  net.busy <- 0
-
-let total_link_busy net = net.busy
-
 let link_busy net = Array.copy net.link_busy
 
 let utilization net ~at =

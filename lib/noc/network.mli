@@ -38,37 +38,19 @@ val transfer :
   dst:int ->
   bytes:int ->
   int
-(** Like {!send} but returns only the arrival time, allocating nothing:
-    the variant the simulator's event loop uses.  The hop count equals
-    [Topology.distance] (memoizable by the caller) and the contention
-    delay is [arrival - now - unloaded latency].  Routes are memoized per
-    (src, dst) in a flat table built from the topology on first use, so
-    XY routing is not recomputed per leg. *)
-
-val send :
-  ?on_hop:(link:int -> start:int -> finish:int -> unit) ->
-  t ->
-  now:int ->
-  src:int ->
-  dst:int ->
-  bytes:int ->
-  int * int * int
-(** [send net ~now ~src ~dst ~bytes] routes one message and returns
-    [(arrival_time, hops, contention_delay)] where [contention_delay] is
-    the extra time spent waiting for busy links beyond the unloaded
-    latency [hops · per_hop_latency].  [src = dst] delivers instantly.
+(** [transfer net ~now ~src ~dst ~bytes] routes one message and returns
+    its arrival time, allocating nothing.  Each link of the XY route is
+    reserved for the message's serialization (flits of the link width);
+    a busy link delays it.  The hop count equals [Topology.distance]
+    (memoizable by the caller) and the contention delay is [arrival -
+    now - unloaded latency].  [src = dst] delivers instantly.  Routes
+    are memoized per (src, dst) in a flat table built from the topology
+    on first use, so XY routing is not recomputed per leg.
 
     [on_hop] is invoked once per traversed link with its link id, the
     cycle the header started on the link and the cycle it reached the next
     router — the per-link detail the request-path tracer records.  The
     default does nothing and costs nothing. *)
-
-val reset : t -> unit
-(** Clears all link reservations (between experiment runs). *)
-
-val total_link_busy : t -> int
-(** Sum over links of cycles reserved so far — a load indicator used by
-    utilization statistics. *)
 
 val link_busy : t -> int array
 (** Per-link-id cycles reserved so far (a copy). *)

@@ -28,11 +28,6 @@ let of_coords topo name coords =
   | Ok p -> p
   | Error e -> invalid_arg e
 
-let corners topo =
-  let w = topo.Topology.width - 1 and h = topo.Topology.height - 1 in
-  of_coords topo "P1-corners"
-    [| Coord.make 0 0; Coord.make w 0; Coord.make 0 h; Coord.make w h |]
-
 let edge_centers topo =
   let w = topo.Topology.width and h = topo.Topology.height in
   of_coords topo "P2-edge-centers"
@@ -76,9 +71,6 @@ type pool = Perimeter | Flip_chip
 
 let pool_names = [ ("perimeter", Perimeter); ("flip-chip", Flip_chip) ]
 
-let pool_to_string p =
-  fst (List.find (fun (_, q) -> q = p) pool_names)
-
 let pool_of_string s =
   match List.assoc_opt (String.lowercase_ascii s) pool_names with
   | Some p -> Ok p
@@ -90,18 +82,6 @@ let pool_of_string s =
 let pool_sites topo = function
   | Perimeter -> perimeter_sites topo
   | Flip_chip -> Array.append (perimeter_sites topo) (interior_sites topo)
-
-let ring_result topo ~count =
-  let per = perimeter_sites topo in
-  let n = Array.length per in
-  if count <= 0 || count > n then
-    Error
-      (Printf.sprintf
-         "Placement.ring: %d MCs do not fit the %d-node perimeter" count n)
-  else
-    of_coords_result topo
-      (Printf.sprintf "ring-%d" count)
-      (Array.init count (fun j -> per.(j * n / count)))
 
 (* Greedy seed in MC-index order: MC m takes the unused site nearest its
    centroid.  Shared by the plain-greedy and 2-opt-refined entry points;
@@ -136,13 +116,6 @@ let check_site_count ~sites ~centroids =
          (Array.length sites) (Array.length centroids))
   else Ok ()
 
-let greedy_assign_result topo ~name ~sites ~centroids =
-  match check_site_count ~sites ~centroids with
-  | Error _ as e -> e
-  | Ok () ->
-    let chosen = greedy_indices ~sites ~centroids in
-    of_coords_result topo name (Array.map (fun i -> sites.(i)) chosen)
-
 let assign_result topo ~name ~sites ~centroids =
   match check_site_count ~sites ~centroids with
   | Error _ as e -> e
@@ -173,13 +146,6 @@ let assign_result topo ~name ~sites ~centroids =
 
 let for_centroids_result topo ~name ~centroids =
   assign_result topo ~name ~sites:(perimeter_sites topo) ~centroids
-
-let centroid_distance ~sites ~centroids =
-  let total = ref 0 in
-  Array.iteri
-    (fun m c -> total := !total + Coord.manhattan c sites.(m))
-    centroids;
-  !total
 
 (* --- neighborhood moves (placement search) ----------------------------- *)
 
@@ -252,12 +218,6 @@ let neighborhood ~pool ~sites =
   relocations @ swaps
 
 (* --- chiplet-aware pools and move ordering ----------------------------- *)
-
-let sites_in_chiplet topo pool ~chiplet =
-  Array.of_list
-    (List.filter
-       (fun c -> Topology.chiplet_of_coord topo c = chiplet)
-       (Array.to_list (pool_sites topo pool)))
 
 let move_crosses_chiplet topo ~sites = function
   | Relocate { mc; site } ->

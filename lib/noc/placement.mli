@@ -19,22 +19,12 @@ val count : t -> int
 val of_coords_result : Topology.t -> string -> Coord.t array -> (t, string) result
 (** Places MC [m] at [coords.(m)]; an off-mesh site is a value error. *)
 
-val corners : Topology.t -> t
-(** P1: one MC at each corner, in the order NW, NE, SW, SE — matching the
-    cluster enumeration of Fig. 8a (MC1 top-left … MC4 bottom-right). *)
-
 val edge_centers : Topology.t -> t
 (** P2: MCs at the midpoints of the four edges (top, left, right, bottom).
     Lower average distance-to-controller than the corners. *)
 
 val top_bottom : Topology.t -> t
 (** P3: MCs spread along the top and bottom edges. *)
-
-val ring_result : Topology.t -> count:int -> (t, string) result
-(** [ring_result t ~count] spreads [count] MCs evenly around the mesh
-    perimeter, starting at the NW corner and proceeding clockwise; used for
-    the 8- and 16-MC configurations of Fig. 27.  More MCs than perimeter
-    nodes is a value error. *)
 
 (** {2 Candidate site pools}
 
@@ -46,16 +36,8 @@ val ring_result : Topology.t -> count:int -> (t, string) result
 
 type pool = Perimeter | Flip_chip
 
-val pool_to_string : pool -> string
-
 val pool_of_string : string -> (pool, string) result
 (** ["perimeter"] or ["flip-chip"]; anything else is a value error. *)
-
-val perimeter_sites : Topology.t -> Coord.t array
-(** All perimeter nodes, clockwise from the NW corner. *)
-
-val interior_sites : Topology.t -> Coord.t array
-(** All non-perimeter nodes, row-major. *)
 
 val pool_sites : Topology.t -> pool -> Coord.t array
 (** The candidate sites of a pool, in a deterministic order (perimeter
@@ -73,27 +55,12 @@ val assign_result :
     set — corners, edge centers, rings — which the interleaved layout
     requires.  Fewer sites than centroids is a value error. *)
 
-val greedy_assign_result :
-  Topology.t ->
-  name:string ->
-  sites:Coord.t array ->
-  centroids:Coord.t array ->
-  (t, string) result
-(** The greedy seed of {!assign_result} without the 2-opt refinement:
-    MC [j] takes the unused site nearest [centroids.(j)], in MC-index
-    order.  Exposed so the refinement's improvement is testable —
-    {!assign_result} never ends with a larger total centroid distance. *)
-
 val for_centroids_result :
   Topology.t -> name:string -> centroids:Coord.t array -> (t, string) result
 (** [for_centroids_result t ~name ~centroids] places one MC per centroid at
     the free perimeter node closest to it (greedy, in MC-index order).  Used
     to attach MC [j] near cluster [j] for arbitrary cluster grids,
     preserving the index correspondence the interleaved layout relies on. *)
-
-val centroid_distance : sites:Coord.t array -> centroids:Coord.t array -> int
-(** Total Manhattan distance from each centroid [j] to its assigned site
-    [sites.(j)] — the quantity greedy assignment and 2-opt minimize. *)
 
 (** {2 Neighborhood moves}
 
@@ -122,16 +89,6 @@ val neighborhood : pool:Coord.t array -> sites:Coord.t array -> move list
     unoccupied pool site (MC-index major, pool order minor), then all
     pairwise swaps ([a < b]).  Deterministic order, so a first- or
     best-improvement descent is reproducible. *)
-
-val sites_in_chiplet : Topology.t -> pool -> chiplet:int -> Coord.t array
-(** The pool sites lying in one chiplet, in pool order — a chiplet's
-    local site pool.  On a flat mesh, chiplet [0] holds the whole pool. *)
-
-val move_crosses_chiplet :
-  Topology.t -> sites:Coord.t array -> move -> bool
-(** Whether the move takes an MC across a chiplet boundary: a relocation
-    to a site in another chiplet, or a swap of MCs sitting in different
-    chiplets.  Always [false] on a flat mesh. *)
 
 val neighborhood_on :
   Topology.t -> pool:Coord.t array -> sites:Coord.t array -> move list

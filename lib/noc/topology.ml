@@ -112,26 +112,8 @@ let link_crosses_chiplet t l =
   | Some _ ->
     chiplet_of_node t l.from_node <> chiplet_of_node t (step t l.from_node l.dir)
 
-let xy_route t ~src ~dst =
-  let cs = coord_of_node t src and cd = coord_of_node t dst in
-  let route = ref [] in
-  let cur = ref src in
-  let move dir =
-    route := { from_node = !cur; dir } :: !route;
-    cur := step t !cur dir
-  in
-  (* X first *)
-  for _ = 1 to abs (cd.x - cs.x) do
-    move (if cd.x > cs.x then East else West)
-  done;
-  for _ = 1 to abs (cd.y - cs.y) do
-    move (if cd.y > cs.y then South else North)
-  done;
-  List.rev !route
-
-(* The XY route as a dense array of link ids, written without the
-   intermediate link list: the representation the network's route table
-   memoizes. *)
+(* The XY route (X first, then Y) as a dense array of link ids: the
+   representation the network's route table memoizes. *)
 let link_ids t ~src ~dst =
   let cs = coord_of_node t src and cd = coord_of_node t dst in
   let ids = Array.make (Coord.manhattan cs cd) 0 in

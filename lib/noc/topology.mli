@@ -70,16 +70,11 @@ val chiplet_hops : t -> int -> int -> int
 val link_crosses_chiplet : t -> link -> bool
 (** Whether a link's endpoints lie in different chiplets. *)
 
-val xy_route : t -> src:int -> dst:int -> link list
-(** The links traversed from [src] to [dst] under XY routing, in order.
-    Empty when [src = dst]. *)
-
 val link_id : t -> link -> int
 (** Dense link identifier in [0 .. 4·nodes-1], for indexing link state. *)
 
 val num_link_ids : t -> int
 
 val link_ids : t -> src:int -> dst:int -> int array
-(** The XY route from [src] to [dst] as dense link ids, in traversal
-    order ([xy_route] composed with [link_id], without the intermediate
-    list).  Empty when [src = dst]. *)
+(** The links traversed from [src] to [dst] under XY routing (X first,
+    then Y), as {!link_id}s in traversal order.  Empty when [src = dst]. *)

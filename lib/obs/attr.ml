@@ -73,8 +73,6 @@ let record_queue t ~site ~queue =
   t.t_queue_sum.(s) <- t.t_queue_sum.(s) + q;
   t.t_queue_total.(s) <- t.t_queue_total.(s) + 1
 
-let total t = t.t_total
-
 let snapshot t =
   {
     sites = Array.copy t.t_sites;
@@ -92,25 +90,6 @@ let site_equal (a : site) (b : site) =
   String.equal a.array b.array
   && a.write = b.write && a.phase = b.phase
   && String.equal a.loc b.loc
-
-let merge a b =
-  if
-    a.mcs <> b.mcs || a.banks <> b.banks || a.max_hops <> b.max_hops
-    || Array.length a.sites <> Array.length b.sites
-  then Error "Attr.merge: platform or site-table shapes differ"
-  else if not (Array.for_all2 site_equal a.sites b.sites) then
-    Error "Attr.merge: site tables differ"
-  else
-    let add x y = Array.mapi (fun i v -> v + y.(i)) x in
-    Ok
-      {
-        a with
-        counts = add a.counts b.counts;
-        hops = add a.hops b.hops;
-        queue_counts = add a.queue_counts b.queue_counts;
-        queue_sum = add a.queue_sum b.queue_sum;
-        queue_total = add a.queue_total b.queue_total;
-      }
 
 let absorb t (s : snapshot) =
   if
@@ -223,6 +202,17 @@ let of_json j =
     || Array.length queue_sum <> rows
     || Array.length queue_total <> rows
   then Error "inconsistent shape"
+  else if
+    List.exists (Array.exists (fun c -> c < 0))
+      [ counts; hops; queue_counts; queue_sum; queue_total ]
+  then Error "negative count"
+  else if
+    (* every sum the report takes over the cube must stay an int *)
+    Array.fold_left
+      (fun acc c -> if acc < 0 || c > max_int - acc then -1 else acc + c)
+      0 counts
+    < 0
+  then Error "counts overflow"
   else
     Ok
       {

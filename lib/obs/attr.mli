@@ -15,10 +15,9 @@
     counter.
 
     Recording is O(1) array stores.  {!snapshot}s are plain data:
-    {!merge} composes runs (sweep shards, multi-domain platforms) and is
-    associative and commutative; it refuses snapshots of different
-    platform shapes or site tables as a [Result], per the repo's
-    no-raising-API policy. *)
+    {!absorb} adds one into a live cube (a parallel run's partitions), in
+    any order; it refuses snapshots of different platform shapes or site
+    tables as a [Result], per the repo's no-raising-API policy. *)
 
 type site = {
   array : string;
@@ -38,12 +37,11 @@ type snapshot = {
       (** [(nsites + 1) * mcs * banks], row-major site, mc, bank; the
           extra trailing site row is the unknown-site bucket *)
   hops : int array;  (** [(nsites + 1) * (max_hops + 1)] *)
-  queue_counts : int array;  (** [(nsites + 1) * queue_buckets], log2 *)
+  queue_counts : int array;
+      (** [(nsites + 1) * Metrics.max_log2_buckets], log2 *)
   queue_sum : int array;  (** per site: total queue cycles *)
   queue_total : int array;  (** per site: completions observed *)
 }
-
-val queue_buckets : int
 
 val create : sites:site array -> mcs:int -> banks:int -> max_hops:int -> t
 
@@ -55,21 +53,16 @@ val record : t -> site:int -> mc:int -> bank:int -> hops:int -> unit
 val record_queue : t -> site:int -> queue:int -> unit
 (** Queue delay (cycles) of one completed off-chip access from [site]. *)
 
-val total : t -> int
-(** Sum of the whole cube = accesses recorded so far. *)
-
 val snapshot : t -> snapshot
-
-val merge : snapshot -> snapshot -> (snapshot, string) result
-(** Element-wise sum.  [Error] when shapes or site tables differ. *)
 
 val create_like : t -> t
 (** A fresh all-zero cube with the same site table and platform shape —
     each partition of a parallel run records into its own clone. *)
 
 val absorb : t -> snapshot -> (unit, string) result
-(** Adds [snapshot] into the live cube in place ({!merge}'s sum, without
-    leaving [t]'s identity — callers holding [t] see the combined run). *)
+(** Adds [snapshot] into the live cube in place, cell by cell (callers
+    holding [t] see the combined run).  A snapshot of another platform
+    shape or site table is an error. *)
 
 (** {2 Snapshot readers} *)
 
@@ -77,8 +70,6 @@ val snap_total : snapshot -> int
 
 val site_count : snapshot -> int -> int
 (** Total accesses of one site (index [length sites] = unknown row). *)
-
-val cell : snapshot -> site:int -> mc:int -> bank:int -> int
 
 val site_mc_count : snapshot -> site:int -> mc:int -> int
 

@@ -84,23 +84,12 @@ let bucket_index v =
   let v = Int.max 0 v in
   if v = 0 then 0 else Int.min (max_log2_buckets - 1) (log2_floor v + 1)
 
-(* bucket 0 = {0}; bucket i>=1 = [2^(i-1), 2^i); the last bucket is
-   open-ended (its lower bound still fits: 2^61 <= max_int) *)
-let bucket_bounds i =
-  if i = 0 then (0, 1)
-  else if i >= max_log2_buckets - 1 then (1 lsl (max_log2_buckets - 2), max_int)
-  else (1 lsl (i - 1), 1 lsl i)
-
 let observe h v =
   let v = Int.max 0 v in
   let i = bucket_index v in
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_sum <- h.h_sum + v;
   h.h_total <- h.h_total + 1
-
-let hist_count h = h.h_total
-
-let hist_sum h = h.h_sum
 
 let snapshot reg =
   let cs = ref [] and gs = ref [] and hs = ref [] in

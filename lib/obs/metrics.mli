@@ -64,14 +64,6 @@ val observe : histogram -> int -> unit
 val bucket_index : int -> int
 (** The bucket [observe] files a value under (exposed for tests). *)
 
-val bucket_bounds : int -> int * int
-(** [(lo, hi)] of a bucket: values [v] with [lo <= v < hi] land in it
-    ([hi] of the last bucket is [max_int]). *)
-
-val hist_count : histogram -> int
-
-val hist_sum : histogram -> int
-
 val snapshot : registry -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot

@@ -30,8 +30,3 @@ let pp ppf t =
         (if all = 0. then 0. else 100. *. s /. all))
     t.entries;
   Format.fprintf ppf "@,%-12s %8.2f ms@]" "total" (1000. *. all)
-
-let to_json t =
-  Json.obj
-    (List.map (fun (name, s) -> (name, Json.Float (1000. *. s))) t.entries
-    @ [ ("total_ms", Json.Float (1000. *. total t)) ])

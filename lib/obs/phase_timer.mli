@@ -21,5 +21,3 @@ val total : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** One line per phase: name, milliseconds, share of the total. *)
-
-val to_json : t -> Json.t

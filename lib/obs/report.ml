@@ -23,7 +23,13 @@ let bank_heat load =
       let cells =
         String.init (Array.length row) (fun b ->
             if vmax = 0 then shades.(0)
-            else shades.(row.(b) * (Array.length shades - 1) / vmax))
+            else
+              (* [row.(b) * 7 / vmax] in floats: the product cannot
+                 overflow, and below 2^53 it is exact *)
+              shades.(int_of_float
+                        (float_of_int row.(b)
+                        *. float_of_int (Array.length shades - 1)
+                        /. float_of_int vmax)))
       in
       Buffer.add_string buf
         (Printf.sprintf "  mc%-2d |%s| %d\n" m cells

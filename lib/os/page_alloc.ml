@@ -155,28 +155,9 @@ let free_region t ~first_vpage ~last_vpage =
   done;
   !freed
 
-let mc_of_vpage t vpage =
-  match t.map.Dram.Address_map.interleaving with
-  | Dram.Address_map.Line_interleaved -> None
-  | Dram.Address_map.Page_interleaved ->
-    Option.map
-      (fun f -> f mod t.map.Dram.Address_map.num_mcs)
-      (Page_tbl.find_opt t.table vpage)
-
 let pages_allocated t = Page_tbl.length t.table
 
 let fallback_allocations t = t.fallbacks
 
 let fallback_allocations_of t ~owner =
   Option.value (Hashtbl.find_opt t.owner_fallbacks owner) ~default:0
-
-let reset t =
-  Page_tbl.reset t.table;
-  Array.fill t.next_local 0 (Array.length t.next_local) 0;
-  Array.fill t.free_local 0 (Array.length t.free_local) [];
-  Array.fill t.in_use 0 (Array.length t.in_use) 0;
-  t.next_seq <- 0;
-  t.free_seq <- [];
-  t.seq_in_use <- 0;
-  t.fallbacks <- 0;
-  Hashtbl.reset t.owner_fallbacks

@@ -64,10 +64,6 @@ val free_region : t -> first_vpage:int -> last_vpage:int -> int
     departure).  Returns the number of pages actually freed; unallocated
     pages in the range are skipped. *)
 
-val mc_of_vpage : t -> int -> int option
-(** Controller currently holding a virtual page, if allocated (page
-    interleaving only — under line interleaving pages span all MCs). *)
-
 val pages_allocated : t -> int
 (** Pages currently mapped (freed pages no longer count). *)
 
@@ -76,5 +72,3 @@ val fallback_allocations : t -> int
 
 val fallback_allocations_of : t -> owner:int -> int
 (** Fallbacks charged to one owner tag via {!translate_owned}. *)
-
-val reset : t -> unit

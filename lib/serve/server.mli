@@ -71,10 +71,6 @@ val run :
     [tenant_start], [tenant_finish], then [serve_done]) in simulated-time
     order. *)
 
-val tenant_json : tenant -> Obs.Json.t
-
-val qos_json : qos -> Obs.Json.t
-
 val result_json : t -> Obs.Json.t
 (** The {!Sweep.Exec.result_json} document (["app"] = ["serve:<name>"]),
     extended with ["scenario"], ["tenants"] and ["qos"] sections — the

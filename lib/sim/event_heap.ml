@@ -231,9 +231,3 @@ let next_time h =
 let pop_payload h =
   if is_empty h then invalid_arg "Event_heap.pop_payload: empty";
   if settle h then Far.pop_payload h.far else take h
-
-let pop h =
-  if is_empty h then None
-  else
-    let t = next_time h in
-    Some (t, pop_payload h)

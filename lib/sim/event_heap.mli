@@ -16,18 +16,13 @@ val create : unit -> 'a t
 
 val push : 'a t -> time:int -> 'a -> unit
 
-val pop : 'a t -> (int * 'a) option
-(** The earliest event, or [None] when empty. *)
-
 val next_time : 'a t -> int
 (** Timestamp of the earliest event without removing it.
     @raise Invalid_argument when the heap is empty. *)
 
 val pop_payload : 'a t -> 'a
-(** Removes and returns the earliest event's payload (allocation-free
-    counterpart of {!pop}; read {!next_time} first for the timestamp).
+(** Removes and returns the earliest event's payload, allocating
+    nothing; read {!next_time} first for the timestamp.
     @raise Invalid_argument when the heap is empty. *)
 
 val is_empty : 'a t -> bool
-
-val size : 'a t -> int

@@ -66,10 +66,6 @@ val plan :
     controller out of range and a controller over its frame budget are
     [Sequential] whatever the components. *)
 
-val describe : plan -> domains:int -> string
-(** One line for humans: the partition/worker layout, or the fallback
-    reason. *)
-
 val run :
   Config.t ->
   ?desired_mc_of_vpage:(int -> int option) ->
@@ -86,6 +82,8 @@ val run :
     [min domains partitions] worker domains and merges the results.
     Either way the result is byte-identical to the sequential engine's
     ([stats] JSON included) — the CI oracle holds this to account.
-    [on_plan] receives {!describe}'s line exactly once per call.
+    [on_plan] receives a one-line description of the plan (the
+    partition/worker layout, or the fallback reason) exactly once per
+    call.
     [attr] cubes are cloned per partition and the partitions' snapshots
     absorbed back in ascending partition order. *)

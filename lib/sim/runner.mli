@@ -50,13 +50,7 @@ val attr_for : Config.t -> prepared -> Obs.Attr.t
 (** An attribution aggregator shaped for [cfg]'s platform (controllers ×
     banks) and the prepared program's site table — pass it to {!run_many}
     as [~attr].  Aggregators of separate runs compose with
-    {!Obs.Attr.merge} when their site tables match. *)
-
-val confine : Config.t -> cluster:int -> prepared -> prepared
-(** Rebind the prepared job's threads onto the cores of one cluster
-    (ascending node ids, threads-per-core consecutive), so replicated
-    jobs become partition-confined for {!Par_engine}.  With more threads
-    than cluster cores × threads-per-core, the binding wraps. *)
+    {!Obs.Attr.absorb} when their site tables match. *)
 
 val prepare_replicas :
   Config.t ->
@@ -69,7 +63,7 @@ val prepare_replicas :
   ?attr:bool ->
   Lang.Ast.program ->
   prepared list
-(** One {!confine}d copy of the program per cluster, on disjoint 256 MB
+(** One cluster-confined copy of the program per cluster, on disjoint 256 MB
     virtual slices — the canonical decomposable workload: under page
     interleaving with the first-touch policy, {!Par_engine.plan} splits
     it into partitions.  [threads] defaults to one cluster's cores ×
@@ -102,4 +96,4 @@ val run_many :
     distinct [vaddr_base]s.  [attr] collects off-chip attribution (jobs
     prepared without [~attr:true] land in its unknown row); with several
     tagged jobs, attribute runs separately and compose with
-    {!Obs.Attr.merge} instead, since site ids are per-program. *)
+    {!Obs.Attr.absorb} instead, since site ids are per-program. *)

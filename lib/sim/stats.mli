@@ -66,8 +66,6 @@ val l2_hits : t -> int
 
 val offchip_accesses : t -> int
 
-val onchip_net_cycles : t -> int
-
 val onchip_messages : t -> int
 
 val offchip_net_cycles : t -> int
@@ -97,14 +95,9 @@ val node_mc_requests : t -> int array array
 
 (** {2 Derived metrics} *)
 
-val avg_onchip_net : t -> float
-
 val avg_offchip_net : t -> float
 
 val avg_memory : t -> float
-
-val offchip_fraction : t -> float
-(** Off-chip accesses over total data accesses (Fig. 3). *)
 
 val hop_cdf : int array -> float array
 (** [hop_cdf h].(x) = fraction of messages traversing ≤ x links.  The

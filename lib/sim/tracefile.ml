@@ -25,65 +25,6 @@ let dump ?sites path phases =
     phases;
   close_out oc
 
-(* v1 and v2 share everything but the per-access site-id column, so one
-   reader parses both; [load] discards the tags, [load_tagged] keeps them
-   (synthesizing all -1 streams for a v1 file). *)
-let load_gen path =
-  let ic = open_in path in
-  let line () = try Some (input_line ic) with End_of_file -> None in
-  let fail msg =
-    close_in ic;
-    failwith ("Tracefile.load: " ^ msg)
-  in
-  (match line () with
-  | Some "# offchip trace v1" | Some "# offchip trace v2" -> ()
-  | _ -> fail "bad header");
-  let phases = ref [] in
-  let rec read_phases () =
-    match line () with
-    | None -> ()
-    | Some l -> (
-      match String.split_on_char ' ' l with
-      | [ "phase"; n ] ->
-        let nthreads = int_of_string n in
-        let streams =
-          Array.init nthreads (fun expect ->
-              match line () with
-              | Some tl -> (
-                match String.split_on_char ' ' tl with
-                | [ "t"; t; count ] when int_of_string t = expect ->
-                  Array.init (int_of_string count) (fun _ ->
-                      match line () with
-                      | Some al -> (
-                        let access addr w site =
-                          ((int_of_string addr lsl 1) lor w, site)
-                        in
-                        match String.split_on_char ' ' al with
-                        | [ addr; "R" ] -> access addr 0 (-1)
-                        | [ addr; "W" ] -> access addr 1 (-1)
-                        | [ addr; "R"; s ] -> access addr 0 (int_of_string s)
-                        | [ addr; "W"; s ] -> access addr 1 (int_of_string s)
-                        | _ -> fail "bad access line")
-                      | None -> fail "truncated accesses")
-                | _ -> fail "bad thread header")
-              | None -> fail "truncated phase")
-        in
-        phases := streams :: !phases;
-        read_phases ()
-      | _ -> fail "bad phase header")
-  in
-  read_phases ();
-  close_in ic;
-  List.rev !phases
-
-let load path =
-  List.map (fun ph -> Array.map (Array.map fst) ph) (load_gen path)
-
-let load_tagged path =
-  List.map
-    (fun ph -> (Array.map (Array.map fst) ph, Array.map (Array.map snd) ph))
-    (load_gen path)
-
 let total_accesses phases =
   List.fold_left
     (fun acc ph -> acc + Array.fold_left (fun a s -> a + Array.length s) 0 ph)

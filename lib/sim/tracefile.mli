@@ -1,8 +1,8 @@
 (** Access-trace files.
 
     Serializes the per-thread access streams the interpreter produces so
-    they can be inspected, diffed across layouts, or replayed by external
-    tools.  The format is line-oriented text:
+    they can be inspected or diffed across layouts.  The format is
+    line-oriented text:
 
     {v
     # offchip trace v1
@@ -15,20 +15,11 @@
     A v2 file carries the access-site id of each reference as a third
     column ([<vaddr> R|W <site>]) — the side band that ties a dynamic
     access back to its {!Lang.Sites} entry.  [simulate --dump-trace FILE]
-    writes one; {!load} reads either version back into the exact phases,
-    so a round trip is the identity. *)
+    writes one ([--attr] selects v2). *)
 
 val dump : ?sites:int array array list -> string -> Lang.Interp.phase list -> unit
 (** Writes the phases to a path; with [sites] (per-phase site-id streams,
     index-parallel to the phases as in {!Engine.job}) writes a v2 file
     tagging each access.  Raises [Sys_error] on IO failure. *)
-
-val load : string -> Lang.Interp.phase list
-(** Reads a trace file (either version) back, discarding site tags.
-    Raises [Failure] on a malformed file. *)
-
-val load_tagged : string -> (Lang.Interp.phase * int array array) list
-(** Like {!load} but keeps the per-access site ids (all [-1] for a v1
-    file), shaped for {!Engine.job}'s [phases]/[site_streams]. *)
 
 val total_accesses : Lang.Interp.phase list -> int

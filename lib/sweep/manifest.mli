@@ -30,9 +30,6 @@ val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 (** Ignores keys it does not know, so ledgers of other versions load. *)
 
-val path : dir:string -> string
-(** [DIR/manifest.json]. *)
-
 val store : dir:string -> t -> unit
 (** Atomic write (temp + rename). *)
 

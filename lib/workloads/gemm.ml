@@ -46,28 +46,16 @@ parfor s = 0 to P-1 {
 |}
     n tile strips (n / strips) (n / tile)
 
-let default_n = 64
-
-let default_tile = 8
-
-let default_strips = 64
-
-let canonical_name ~n ~tile ~strips =
-  if n = default_n && tile = default_tile && strips = default_strips then
-    "gemm"
-  else Printf.sprintf "gemm-n%dt%dp%d" n tile strips
-
-let make_result ?name ?(n = default_n) ?(tile = default_tile)
-    ?(strips = default_strips) () =
+(* default knobs: N=64 (with 8-byte elements each matrix is 32 KB, past
+   the scaled private L2), 8x8 tiles, 64 strips (one per core of the 8x8
+   presets) *)
+let make_result ~name ?(n = 64) ?(tile = 8) ?(strips = 64) () =
   if n <= 0 then Error (Printf.sprintf "gemm: problem size N=%d must be positive" n)
   else if tile <= 0 || n mod tile <> 0 then
     Error (Printf.sprintf "gemm: tile size %d must divide N=%d" tile n)
   else if strips <= 0 || n mod strips <> 0 then
     Error (Printf.sprintf "gemm: strip count %d must divide N=%d" strips n)
   else
-    let name =
-      match name with Some s -> s | None -> canonical_name ~n ~tile ~strips
-    in
     Ok
       (App.make ~name
          ~description:
@@ -77,20 +65,10 @@ let make_result ?name ?(n = default_n) ?(tile = default_tile)
          ~first_touch_friendly:true ~warmup_nests:1
          (source ~n ~tile ~strips))
 
-let for_chiplets ?(n = default_n) ?(tile = default_tile)
-    ?(threads_per_chiplet = 16) ~chiplets () =
-  if chiplets <= 0 then
-    Error (Printf.sprintf "gemm: chiplet count %d must be positive" chiplets)
-  else if threads_per_chiplet <= 0 then
-    Error
-      (Printf.sprintf "gemm: threads per chiplet %d must be positive"
-         threads_per_chiplet)
-  else make_result ~n ~tile ~strips:(chiplets * threads_per_chiplet) ()
-
 (* "gemm" or "gemm-n<N>t<T>[p<P>]".  [None] when the name is not in the
    family at all; [Some (Error _)] when it is but the knobs are bad. *)
 let of_name name =
-  if name = "gemm" then Some (make_result ())
+  if name = "gemm" then Some (make_result ~name ())
   else
     match String.length name with
     | len when len > 5 && String.sub name 0 5 = "gemm-" -> (

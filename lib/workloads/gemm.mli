@@ -8,39 +8,11 @@
     via [strips = chiplets × threads-per-chiplet], this is the workload
     behind the EXPERIMENTS.md chiplet study. *)
 
-val default_n : int
-(** 64 — with 8-byte elements each matrix is 32 KB, past the scaled
-    private L2. *)
-
-val default_tile : int
-(** 8 *)
-
-val default_strips : int
-(** 64 — one strip per core of the 8×8 presets. *)
-
-val make_result :
-  ?name:string ->
-  ?n:int ->
-  ?tile:int ->
-  ?strips:int ->
-  unit ->
-  (App.t, string) result
-(** Knob validation: [tile] and [strips] must divide [n], all positive.
-    The default name is ["gemm"] for the default knobs and
-    ["gemm-n<N>t<T>p<P>"] otherwise. *)
-
-val for_chiplets :
-  ?n:int ->
-  ?tile:int ->
-  ?threads_per_chiplet:int ->
-  chiplets:int ->
-  unit ->
-  (App.t, string) result
-(** [strips = chiplets × threads_per_chiplet] (default 16 per chiplet —
-    one per core of a 4×4 chiplet). *)
-
 val of_name : string -> (App.t, string) result option
-(** Parses ["gemm"] (default knobs) or ["gemm-n<N>t<T>[p<P>]"].  [None]
-    when the name is not in the family; [Some (Error _)] when it is but
-    the knobs are malformed or indivisible — {!Suite.by_name} uses this
-    as its fallback for names outside the 13-app suite. *)
+(** Parses ["gemm"] (default knobs: N=64, 8x8 tiles, 64 strips — one
+    per core of the 8x8 presets) or ["gemm-n<N>t<T>[p<P>]"]; [tile] and
+    [strips] must divide [n], all positive.  The app's name is the one
+    given.  [None] when the name is not in the family; [Some (Error _)]
+    when it is but the knobs are malformed or indivisible —
+    {!Suite.by_name_result} uses this as its fallback for names outside
+    the 13-app suite. *)

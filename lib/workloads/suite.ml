@@ -18,13 +18,18 @@ let all =
 (* The 13 fixed apps, plus the generated tiled-GEMM family by spec name.
    [all] deliberately excludes gemm: every figure of the paper iterates
    the fixed suite. *)
-let by_name name =
+let names = List.map (fun (a : App.t) -> a.App.name) all
+
+let by_name_result name =
   match List.find_opt (fun (a : App.t) -> String.equal a.App.name name) all with
-  | Some a -> a
+  | Some a -> Ok a
   | None -> (
     match Gemm.of_name name with
-    | Some (Ok app) -> app
-    | Some (Error e) -> invalid_arg e
-    | None -> raise Not_found)
+    | Some r -> r
+    | None ->
+      Error
+        (Printf.sprintf "unknown application %S (known: %s)" name
+           (String.concat ", " names)))
 
-let names = List.map (fun (a : App.t) -> a.App.name) all
+let by_name name =
+  match by_name_result name with Ok a -> a | Error e -> invalid_arg e

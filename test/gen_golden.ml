@@ -6,13 +6,15 @@
      dune exec test/gen_golden.exe -- --emits test/golden
      dune exec test/gen_golden.exe -- --dram test/golden
      dune exec test/gen_golden.exe -- --search test/golden
+     dune exec test/gen_golden.exe -- --trace test/golden
 
    The seed-0 stats golden pins the simulator's observable behavior: the
    engine refactors (event heap, request pool, route memoization) must
    keep it byte-identical.  The --dram goldens pin the same run under
    the memory controller's non-default paths.  The --emits goldens pin the compiler
    pipeline's stage dumps (occ --emit) for jacobi and hpccg.  The --search
-   goldens pin the placement search as occ runs it.
+   goldens pin the placement search as occ runs it.  The --trace goldens
+   pin the trace-file writer (simulate --dump-trace) in both versions.
    Regenerating either is legitimate only when a change intentionally
    alters the simulated timing model or the pass artifacts — never to
    absorb an accidental behavior change; say why in the commit that
@@ -187,6 +189,20 @@ let search_goldens dir =
       Printf.printf "goldens written to %s.{json,txt}\n" stem)
     [ ("mesh8x8-mc8", 0); ("mesh8x8-mc8", 1); ("chiplet2x2-mc8", 0); ("chiplet2x2-mc8", 1) ]
 
+(* The seed-0 program's job as simulate --dump-trace writes it: v1
+   without site tags, v2 with the site stream Runner.prepare ~attr:true
+   attaches. *)
+let trace_goldens dir =
+  let cfg = Sim.Config.scaled () in
+  let p = Sim.Runner.prepare cfg ~optimized:false ~attr:true (parse small_src) in
+  let job = p.Sim.Runner.job in
+  List.iter
+    (fun (version, sites) ->
+      let path = Filename.concat dir (Printf.sprintf "trace_small_%s.txt" version) in
+      Sim.Tracefile.dump ?sites path job.Sim.Engine.phases;
+      Printf.printf "golden written to %s\n" path)
+    [ ("v1", None); ("v2", Some job.Sim.Engine.site_streams) ]
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--search" :: dir :: _ -> search_goldens dir
@@ -194,5 +210,6 @@ let () =
   | _ :: "--attr" :: rest -> attr_golden (List.nth_opt rest 0)
   | _ :: "--serve" :: dir :: _ -> serve_goldens dir
   | _ :: "--dram" :: dir :: _ -> dram_goldens dir
+  | _ :: "--trace" :: dir :: _ -> trace_goldens dir
   | _ :: path :: _ -> stats_golden (Some path)
   | _ -> stats_golden None

@@ -139,7 +139,7 @@ let check_codegen ~report:(report_ : Transform.report)
     let b = base name in
     match decision_of name with
     | Some d when d.Transform.optimized ->
-      let offset = Layout.offset_fn d.Transform.layout in
+      let offset = Lang.Interp.apply (Layout.addr_map d.Transform.layout) in
       fun idx -> b + offset idx
     | _ -> (
       match List.assoc_opt name orig_extents with

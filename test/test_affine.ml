@@ -1,18 +1,18 @@
 (* Unit and property tests for the affine (integer linear algebra)
-   substrate: vectors, matrices, elimination, unimodular completion,
-   hyperplanes and spaces. *)
+   substrate: vectors, matrices, elimination and unimodular completion,
+   plus the OpenMP-static chunking the trace generator applies to a
+   [parfor]. *)
 
 module Vec = Affine.Vec
 module Matrix = Affine.Matrix
 module Gauss = Affine.Gauss
 module Unimodular = Affine.Unimodular
-module Smith = Affine.Smith
-module Hyperplane = Affine.Hyperplane
-module Space = Affine.Space
 
-let vec = Alcotest.testable (Fmt.of_to_string Vec.to_string) Vec.equal
+let vec = Alcotest.testable Vec.pp Vec.equal
 
-let matrix = Alcotest.testable (Fmt.of_to_string Matrix.to_string) Matrix.equal
+let matrix = Alcotest.testable Matrix.pp Matrix.equal
+
+let matrix_to_string = Fmt.to_to_string Matrix.pp
 
 (* --- generators --- *)
 
@@ -25,7 +25,7 @@ let gen_matrix rows cols =
 
 let arb_square n =
   QCheck.make
-    ~print:(fun m -> Matrix.to_string m)
+    ~print:matrix_to_string
     (gen_matrix n n)
 
 (* --- Vec --- *)
@@ -39,10 +39,9 @@ let test_vec_basics () =
   Alcotest.(check int) "dot" 11 (Vec.dot (Vec.of_list [ 1; 2 ]) (Vec.of_list [ 3; 4 ]));
   Alcotest.check vec "unit" (Vec.of_list [ 0; 1; 0 ]) (Vec.unit 3 1);
   Alcotest.(check bool) "zero is_zero" true (Vec.is_zero (Vec.zero 4));
-  Alcotest.(check int) "gcd" 6 (Vec.gcd 12 18);
-  Alcotest.(check int) "gcd negative" 6 (Vec.gcd (-12) 18);
-  Alcotest.(check int) "gcd zero" 5 (Vec.gcd 0 5);
-  Alcotest.(check int) "content" 4 (Vec.content (Vec.of_list [ 8; -12; 4 ]))
+  Alcotest.(check int) "content" 4 (Vec.content (Vec.of_list [ 8; -12; 4 ]));
+  Alcotest.(check int) "content of negatives" 6 (Vec.content (Vec.of_list [ -12; 18 ]));
+  Alcotest.(check int) "content with a zero" 5 (Vec.content (Vec.of_list [ 0; 5 ]))
 
 let test_vec_primitive () =
   Alcotest.check vec "primitive divides by content" (Vec.of_list [ 2; -3; 1 ])
@@ -80,9 +79,12 @@ let test_matrix_det () =
        (Matrix.of_rows
           [ Vec.of_list [ 1; 0; 0 ]; Vec.of_list [ 5; 1; 0 ]; Vec.of_list [ 7; 3; 1 ] ]))
 
+(* the transpose, built from the production column accessor *)
+let transpose m = Matrix.of_rows (List.init (Matrix.cols m) (Matrix.col m))
+
 let prop_det_transpose =
   QCheck.Test.make ~name:"det(m) = det(transpose m)" ~count:200 (arb_square 3)
-    (fun m -> Matrix.det m = Matrix.det (Matrix.transpose m))
+    (fun m -> Matrix.det m = Matrix.det (transpose m))
 
 let prop_det_product =
   QCheck.Test.make ~name:"det(a·b) = det(a)·det(b)" ~count:200
@@ -115,29 +117,30 @@ let test_column_echelon () =
   Alcotest.check matrix "m·c = h" h (Matrix.mul m c);
   Alcotest.(check int) "pivot is gcd" 2 h.(0).(0)
 
-let test_nullspace () =
+let test_kernel_vector () =
   (* kernel of (1, 1): spanned by (1, -1) *)
-  let m = Matrix.of_rows [ Vec.of_list [ 1; 1 ] ] in
-  (match Gauss.nullspace m with
-  | [ v ] ->
+  (match Gauss.kernel_vector (Matrix.of_rows [ Vec.of_list [ 1; 1 ] ]) with
+  | Some v ->
     Alcotest.(check int) "kernel vector orthogonal" 0 (Vec.dot (Vec.of_list [ 1; 1 ]) v)
-  | l -> Alcotest.failf "expected 1 basis vector, got %d" (List.length l));
-  (* full-rank: trivial kernel *)
-  Alcotest.(check int) "full rank kernel empty" 0
-    (List.length (Gauss.nullspace (Matrix.identity 3)))
+  | None -> Alcotest.fail "expected a kernel vector");
+  (* full rank: trivial kernel *)
+  Alcotest.(check bool) "full rank kernel empty" true
+    (Gauss.kernel_vector (Matrix.identity 3) = None)
 
-let prop_nullspace_orthogonal =
-  QCheck.Test.make ~name:"nullspace vectors satisfy m·x = 0" ~count:300
-    (QCheck.make ~print:Matrix.to_string (gen_matrix 2 4))
+let prop_kernel_vector_solves =
+  QCheck.Test.make ~name:"kernel_vector is a primitive solution of m·x = 0" ~count:300
+    (QCheck.make ~print:matrix_to_string (gen_matrix 2 4))
     (fun m ->
-      List.for_all (fun x -> Vec.is_zero (Matrix.mul_vec m x)) (Gauss.nullspace m))
+      match Gauss.kernel_vector m with
+      | Some x -> Vec.is_zero (Matrix.mul_vec m x) && Vec.content x = 1
+      | None -> false)
 
-let prop_nullspace_dimension =
-  QCheck.Test.make ~name:"rank + kernel dimension = columns" ~count:300
-    (QCheck.make ~print:Matrix.to_string (gen_matrix 3 4))
+let prop_kernel_vector_exists =
+  QCheck.Test.make ~name:"kernel_vector exists iff rank < columns" ~count:300
+    (arb_square 3)
     (fun m ->
       let _, _, rank = Gauss.column_echelon m in
-      rank + List.length (Gauss.nullspace m) = Matrix.cols m)
+      Option.is_some (Gauss.kernel_vector m) = (rank < Matrix.cols m))
 
 let test_kernel_vector_prefers_units () =
   (* kernel of (1, 0): (0, 1) is in the kernel; prefer the unit vector *)
@@ -162,7 +165,7 @@ let test_complete_row_fig9 () =
 let prop_complete_row =
   let arb =
     QCheck.make
-      ~print:(fun (v, i) -> Printf.sprintf "%s @ %d" (Vec.to_string v) i)
+      ~print:(fun (v, i) -> Format.asprintf "%a @ %d" Vec.pp v i)
       QCheck.Gen.(
         pair (gen_vec 4) (int_range 0 3) >|= fun (v, i) -> (Vec.primitive v, i))
   in
@@ -172,109 +175,47 @@ let prop_complete_row =
       let u = Unimodular.complete_row g ~v in
       Matrix.is_unimodular u && Vec.equal (Matrix.row u v) g)
 
-let test_hnf () =
-  let m = Matrix.of_rows [ Vec.of_list [ 2; 1 ]; Vec.of_list [ 0; 3 ] ] in
-  let h = Unimodular.hermite_normal_form m in
-  Alcotest.(check bool) "lower triangular" true (h.(0).(1) = 0);
-  Alcotest.(check bool) "positive diagonal" true (h.(0).(0) > 0 && h.(1).(1) > 0);
-  Alcotest.(check int) "|det| preserved" (abs (Matrix.det m)) (abs (Matrix.det h))
+(* --- OpenMP-static chunks of a parfor --- *)
 
-(* --- Smith normal form --- *)
-
-let is_snf s =
-  let nr = Matrix.rows s and nc = Matrix.cols s in
-  let n = min nr nc in
-  let diag_ok = ref true in
-  for i = 0 to nr - 1 do
-    for j = 0 to nc - 1 do
-      if i <> j && s.(i).(j) <> 0 then diag_ok := false
-    done
-  done;
-  let chain_ok = ref true in
-  for k = 0 to n - 2 do
-    let a = s.(k).(k) and b = s.(k + 1).(k + 1) in
-    if a < 0 || b < 0 then chain_ok := false;
-    if a = 0 && b <> 0 then chain_ok := false;
-    if a <> 0 && b mod a <> 0 then chain_ok := false
-  done;
-  !diag_ok && !chain_ok
-
-let test_smith_known () =
-  (* classic example: diag(2, 6) has invariant factors 2, 6... and
-     [[2,4],[6,8]]: det = -8, gcd of entries 2 -> factors (2, 4) *)
-  let m = Matrix.of_rows [ Vec.of_list [ 2; 4 ]; Vec.of_list [ 6; 8 ] ] in
-  Alcotest.(check (list int)) "invariant factors" [ 2; 4 ] (Smith.diagonal m);
-  Alcotest.(check int) "rank" 2 (Smith.rank m);
-  let singular = Matrix.of_rows [ Vec.of_list [ 1; 2 ]; Vec.of_list [ 2; 4 ] ] in
-  Alcotest.(check int) "rank of singular" 1 (Smith.rank singular)
-
-let prop_smith_decomposition =
-  QCheck.Test.make ~name:"u·m·v = s, u/v unimodular, s in SNF" ~count:200
-    (QCheck.make ~print:Matrix.to_string (gen_matrix 3 4))
-    (fun m ->
-      let u, s, v = Smith.decompose m in
-      Matrix.is_unimodular u && Matrix.is_unimodular v
-      && Matrix.equal (Matrix.mul (Matrix.mul u m) v) s
-      && is_snf s)
-
-let prop_smith_rank_matches_gauss =
-  QCheck.Test.make ~name:"Smith rank = column-echelon rank" ~count:200
-    (QCheck.make ~print:Matrix.to_string (gen_matrix 3 3))
-    (fun m ->
-      let _, _, r = Gauss.column_echelon m in
-      Smith.rank m = r)
-
-(* --- Hyperplane --- *)
-
-let test_hyperplane () =
-  let h = Hyperplane.orthogonal_to_dim ~dim:1 ~rank:3 ~offset:5 in
-  Alcotest.(check bool) "contains" true (Hyperplane.contains h (Vec.of_list [ 9; 5; 2 ]));
-  Alcotest.(check bool) "not contains" false
-    (Hyperplane.contains h (Vec.of_list [ 9; 4; 2 ]));
-  let h2 = Hyperplane.make (Vec.of_list [ 0; 2; 0 ]) 4 in
-  Alcotest.(check bool) "same family up to scale" true (Hyperplane.same_family h h2)
-
-(* --- Space --- *)
-
-let test_space_basics () =
-  let s = Space.of_extents [ 3; 4 ] in
-  Alcotest.(check int) "size" 12 (Space.size s);
-  Alcotest.(check int) "extent" 4 (Space.extent s 1);
-  Alcotest.(check bool) "mem" true (Space.mem s (Vec.of_list [ 2; 3 ]));
-  Alcotest.(check bool) "not mem" false (Space.mem s (Vec.of_list [ 3; 0 ]));
-  let count = ref 0 in
-  Space.iter (fun _ -> incr count) s;
-  Alcotest.(check int) "iter visits all" 12 !count
-
-let test_space_chunks () =
-  let s = Space.of_extents [ 10 ] in
-  (* 10 over 4 chunks: 3,3,2,2 *)
-  let sizes =
-    List.init 4 (fun i -> Space.size (Space.chunk s ~dim:0 ~chunks:4 ~index:i))
+(* [parfor i = 0 to n-1 { A[i] = 1; }] on [threads] threads: thread [t]
+   gets a contiguous run of iterations, run lengths differ by at most one
+   and the remainder goes to the leading threads. *)
+let parfor_chunks ~n ~threads =
+  let p =
+    match
+      Lang.Parser.parse_result
+        (Printf.sprintf "array A[%d];\nparfor i = 0 to %d { A[i] = 1; }\n" n (n - 1))
+    with
+    | Ok p -> p
+    | Error _ -> Alcotest.fail "parse failed"
   in
-  Alcotest.(check (list int)) "chunk sizes" [ 3; 3; 2; 2 ] sizes
+  let addr_of _ = Lang.Interp.Fn (fun a -> a.(0)) in
+  match Lang.Interp.trace ~threads ~addr_of p with
+  | [ phase ] ->
+    Array.map (Array.map Lang.Interp.addr_of_access) phase
+  | l -> Alcotest.failf "expected one phase, got %d" (List.length l)
 
-let prop_chunk_partition =
+let test_parfor_chunks () =
+  (* 10 over 4 threads: 3,3,2,2 *)
+  Alcotest.(check (list int)) "chunk sizes" [ 3; 3; 2; 2 ]
+    (Array.to_list (Array.map Array.length (parfor_chunks ~n:10 ~threads:4)))
+
+let prop_parfor_chunks =
   let arb =
     QCheck.make
-      ~print:(fun (n, c) -> Printf.sprintf "n=%d chunks=%d" n c)
+      ~print:(fun (n, c) -> Printf.sprintf "n=%d threads=%d" n c)
       QCheck.Gen.(pair (int_range 1 50) (int_range 1 10))
   in
-  QCheck.Test.make ~name:"chunks partition the space, inverse consistent" ~count:300
-    arb
-    (fun (n, chunks) ->
-      let s = Space.of_extents [ n ] in
-      let total =
-        List.fold_left ( + ) 0
-          (List.init chunks (fun i -> Space.size (Space.chunk s ~dim:0 ~chunks ~index:i)))
-      in
-      total = n
-      && List.for_all
-           (fun x ->
-             let c = Space.chunk_of_point s ~dim:0 ~chunks x in
-             let sub = Space.chunk s ~dim:0 ~chunks ~index:c in
-             Space.mem sub (Vec.of_list [ x ]))
-           (List.init n Fun.id))
+  QCheck.Test.make ~name:"parfor chunks: contiguous, sizes differ by one, remainder first"
+    ~count:300 arb
+    (fun (n, threads) ->
+      let chunks = parfor_chunks ~n ~threads in
+      Array.length chunks = threads
+      && Array.for_all2
+           (fun c len -> Array.length c = len)
+           chunks
+           (Array.init threads (fun t -> (n / threads) + if t < n mod threads then 1 else 0))
+      && Array.concat (Array.to_list chunks) = Array.init n Fun.id)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -297,25 +238,17 @@ let suite =
     ( "affine.gauss",
       [
         Alcotest.test_case "column echelon" `Quick test_column_echelon;
-        Alcotest.test_case "nullspace" `Quick test_nullspace;
+        Alcotest.test_case "kernel vector" `Quick test_kernel_vector;
         Alcotest.test_case "kernel prefers units" `Quick test_kernel_vector_prefers_units;
       ]
-      @ qsuite [ prop_nullspace_orthogonal; prop_nullspace_dimension ] );
+      @ qsuite [ prop_kernel_vector_solves; prop_kernel_vector_exists ] );
     ( "affine.unimodular",
       [
         Alcotest.test_case "complete e0" `Quick test_complete_row_identity;
         Alcotest.test_case "complete Fig9" `Quick test_complete_row_fig9;
-        Alcotest.test_case "hermite normal form" `Quick test_hnf;
       ]
       @ qsuite [ prop_complete_row ] );
-    ( "affine.smith",
-      [ Alcotest.test_case "known factors" `Quick test_smith_known ]
-      @ qsuite [ prop_smith_decomposition; prop_smith_rank_matches_gauss ] );
-    ( "affine.spaces",
-      [
-        Alcotest.test_case "hyperplane" `Quick test_hyperplane;
-        Alcotest.test_case "space basics" `Quick test_space_basics;
-        Alcotest.test_case "space chunks" `Quick test_space_chunks;
-      ]
-      @ qsuite [ prop_chunk_partition ] );
+    ( "affine.chunks",
+      [ Alcotest.test_case "parfor chunk sizes" `Quick test_parfor_chunks ]
+      @ qsuite [ prop_parfor_chunks ] );
   ]

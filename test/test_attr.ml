@@ -116,21 +116,63 @@ let test_attr_json_roundtrip () =
     Alcotest.(check bool) "snapshot JSON round-trips" true
       (Json.equal (Attr.to_json snap) (Attr.to_json snap'))
 
+(* a decoded snapshot's counts feed the report's sums, so a negative
+   count or a cube total past [max_int] is refused at the door *)
+let test_of_json_rejects_bad_counts () =
+  let sites =
+    [| { Attr.array = "A"; write = false; phase = 0; loc = "x:1-2" } |]
+  in
+  let a = Attr.create ~sites ~mcs:2 ~banks:2 ~max_hops:4 in
+  Attr.record a ~site:0 ~mc:1 ~bank:0 ~hops:2;
+  let with_counts counts =
+    match Attr.to_json (Attr.snapshot a) with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "counts" then (k, Json.int_array counts) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "snapshot JSON is an object"
+  in
+  let rejected what affix counts =
+    match Attr.of_json (with_counts counts) with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": " ^ e) true
+        (Astring.String.is_infix ~affix e)
+  in
+  rejected "negative count" "negative count" [| 0; 0; -1; 0; 0; 0; 0; 0 |];
+  rejected "total past max_int" "counts overflow"
+    [| 0; 0; max_int; 0; 0; 0; 1; 0 |];
+  match Attr.of_json (with_counts [| 0; 0; max_int; 0; 0; 0; 0; 0 |]) with
+  | Ok s -> Alcotest.(check int) "a total of max_int decodes" max_int (Attr.snap_total s)
+  | Error e -> Alcotest.failf "max_int total rejected: %s" e
+
+(* the shade index is taken in floats: [count * 7] past [max_int] used
+   to index out of the shade table *)
+let test_bank_heat_near_max_int () =
+  let heat =
+    Obs.Report.bank_heat [| [| max_int / 2; max_int / 4; 0 |]; [| 1; 0; 0 |] |]
+  in
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) row true (Astring.String.is_infix ~affix:row heat))
+    [ "mc0  |#- |"; "mc1  |   | 1" ]
+
 let test_merge_errors () =
   let sites =
     [| { Attr.array = "A"; write = false; phase = 0; loc = "x:1-2" } |]
   in
   let a = Attr.create ~sites ~mcs:2 ~banks:2 ~max_hops:4 in
   let b = Attr.create ~sites ~mcs:4 ~banks:2 ~max_hops:4 in
-  (match Attr.merge (Attr.snapshot a) (Attr.snapshot b) with
-  | Ok _ -> Alcotest.fail "shape mismatch merged"
+  (match Attr.absorb a (Attr.snapshot b) with
+  | Ok () -> Alcotest.fail "shape mismatch absorbed"
   | Error _ -> ());
   let other =
     [| { Attr.array = "B"; write = true; phase = 0; loc = "y:1-2" } |]
   in
   let c = Attr.create ~sites:other ~mcs:2 ~banks:2 ~max_hops:4 in
-  match Attr.merge (Attr.snapshot a) (Attr.snapshot c) with
-  | Ok _ -> Alcotest.fail "site-table mismatch merged"
+  match Attr.absorb a (Attr.snapshot c) with
+  | Ok () -> Alcotest.fail "site-table mismatch absorbed"
   | Error _ -> ()
 
 let test_unknown_row () =
@@ -172,11 +214,20 @@ let snapshot_gen =
         Attr.snapshot a)
       (list_size (int_range 0 40) event))
 
-let merge_exn a b =
-  match Attr.merge a b with Ok m -> m | Error e -> failwith e
+(* two snapshots absorbed, in order, into a fresh cube of their shape —
+   how the parallel engine folds its partitions' cubes back *)
+let merge_exn (a : Attr.snapshot) b =
+  let t =
+    Attr.create ~sites:a.Attr.sites ~mcs:a.Attr.mcs ~banks:a.Attr.banks
+      ~max_hops:a.Attr.max_hops
+  in
+  List.iter
+    (fun s -> match Attr.absorb t s with Ok () -> () | Error e -> failwith e)
+    [ a; b ];
+  Attr.snapshot t
 
 let prop_merge_commutative =
-  QCheck.Test.make ~name:"Attr.merge is commutative" ~count:100
+  QCheck.Test.make ~name:"Attr.absorb is commutative" ~count:100
     (QCheck.make snapshot_gen)
     (fun s ->
       (* split differently each run by merging with itself reversed *)
@@ -184,40 +235,12 @@ let prop_merge_commutative =
       Json.equal (Attr.to_json (merge_exn s t)) (Attr.to_json (merge_exn t s)))
 
 let prop_merge_associative =
-  QCheck.Test.make ~name:"Attr.merge is associative" ~count:100
+  QCheck.Test.make ~name:"Attr.absorb is associative" ~count:100
     (QCheck.make QCheck.Gen.(triple snapshot_gen snapshot_gen snapshot_gen))
     (fun (a, b, c) ->
       Json.equal
         (Attr.to_json (merge_exn (merge_exn a b) c))
         (Attr.to_json (merge_exn a (merge_exn b c))))
-
-(* --- tagged trace files --- *)
-
-let test_tracefile_v2_roundtrip () =
-  let cfg = Config.scaled () in
-  let p = Runner.prepare cfg ~optimized:false ~attr:true (parse small_src) in
-  let phases = p.Runner.job.Sim.Engine.phases in
-  let sites = p.Runner.job.Sim.Engine.site_streams in
-  Alcotest.(check bool) "prepare ~attr:true tags the job" true (sites <> []);
-  let path = Filename.temp_file "offchip" ".trace" in
-  Sim.Tracefile.dump ~sites path phases;
-  let tagged = Sim.Tracefile.load_tagged path in
-  Alcotest.(check bool) "v2 round-trips phases" true
-    (List.map fst tagged = phases);
-  Alcotest.(check bool) "v2 round-trips site streams" true
-    (List.map snd tagged = sites);
-  Alcotest.(check bool) "load drops the tags" true
-    (Sim.Tracefile.load path = phases);
-  (* a v1 file reads back with all-unknown tags *)
-  Sim.Tracefile.dump path phases;
-  let v1 = Sim.Tracefile.load_tagged path in
-  Alcotest.(check bool) "v1 phases survive" true (List.map fst v1 = phases);
-  Alcotest.(check bool) "v1 tags are -1" true
-    (List.for_all
-       (fun (_, ss) ->
-         Array.for_all (Array.for_all (fun s -> s = -1)) ss)
-       v1);
-  Sys.remove path
 
 (* --- progress streams --- *)
 
@@ -319,6 +342,44 @@ let test_report_names_hot_site () =
     Alcotest.(check bool) "html has the table" true
       (Astring.String.is_infix ~affix:"<pre>" html)
 
+(* a stats document whose attribution cube is out of range is a report
+   error, not an exception: a negative count, and a cell of [max_int]
+   beside another count *)
+let test_report_refuses_bad_cube () =
+  let cfg, r, attr = run_attributed () in
+  let doc = Sweep.Exec.result_json ~attr ~app:"golden-small" cfg r in
+  let set_first_counts c =
+    let counts = function
+      | Json.List (_ :: rest) -> Json.List (Json.Int c :: rest)
+      | j -> j
+    in
+    let attribution = function
+      | Json.Obj fields ->
+        Json.Obj (List.map (fun (k, v) -> if k = "counts" then (k, counts v) else (k, v)) fields)
+      | j -> j
+    in
+    match doc with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "attribution" then (k, attribution v) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "stats document is an object"
+  in
+  Alcotest.(check bool) "the document has counts" true
+    (Attr.snap_total (Attr.snapshot attr) > 0);
+  List.iter
+    (fun (what, c, affix) ->
+      match Obs.Report.build (set_first_counts c) with
+      | Ok _ -> Alcotest.failf "%s: report built" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ ": " ^ e) true
+          (Astring.String.is_infix ~affix e))
+    [
+      ("negative count", -1, "negative count");
+      ("max_int count", max_int, "counts overflow");
+    ]
+
 let suite =
   [
     ( "attr",
@@ -333,15 +394,19 @@ let suite =
           test_attr_json_roundtrip;
         Alcotest.test_case "merge refuses mismatched shapes" `Quick
           test_merge_errors;
+        Alcotest.test_case "of_json rejects bad counts" `Quick
+          test_of_json_rejects_bad_counts;
+        Alcotest.test_case "bank heat near max_int" `Quick
+          test_bank_heat_near_max_int;
         Alcotest.test_case "unknown row" `Quick test_unknown_row;
         QCheck_alcotest.to_alcotest prop_merge_commutative;
         QCheck_alcotest.to_alcotest prop_merge_associative;
-        Alcotest.test_case "tracefile v2 round-trip" `Quick
-          test_tracefile_v2_roundtrip;
         Alcotest.test_case "progress NDJSON round-trip" `Quick
           test_progress_roundtrip;
         Alcotest.test_case "progress follow" `Quick test_progress_follow;
         Alcotest.test_case "report names a hot site exactly" `Quick
           test_report_names_hot_site;
+        Alcotest.test_case "report refuses a bad cube" `Quick
+          test_report_refuses_bad_cube;
       ] );
   ]

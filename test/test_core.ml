@@ -103,20 +103,39 @@ let test_with_mcs () =
   let c16 = ok (Cluster.with_mcs_result ~width:8 ~height:8 ~mcs:16) in
   Alcotest.(check int) "16 clusters of 4" 4 (Cluster.cores_per_cluster c16)
 
+(* the divisor walk stops at the mesh width, so a controller count
+   with no even tiling is an error however large it is *)
+let test_with_mcs_no_tiling () =
+  List.iter
+    (fun mcs ->
+      match Cluster.with_mcs_result ~width:8 ~height:8 ~mcs with
+      | Ok c -> Alcotest.failf "%d controllers tiled as %s" mcs c.Cluster.name
+      | Error _ -> ())
+    [ 3; 5; 128; max_int ];
+  let c2 = ok (Cluster.with_mcs_result ~width:8 ~height:8 ~mcs:2) in
+  Alcotest.(check int) "2 clusters of 32" 32 (Cluster.cores_per_cluster c2)
+
 (* --- Data_to_core --- *)
 
 let antidiag = Matrix.of_rows [ Vec.of_list [ 0; 1 ]; Vec.of_list [ 1; 0 ] ]
 
+(* [gᵥ] for one reference of weight 1, through the multiple-references
+   procedure *)
+let solve_single access ~u ~v =
+  Option.map
+    (fun s -> s.Data_to_core.g)
+    (Data_to_core.solve ~refs:[ { Data_to_core.access; u; weight = 1 } ] ~v)
+
 let test_solve_single_fig9 () =
   (* Z[j][i] under parallel i (u=0): g = (0,1), U antidiagonal *)
   let access = Access.make antidiag (Vec.zero 2) in
-  (match Data_to_core.solve_single access ~u:0 ~v:0 with
-  | Some g -> Alcotest.(check (list int)) "g" [ 0; 1 ] (Vec.to_list g)
+  (match solve_single access ~u:0 ~v:0 with
+  | Some g -> Alcotest.(check (list int)) "g" [ 0; 1 ] (Array.to_list g)
   | None -> Alcotest.fail "expected a solution");
   (* row-major friendly reference A[i][j]: g = e0, U = I *)
   let access = Access.make (Matrix.identity 2) (Vec.zero 2) in
-  match Data_to_core.solve_single access ~u:0 ~v:0 with
-  | Some g -> Alcotest.(check (list int)) "identity g" [ 1; 0 ] (Vec.to_list g)
+  match solve_single access ~u:0 ~v:0 with
+  | Some g -> Alcotest.(check (list int)) "identity g" [ 1; 0 ] (Array.to_list g)
   | None -> Alcotest.fail "expected a solution"
 
 let test_solve_single_unsolvable () =
@@ -124,13 +143,13 @@ let test_solve_single_unsolvable () =
      solution for a 1-D array *)
   let access = Access.make (Matrix.of_rows [ Vec.of_list [ 0; 1 ] ]) (Vec.zero 1) in
   Alcotest.(check (option (list int))) "no solution" None
-    (Option.map Vec.to_list (Data_to_core.solve_single access ~u:0 ~v:0))
+    (Option.map Array.to_list (solve_single access ~u:0 ~v:0))
 
 let test_solve_depth1 () =
   (* X[i], parallel i, depth 1: no constraints, unit vector solution *)
   let access = Access.make (Matrix.identity 1) (Vec.zero 1) in
-  match Data_to_core.solve_single access ~u:0 ~v:0 with
-  | Some g -> Alcotest.(check (list int)) "unit" [ 1 ] (Vec.to_list g)
+  match solve_single access ~u:0 ~v:0 with
+  | Some g -> Alcotest.(check (list int)) "unit" [ 1 ] (Array.to_list g)
   | None -> Alcotest.fail "depth-1 parallel reference must be solvable"
 
 let test_weighted_majority () =
@@ -143,14 +162,14 @@ let test_weighted_majority () =
   in
   (match Data_to_core.solve ~refs:[ ref_rowwise 0 100; ref_transposed 0 10 ] ~v:0 with
   | Some sol ->
-    Alcotest.(check (list int)) "heavy row-wise wins" [ 1; 0 ] (Vec.to_list sol.Data_to_core.g);
+    Alcotest.(check (list int)) "heavy row-wise wins" [ 1; 0 ] (Array.to_list sol.Data_to_core.g);
     Alcotest.(check int) "satisfied weight" 100 sol.Data_to_core.satisfied_weight;
     Alcotest.(check int) "total weight" 110 sol.Data_to_core.total_weight
   | None -> Alcotest.fail "expected a solution");
   match Data_to_core.solve ~refs:[ ref_rowwise 0 10; ref_transposed 0 100 ] ~v:0 with
   | Some sol ->
     Alcotest.(check (list int)) "heavy transposed wins" [ 0; 1 ]
-      (Vec.to_list sol.Data_to_core.g)
+      (Array.to_list sol.Data_to_core.g)
   | None -> Alcotest.fail "expected a solution"
 
 let test_satisfies () =
@@ -184,11 +203,14 @@ let check_bijective layout extents =
 
 let test_identity_layout () =
   let l = Layout.identity ~array:"A" ~extents:[| 6; 10 |] ~elem_bytes:8 in
-  Alcotest.(check bool) "is_identity" true (Layout.is_identity l);
   Alcotest.(check int) "row-major offset" 25
     (Layout.offset_of_index l (Vec.of_list [ 2; 5 ]));
   Alcotest.(check int) "size" 60 (Layout.size_elems l);
   Alcotest.(check int) "bytes" 480 (Layout.size_bytes l)
+
+(* A layout's offsets through its [addr_map] tables, staged once as the
+   trace generator stages them *)
+let offset_fn l = Lang.Interp.apply (Layout.addr_map l)
 
 (* [offset_fn] tables [offset_of_index]'s arithmetic: one staged
    function, reused across many indices, must agree with the plain
@@ -202,7 +224,7 @@ let test_offset_fn_reuse () =
       List.iter
         (fun (d : Transform.decision) ->
           let l = d.Transform.layout in
-          let f = Layout.offset_fn l in
+          let f = offset_fn l in
           for k = 0 to 63 do
             let a =
               Array.mapi
@@ -299,7 +321,7 @@ let prop_offset_fn_matches_naive =
   in
   QCheck.Test.make ~name:"staged offset_fn equals the naive evaluation"
     ~count:2000 (QCheck.make ~print case) (fun (l, idxs) ->
-      let f = Layout.offset_fn l in
+      let f = offset_fn l in
       let run g a = match g a with v -> Ok v | exception e -> Error e in
       List.for_all
         (fun a ->
@@ -310,7 +332,6 @@ let prop_offset_fn_matches_naive =
 let test_private_layout_bijective () =
   let u = Matrix.identity 2 in
   let layout = Customize.customize cfg_private ~array:"A" ~extents:[| 128; 128 |] ~u ~v:0 in
-  Alcotest.(check bool) "not identity" false (Layout.is_identity layout);
   check_bijective layout [| 128; 128 |]
 
 let test_private_layout_mc_rotation () =
@@ -495,7 +516,7 @@ let test_indexed_exact_fit () =
   match Indexed.approximate ~samples with
   | Some (access, inacc) ->
     Alcotest.(check (float 1e-9)) "exact" 0.0 inacc;
-    Alcotest.(check (list int)) "offset" [ 1; 0 ] (Vec.to_list access.Access.offset)
+    Alcotest.(check (list int)) "offset" [ 1; 0 ] (Array.to_list access.Access.offset)
   | None -> Alcotest.fail "expected a fit"
 
 let test_indexed_banded_fit () =
@@ -711,6 +732,7 @@ let suite =
         Alcotest.test_case "cluster order" `Quick test_thread_cluster_order;
         Alcotest.test_case "placement alignment" `Quick test_placement_alignment;
         Alcotest.test_case "with_mcs" `Quick test_with_mcs;
+        Alcotest.test_case "with_mcs: no even tiling" `Quick test_with_mcs_no_tiling;
       ] );
     ( "core.data_to_core",
       [

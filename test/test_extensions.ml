@@ -11,14 +11,14 @@ module Loop_transform = Core.Loop_transform
 
 let test_solve_identity () =
   match Gauss.solve (Matrix.identity 3) (Vec.of_list [ 4; -2; 7 ]) with
-  | Some x -> Alcotest.(check (list int)) "x = b" [ 4; -2; 7 ] (Vec.to_list x)
+  | Some x -> Alcotest.(check (list int)) "x = b" [ 4; -2; 7 ] (Array.to_list x)
   | None -> Alcotest.fail "identity system must be solvable"
 
 let test_solve_stencil_distance () =
   (* A = antidiagonal, offsets differ by (1,0): A·d = (1,0) → d = (0,1) *)
   let a = Matrix.of_rows [ Vec.of_list [ 0; 1 ]; Vec.of_list [ 1; 0 ] ] in
   match Gauss.solve a (Vec.of_list [ 1; 0 ]) with
-  | Some d -> Alcotest.(check (list int)) "distance" [ 0; 1 ] (Vec.to_list d)
+  | Some d -> Alcotest.(check (list int)) "distance" [ 0; 1 ] (Array.to_list d)
   | None -> Alcotest.fail "solvable"
 
 let test_solve_no_integer_solution () =

@@ -249,8 +249,11 @@ let read_dir dir =
          | Error e -> failwith e)
 
 (* Valid documents of each decoder: the committed examples, every
-   platform preset, a manifest with every status, and the metrics and
-   attribution snapshots of one small attributed run. *)
+   platform preset, a manifest with every status, the metrics and
+   attribution snapshots of one small attributed run, that run's
+   simulate --stats-json document with and without its attribution (read
+   by report and by occ --calibrate) and a serve --stats-json document
+   (read by report). *)
 let json_seeds =
   lazy
     (let decoder f j = Result.map ignore (f j) in
@@ -259,7 +262,9 @@ let json_seeds =
      and platform = decoder Core.Platform.of_json
      and manifest = decoder Sweep.Manifest.of_json
      and metrics = decoder Obs.Metrics.snapshot_of_json
-     and attr = decoder Obs.Attr.of_json in
+     and attr = decoder Obs.Attr.of_json
+     and report = decoder (fun j -> Obs.Report.build j)
+     and pressure = decoder Core.Mapping_select.bank_pressure_of_stats in
      let presets =
        List.map
          (fun name ->
@@ -283,7 +288,14 @@ let json_seeds =
              |];
          }
      in
-     let _, r, cube = Test_attr.run_attributed () in
+     let cfg, r, cube = Test_attr.run_attributed () in
+     let stats = Sweep.Exec.result_json ~app:"fuzz" cfg r
+     and attributed = Sweep.Exec.result_json ~attr:cube ~app:"fuzz" cfg r in
+     let served =
+       match Serve.Server.run (Serve.Scenario.smoke ()) with
+       | Ok run -> Serve.Server.result_json run
+       | Error e -> failwith e
+     in
      List.map (fun j -> (spec, j)) (read_dir "../examples/sweeps")
      @ List.map (fun j -> (scenario, j)) (read_dir "../examples/serve")
      @ List.map (fun j -> (platform, j)) presets
@@ -293,6 +305,11 @@ let json_seeds =
            Obs.Metrics.to_json
              (Obs.Metrics.snapshot (Sim.Stats.registry r.Sim.Engine.stats)) );
          (attr, Obs.Attr.to_json (Obs.Attr.snapshot cube));
+         (report, stats);
+         (report, attributed);
+         (pressure, stats);
+         (pressure, attributed);
+         (report, served);
        ])
 
 (* the same value under another JSON type *)
@@ -341,11 +358,34 @@ let mutate kind target doc =
   in
   go doc
 
+(* Replaces the [target]-th (mod their count) number, in preorder, with
+   an extreme: -1, 0, max_int or 1e308 by [extreme]. *)
+let renumber extreme target doc =
+  let rec count = function
+    | Json.Int _ | Json.Float _ -> 1
+    | Json.Obj fields -> List.fold_left (fun n (_, v) -> n + count v) 0 fields
+    | Json.List l -> List.fold_left (fun n v -> n + count v) 0 l
+    | _ -> 0
+  in
+  let target = target mod max 1 (count doc) in
+  let n = ref (-1) in
+  let rec go = function
+    | (Json.Int _ | Json.Float _) as v ->
+      incr n;
+      if !n <> target then v
+      else List.nth [ Json.Int (-1); Json.Int 0; Json.Int max_int; Json.Float 1e308 ] extreme
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, go v)) fields)
+    | Json.List l -> Json.List (List.map go l)
+    | v -> v
+  in
+  go doc
+
 (* Every mutant decodes to [Ok] or a one-line [Error]; none raises.  A
-   fourth mutation cuts the valid text at a random byte. *)
+   fourth mutation cuts the valid text at a random byte, and the last
+   four set one number to an extreme. *)
 let prop_json_mutants =
-  QCheck.Test.make ~name:"JSON input decoders survive mutation" ~count:500
-    QCheck.(quad small_nat (int_bound 3) (int_bound 100_000) (int_bound 100_000))
+  QCheck.Test.make ~name:"JSON input decoders survive mutation" ~count:1000
+    QCheck.(quad small_nat (int_bound 7) (int_bound 100_000) (int_bound 100_000))
     (fun (seed, kind, target, cut) ->
       let seeds = Lazy.force json_seeds in
       let decode, doc = List.nth seeds (seed mod List.length seeds) in
@@ -353,6 +393,7 @@ let prop_json_mutants =
         if kind = 3 then
           let s = Json.to_string doc in
           String.sub s 0 (cut mod (String.length s + 1))
+        else if kind >= 4 then Json.to_string (renumber (kind - 4) target doc)
         else Json.to_string (mutate kind target doc)
       in
       match Result.bind (Json.of_string text) decode with

@@ -81,7 +81,10 @@ let named_cases =
         what = "jacobi.mc";
         program =
           lazy
-            (match Lang.Parser.parse_file_result "../examples/jacobi.mc" with
+            (match
+               Lang.Parser.parse_result
+                 (In_channel.with_open_bin "../examples/jacobi.mc" In_channel.input_all)
+             with
             | Ok p -> p
             | Error _ -> failwith "jacobi.mc does not parse");
         index_lookup = (fun _ _ -> 0);

@@ -29,8 +29,13 @@ parfor i = 2 to N-2 {
 
 (* --- lexer --- *)
 
+let tokenize src =
+  match Lexer.scan src with
+  | Ok spanned -> List.map (fun s -> s.Lexer.tok) spanned
+  | Error d -> Alcotest.failf "lexical error: %s" d.Lang.Diag.message
+
 let test_lexer_tokens () =
-  let toks = Lexer.tokenize "parfor x1 = 0 to N-1 { A[x1] = 2*x1; }" in
+  let toks = tokenize "parfor x1 = 0 to N-1 { A[x1] = 2*x1; }" in
   Alcotest.(check int) "token count" 20 (List.length toks);
   (match toks with
   | Lexer.KW_PARFOR :: Lexer.IDENT "x1" :: Lexer.EQUALS :: Lexer.INT 0 :: _ -> ()
@@ -38,13 +43,13 @@ let test_lexer_tokens () =
   Alcotest.(check bool) "ends with EOF" true (List.nth toks 19 = Lexer.EOF)
 
 let test_lexer_comments () =
-  let toks = Lexer.tokenize "// a comment\nfor // another\n" in
+  let toks = tokenize "// a comment\nfor // another\n" in
   Alcotest.(check int) "only keyword and EOF" 2 (List.length toks)
 
 let test_lexer_error () =
-  match Lexer.tokenize "a @ b" with
-  | exception Lexer.Error (_, pos) -> Alcotest.(check int) "position" 2 pos
-  | _ -> Alcotest.fail "expected lexical error"
+  match Lexer.scan "a @ b" with
+  | Error d -> Alcotest.(check int) "position" 2 d.Lang.Diag.span.Lang.Span.lo
+  | Ok _ -> Alcotest.fail "expected lexical error"
 
 (* --- parser --- *)
 
@@ -94,7 +99,7 @@ let test_affine_extraction () =
   let iters = [ "i"; "j" ] in
   (match Analysis.affine_of_expr ~params ~iters (Ast.Add (Ast.Mul (Ast.Int 2, Ast.Var "j"), Ast.Int 1)) with
   | Some (c, k) ->
-    Alcotest.(check (list int)) "coeffs" [ 0; 2 ] (Vec.to_list c);
+    Alcotest.(check (list int)) "coeffs" [ 0; 2 ] (Array.to_list c);
     Alcotest.(check int) "const" 1 k
   | None -> Alcotest.fail "expected affine");
   (match Analysis.affine_of_expr ~params ~iters (Ast.Var "N") with

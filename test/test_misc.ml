@@ -18,16 +18,10 @@ let parse src =
 
 let test_pp_smoke () =
   let v = Vec.of_list [ 1; -2; 3 ] in
-  Alcotest.(check string) "vec" "(1, -2, 3)" (Vec.to_string v);
+  Alcotest.(check string) "vec" "(1, -2, 3)" (Format.asprintf "%a" Vec.pp v);
   let m = Matrix.of_rows [ v; Vec.zero 3 ] in
   Alcotest.(check bool) "matrix mentions rows" true
-    (contains (Matrix.to_string m) "(0, 0, 0)");
-  let h = Affine.Hyperplane.make v 7 in
-  Alcotest.(check bool) "hyperplane" true
-    (contains (Format.asprintf "%a" Affine.Hyperplane.pp h) "= 7");
-  let s = Affine.Space.of_extents [ 2; 3 ] in
-  Alcotest.(check bool) "space" true
-    (contains (Format.asprintf "%a" Affine.Space.pp s) "(1, 2)")
+    (contains (Format.asprintf "%a" Matrix.pp m) "(0, 0, 0)")
 
 let test_cluster_pp () =
   let c = ok (Core.Cluster.m1 ~width:8 ~height:8) in
@@ -87,27 +81,6 @@ let test_platform_heat () =
   Alcotest.check_raises "size mismatch"
     (Invalid_argument "Platform_map.render_heat") (fun () ->
       ignore (Sim.Platform_map.render_heat cfg (Array.make 3 0)))
-
-(* --- file IO paths --- *)
-
-let test_parse_file () =
-  let path = Filename.temp_file "offchip" ".mc" in
-  let oc = open_out path in
-  output_string oc "array A[4];\nparfor i = 0 to 3 { A[i] = i; }\n";
-  close_out oc;
-  let p =
-    match Lang.Parser.parse_file_result path with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail "parse_file failed"
-  in
-  Sys.remove path;
-  Alcotest.(check int) "one nest" 1 (List.length p.Lang.Ast.nests)
-
-let test_parse_file_missing () =
-  match Lang.Parser.parse_file_result "/nonexistent/offchip.mc" with
-  | Ok _ -> Alcotest.fail "expected a P000 diagnostic"
-  | Error (d :: _) -> Alcotest.(check string) "code" "P000" d.Lang.Diag.code
-  | Error [] -> Alcotest.fail "expected a diagnostic"
 
 let test_codegen_emit () =
   let c =
@@ -185,12 +158,93 @@ let test_access_transform () =
       (Vec.of_list [ 0; 1 ])
   in
   Alcotest.(check (list int)) "apply" [ 1; 5 ]
-    (Vec.to_list (Affine.Access.apply acc (Vec.of_list [ 1; 2 ])));
+    (Array.to_list (Affine.Access.apply acc (Vec.of_list [ 1; 2 ])));
   let u = Matrix.of_rows [ Vec.of_list [ 0; 1 ]; Vec.of_list [ 1; 0 ] ] in
   let acc' = Affine.Access.transform u acc in
   (* the transformed reference touches the permuted element *)
   Alcotest.(check (list int)) "transformed apply" [ 5; 1 ]
-    (Vec.to_list (Affine.Access.apply acc' (Vec.of_list [ 1; 2 ])))
+    (Array.to_list (Affine.Access.apply acc' (Vec.of_list [ 1; 2 ])))
+
+(* --- driver errors: exit 1 with one stderr line --- *)
+
+(* runs a built driver next to this test binary; its exit code and its
+   non-empty stderr lines *)
+let run_driver exe args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ exe)
+  in
+  let err = Filename.temp_file "offchip-driver" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null fd
+  in
+  Unix.close fd;
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  let lines =
+    In_channel.with_open_bin err In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Sys.remove err;
+  ((match status with Unix.WEXITED c -> c | _ -> -1), lines)
+
+let test_driver_one_line_errors () =
+  let platform = Filename.temp_file "platform" ".json" in
+  Out_channel.with_open_bin platform (fun oc ->
+      output_string oc {|{"mesh_width": 64, "mesh_height": 65}|});
+  List.iter
+    (fun (exe, args) ->
+      let what = String.concat " " (exe :: args) in
+      match run_driver exe args with
+      | 1, [ _ ] -> ()
+      | code, lines ->
+        Alcotest.failf "%s: exit %d with %d stderr lines (want exit 1, one line)"
+          what code (List.length lines))
+    [
+      ("simulate.exe", [ "gemm-n0t8" ]);
+      ("simulate.exe", [ "gemm-n64t0" ]);
+      ("simulate.exe", [ "equake" ]);
+      ("occ.exe", [ "--app"; "gemm-n0t8" ]);
+      ("occ.exe", [ "--app"; "gemm-n64t0" ]);
+      ("occ.exe", [ "--app"; "equake" ]);
+      ("occ.exe", [ "--app"; "apsi"; "--platform"; "mesh40000x40000-mc4" ]);
+      ("simulate.exe", [ "apsi"; "--platform"; "mesh64x65-mc4" ]);
+      ("simulate.exe", [ "apsi"; "--platform"; platform ]);
+    ];
+  Sys.remove platform
+
+(* --- file IO paths: occ reads a source file --- *)
+
+let with_source src f =
+  let path = Filename.temp_file "offchip" ".mc" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_parse_file () =
+  with_source "array A[4];\nparfor i = 0 to 3 { A[i] = i; }\n" (fun path ->
+      match run_driver "occ.exe" [ path ] with
+      | 0, [] -> ()
+      | code, lines ->
+        Alcotest.failf "occ %s: exit %d, %d stderr lines (want 0, none)" path
+          code (List.length lines));
+  (* a diagnostic is located in the file it was read from *)
+  with_source "array A[4];\nparfor i = 0 to 3 { B[i] = i; }\n" (fun path ->
+      match run_driver "occ.exe" [ path ] with
+      | 1, first :: _ ->
+        Alcotest.(check bool) "names file:line:col and the code" true
+          (Astring.String.is_prefix ~affix:(path ^ ":2:21: error[S004]") first)
+      | code, _ -> Alcotest.failf "occ %s: exit %d (want 1)" path code)
+
+let test_parse_file_missing () =
+  match run_driver "occ.exe" [ "/nonexistent/offchip.mc" ] with
+  | 1, [ line ] ->
+    Alcotest.(check bool) "names the file" true
+      (Astring.String.is_infix ~affix:"/nonexistent/offchip.mc" line)
+  | code, lines ->
+    Alcotest.failf "exit %d with %d stderr lines (want exit 1, one line)" code
+      (List.length lines)
 
 let suite =
   [
@@ -203,12 +257,14 @@ let suite =
         Alcotest.test_case "config pp" `Quick test_config_pp;
         Alcotest.test_case "platform map" `Quick test_platform_map;
         Alcotest.test_case "platform heat" `Quick test_platform_heat;
-        Alcotest.test_case "parse_file" `Quick test_parse_file;
-        Alcotest.test_case "parse_file missing" `Quick test_parse_file_missing;
         Alcotest.test_case "codegen emit" `Quick test_codegen_emit;
         Alcotest.test_case "argument validation" `Quick test_validation;
         Alcotest.test_case "check_domains" `Quick test_check_domains;
         Alcotest.test_case "Cli.eval" `Quick test_cli_eval;
         Alcotest.test_case "access transform" `Quick test_access_transform;
+        Alcotest.test_case "driver one-line errors" `Quick
+          test_driver_one_line_errors;
+        Alcotest.test_case "parse_file" `Quick test_parse_file;
+        Alcotest.test_case "parse_file missing" `Quick test_parse_file_missing;
       ] );
   ]

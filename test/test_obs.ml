@@ -99,9 +99,16 @@ let prop_json_roundtrip_minified =
 
 (* --- metrics: histogram bucketing --- *)
 
+(* bucket 0 = {0}; bucket i>=1 = [2^(i-1), 2^i); the last bucket is
+   open-ended *)
+let bucket_bounds i =
+  if i = 0 then (0, 1)
+  else if i >= M.max_log2_buckets - 1 then (1 lsl (M.max_log2_buckets - 2), max_int)
+  else (1 lsl (i - 1), 1 lsl i)
+
 let in_bucket v =
   let i = M.bucket_index v in
-  let lo, hi = M.bucket_bounds i in
+  let lo, hi = bucket_bounds i in
   lo <= v && (v < hi || hi = max_int)
 
 let prop_log2_buckets =
@@ -122,8 +129,8 @@ let test_log2_boundaries () =
     (M.max_log2_buckets - 1) (idx max_int);
   (* successive bucket bounds tile the nonnegative ints *)
   for i = 0 to M.max_log2_buckets - 2 do
-    let _, hi = M.bucket_bounds i in
-    let lo, _ = M.bucket_bounds (i + 1) in
+    let _, hi = bucket_bounds i in
+    let lo, _ = bucket_bounds (i + 1) in
     Alcotest.(check int) (Printf.sprintf "contiguous at bucket %d" i) hi lo
   done
 
@@ -153,8 +160,9 @@ let test_registry_basics () =
   M.observe h 0;
   M.observe h 5;
   M.observe h (-3);
-  Alcotest.(check int) "hist count" 3 (M.hist_count h);
-  Alcotest.(check int) "negatives clamp to 0" 5 (M.hist_sum h);
+  let hist_snapshot () = List.assoc "h" (M.snapshot reg).M.histograms in
+  Alcotest.(check int) "hist count" 3 (hist_snapshot ()).M.total;
+  Alcotest.(check int) "negatives clamp to 0" 5 (hist_snapshot ()).M.sum;
   Alcotest.check_raises "kind mismatch"
     (Invalid_argument "Metrics.gauge: c is not a gauge") (fun () ->
       ignore (M.gauge reg "c"));
@@ -164,7 +172,7 @@ let test_registry_basics () =
   | Error _ -> ());
   (* same name: idempotent, same cells *)
   M.observe (hist reg "h") 1;
-  Alcotest.(check int) "histogram registration idempotent" 4 (M.hist_count h)
+  Alcotest.(check int) "histogram registration idempotent" 4 (hist_snapshot ()).M.total
 
 let test_snapshot_merge () =
   let mk records =

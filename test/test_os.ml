@@ -22,9 +22,7 @@ let test_line_interleaved_mode () =
   let pa = Page_alloc.create ~map:line_map ~policy:Page_alloc.Hardware_interleaved () in
   let paddr = Page_alloc.translate pa ~node:3 ~vaddr:(4096 + 256) in
   Alcotest.(check int) "controller decided by the offset bits" 1
-    (Address_map.mc_of_paddr line_map paddr);
-  Alcotest.(check (option int)) "no per-page controller" None
-    (Page_alloc.mc_of_vpage pa 1)
+    (Address_map.mc_of_paddr line_map paddr)
 
 let test_hardware_interleaved_rotation () =
   (* allocation-order rotation models sequential frame allocation *)
@@ -46,8 +44,7 @@ let test_first_touch () =
     (Address_map.mc_of_paddr page_map paddr);
   (* later touches from other nodes do not move it *)
   let paddr2 = Page_alloc.translate pa ~node:55 ~vaddr:8 in
-  Alcotest.(check int) "sticky placement" (paddr + 8) paddr2;
-  Alcotest.(check (option int)) "vpage controller" (Some 1) (Page_alloc.mc_of_vpage pa 0)
+  Alcotest.(check int) "sticky placement" (paddr + 8) paddr2
 
 let test_mc_aware () =
   let pa =
@@ -181,12 +178,6 @@ let test_line_mode_capacity_and_reuse () =
   Alcotest.(check bool) "reclaimed frame reused" true
     (List.mem reused [ f0; f1 ])
 
-let test_reset () =
-  let pa = Page_alloc.create ~map:page_map ~policy:Page_alloc.Hardware_interleaved () in
-  ignore (Page_alloc.translate pa ~node:0 ~vaddr:0);
-  Page_alloc.reset pa;
-  Alcotest.(check int) "no pages after reset" 0 (Page_alloc.pages_allocated pa)
-
 let prop_translation_injective =
   QCheck.Test.make ~name:"distinct pages get distinct frames" ~count:100
     (QCheck.make
@@ -221,7 +212,6 @@ let suite =
           test_per_owner_fallbacks;
         Alcotest.test_case "line-mode capacity and reuse" `Quick
           test_line_mode_capacity_and_reuse;
-        Alcotest.test_case "reset" `Quick test_reset;
       ]
       @ qsuite [ prop_translation_injective ] );
   ]

@@ -301,6 +301,109 @@ let test_of_file () =
   Alcotest.(check string) "of_file restores" p.Platform.name q.Platform.name;
   Alcotest.(check string) "of_spec takes a path" p.Platform.name r.Platform.name
 
+(* The mesh bound: 64x64 (4096 nodes) is the largest mesh a preset name
+   or a platform file may give; one more row is a one-line error. *)
+let test_mesh_bound () =
+  let one_line what = function
+    | Ok _ -> Alcotest.failf "%s must be rejected" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": one line naming the bound") true
+        (Astring.String.is_infix ~affix:"more than 4096 nodes" e
+        && not (String.contains e '\n'))
+  in
+  let file w h =
+    let path = Filename.temp_file "platform" ".json" in
+    Out_channel.with_open_bin path (fun oc ->
+        Printf.fprintf oc {|{"mesh_width": %d, "mesh_height": %d}|} w h);
+    let r = Platform.of_spec path in
+    Sys.remove path;
+    r
+  in
+  let nodes p = Noc.Topology.nodes p.Platform.topo in
+  Alcotest.(check int) "preset 64x64 loads" 4096 (nodes (ok (Platform.of_spec "mesh64x64-mc4")));
+  Alcotest.(check int) "file 64x64 loads" 4096 (nodes (ok (file 64 64)));
+  Alcotest.(check int) "chiplet16x16 loads" 4096
+    (nodes (ok (Platform.of_spec "chiplet16x16-mc4")));
+  one_line "preset 64x65" (Platform.of_spec "mesh64x65-mc4");
+  one_line "file 64x65" (file 64 65);
+  one_line "chiplet16x17" (Platform.of_spec "chiplet16x17-mc4");
+  one_line "preset 40000x40000" (Platform.of_spec "mesh40000x40000-mc4");
+  (* a product past max_int must not wrap into range *)
+  one_line "preset 2^62x4"
+    (Platform.of_spec (Printf.sprintf "mesh%dx4-mc4" (max_int / 2 + 1)));
+  match
+    Platform.of_json
+      (Obs.Json.Obj
+         [
+           ("mesh_width", Obs.Json.Int 8);
+           ("mesh_height", Obs.Json.Int 8);
+           ( "cluster",
+             Obs.Json.Obj
+               [ ("cx", Obs.Json.Int 2); ("cy", Obs.Json.Int 2); ("k", Obs.Json.Int max_int) ] );
+         ])
+  with
+  | Ok _ -> Alcotest.fail "max_int controllers per cluster must be rejected"
+  | Error e ->
+    Alcotest.(check bool) "controller count bounded too" true
+      (Astring.String.is_infix ~affix:"more than 4096 controllers" e)
+
+(* A chiplet grid is checked against the node bound before its side is
+   multiplied by the 4x4 chiplet tile, so no grid size wraps into range;
+   a file's hierarchy must fit its (bounded) mesh. *)
+let test_chiplet_bound () =
+  let nodes p = Noc.Topology.nodes p.Platform.topo in
+  Alcotest.(check int) "chiplet1x256 loads" 4096
+    (nodes (ok (Platform.of_spec "chiplet1x256-mc4")));
+  let rejected what r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s must be rejected" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": one line") true
+        (e <> "" && not (String.contains e '\n'))
+  in
+  rejected "chiplet1x257" (Platform.of_spec "chiplet1x257-mc4");
+  rejected "chiplet (max_int/2)x1"
+    (Platform.of_spec (Printf.sprintf "chiplet%dx1-mc4" (max_int / 2)));
+  rejected "hierarchy of max_int chiplets"
+    (Platform.of_json
+       (Obs.Json.Obj
+          [
+            ("mesh_width", Obs.Json.Int 64);
+            ("mesh_height", Obs.Json.Int 64);
+            ( "hierarchy",
+              Obs.Json.Obj
+                [ ("chiplets_x", Obs.Json.Int max_int); ("chiplets_y", Obs.Json.Int 2) ]
+            );
+          ]))
+
+(* The bank bound: 65536 banks, and as many channels, across all the
+   controllers; a value past it (max_int included) is a one-line error,
+   not an allocation. *)
+let test_bank_bound () =
+  let platform fields =
+    Platform.of_json
+      (Obs.Json.Obj
+         ([ ("mesh_width", Obs.Json.Int 8); ("mesh_height", Obs.Json.Int 8) ]
+         @ List.map (fun (k, v) -> (k, Obs.Json.Int v)) fields))
+  in
+  let p = ok (platform [ ("banks_per_mc", 16384); ("channels_per_mc", 16384) ]) in
+  Alcotest.(check int) "4 controllers of 16384 banks load" 65536
+    (Cluster.num_mcs p.Platform.cluster * p.Platform.banks_per_mc);
+  List.iter
+    (fun (what, fields) ->
+      match platform fields with
+      | Ok _ -> Alcotest.failf "%s must be rejected" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ ": one line naming the bound") true
+          (Astring.String.is_infix ~affix:"more than 65536 banks or channels" e
+          && not (String.contains e '\n')))
+    [
+      ("16385 banks", [ ("banks_per_mc", 16385) ]);
+      ("16385 channels", [ ("channels_per_mc", 16385) ]);
+      ("max_int banks", [ ("banks_per_mc", max_int) ]);
+      ("max_int channels", [ ("channels_per_mc", max_int) ]);
+    ]
+
 (* A platform file's interleaving reaches the simulator and the pass
    (p = one page in elements) unless --interleave overrides it. *)
 let test_build_keeps_file_interleaving () =
@@ -420,6 +523,9 @@ let suite =
         Alcotest.test_case "1x1 hierarchy is the flat machine" `Quick
           test_degenerate_hierarchy_is_flat;
         Alcotest.test_case "of_file / of_spec path" `Quick test_of_file;
+        Alcotest.test_case "mesh bound" `Quick test_mesh_bound;
+        Alcotest.test_case "chiplet bound" `Quick test_chiplet_bound;
+        Alcotest.test_case "bank bound" `Quick test_bank_bound;
         Alcotest.test_case "Config.build keeps the file's interleaving" `Quick
           test_build_keeps_file_interleaving;
         Alcotest.test_case "garbage JSON rejected" `Quick test_of_json_garbage;

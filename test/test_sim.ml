@@ -9,10 +9,18 @@ module Runner = Sim.Runner
 
 (* --- event heap --- *)
 
+(* the earliest event with its time, as the engine reads it: a peek
+   then a payload pop *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let t = Heap.next_time h in
+    Some (t, Heap.pop_payload h)
+
 let test_heap_order () =
   let h = Heap.create () in
   List.iter (fun (t, v) -> Heap.push h ~time:t v) [ (5, "e"); (1, "a"); (3, "c"); (1, "b") ];
-  let popped = List.init 4 (fun _ -> Option.get (Heap.pop h)) in
+  let popped = List.init 4 (fun _ -> Option.get (pop h)) in
   Alcotest.(check (list (pair int string))) "time order, FIFO ties"
     [ (1, "a"); (1, "b"); (3, "c"); (5, "e") ]
     popped;
@@ -25,7 +33,7 @@ let prop_heap_sorted =
       let h = Heap.create () in
       List.iter (fun t -> Heap.push h ~time:t ()) times;
       let rec drain last =
-        match Heap.pop h with
+        match pop h with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
@@ -55,7 +63,7 @@ let prop_heap_exact_order =
           None !model
       in
       let pop () =
-        match (Heap.pop h, earliest ()) with
+        match (pop h, earliest ()) with
         | None, None -> true
         | Some (t, p), Some (t', p') ->
           model := List.filter (fun (_, q) -> q <> p') !model;
@@ -78,7 +86,7 @@ let prop_heap_exact_order =
             | None -> Heap.is_empty h
             | Some (t, _) -> Heap.next_time h = t)
         in
-        ok && Heap.size h = List.length !model && Heap.is_empty h = (!model = [])
+        ok && Heap.is_empty h = (!model = [])
       in
       let rec drain () = Heap.is_empty h || (pop () && drain ()) in
       List.for_all step ops && drain () && !model = [])
@@ -312,38 +320,6 @@ let test_config_matrix () =
         [ false; true ])
     variants
 
-(* --- trace files --- *)
-
-let test_tracefile_roundtrip () =
-  let phases =
-    Lang.Interp.trace ~threads:4
-      ~addr_of:(fun _ -> Lang.Interp.Fn (fun v -> (v.(0) * 64) + 8))
-      small_program
-  in
-  let path = Filename.temp_file "offchip" ".trace" in
-  Sim.Tracefile.dump path phases;
-  let back = Sim.Tracefile.load path in
-  Sys.remove path;
-  Alcotest.(check int) "same phase count" (List.length phases) (List.length back);
-  Alcotest.(check int) "same access count"
-    (Sim.Tracefile.total_accesses phases)
-    (Sim.Tracefile.total_accesses back);
-  List.iter2
-    (fun (a : Lang.Interp.phase) (b : Lang.Interp.phase) ->
-      Alcotest.(check bool) "identical streams" true (a = b))
-    phases back
-
-let test_tracefile_malformed () =
-  let path = Filename.temp_file "offchip" ".trace" in
-  let oc = open_out path in
-  output_string oc "not a trace
-";
-  close_out oc;
-  (match Sim.Tracefile.load path with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure");
-  Sys.remove path
-
 (* --- runner --- *)
 
 let test_runner_alignment () =
@@ -416,6 +392,34 @@ let read_golden path =
   let golden = really_input_string ic n in
   close_in ic;
   golden
+
+(* --- trace files --- *)
+
+(* simulate --dump-trace's writer, pinned byte for byte in both
+   versions: v1 without site tags, v2 with the site stream
+   [Runner.prepare ~attr:true] attaches *)
+let small_job () =
+  (Runner.prepare (Config.scaled ()) ~optimized:false ~attr:true small_program)
+    .Runner.job
+
+let test_prepare_tags_job () =
+  let job = small_job () in
+  Alcotest.(check bool) "prepare ~attr:true tags the job" true
+    (job.Engine.site_streams <> []);
+  Alcotest.(check int) "total_accesses" (62 * 64 * 4)
+    (Sim.Tracefile.total_accesses job.Engine.phases)
+
+let check_trace_golden version sites_of () =
+  let job = small_job () in
+  let path = Filename.temp_file "offchip" ".trace" in
+  Sim.Tracefile.dump ?sites:(sites_of job) path job.Engine.phases;
+  let got = read_golden path in
+  Sys.remove path;
+  Alcotest.(check bool)
+    (version ^ " byte-identical to committed golden")
+    true
+    (String.equal got
+       (read_golden (Printf.sprintf "golden/trace_small_%s.txt" version)))
 
 let test_engine_seed0_golden () =
   (* [to_channel] (used by gen_golden) appends one newline *)
@@ -562,8 +566,12 @@ let suite =
       ] );
     ( "sim.tracefile",
       [
-        Alcotest.test_case "roundtrip" `Quick test_tracefile_roundtrip;
-        Alcotest.test_case "malformed" `Quick test_tracefile_malformed;
+        Alcotest.test_case "prepare ~attr:true tags the job" `Quick
+          test_prepare_tags_job;
+        Alcotest.test_case "v1 golden" `Quick
+          (check_trace_golden "v1" (fun _ -> None));
+        Alcotest.test_case "v2 golden" `Quick
+          (check_trace_golden "v2" (fun job -> Some job.Engine.site_streams));
       ] );
     ( "sim.runner",
       [

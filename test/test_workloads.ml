@@ -147,8 +147,26 @@ let test_first_touch_flags () =
 
 let test_by_name () =
   Alcotest.(check string) "lookup" "apsi" (Suite.by_name "apsi").App.name;
-  Alcotest.check_raises "unknown app" Not_found (fun () ->
-      ignore (Suite.by_name "equake"))
+  (match Suite.by_name_result "equake" with
+  | Error e ->
+    Alcotest.(check bool) "unknown app named" true
+      (Astring.String.is_prefix ~affix:"unknown application \"equake\"" e)
+  | Ok _ -> Alcotest.fail "equake is not in the suite");
+  Alcotest.check_raises "by_name raises the same message"
+    (Invalid_argument
+       (match Suite.by_name_result "equake" with Error e -> e | Ok _ -> ""))
+    (fun () -> ignore (Suite.by_name "equake"))
+
+(* occ and simulate resolve --app through by_name_result: every suite
+   app and every well-formed gemm name resolves to itself *)
+let test_by_name_result_resolves () =
+  List.iter
+    (fun name ->
+      match Suite.by_name_result name with
+      | Ok app -> Alcotest.(check string) "resolved name" name app.App.name
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    (List.map (fun (a : App.t) -> a.App.name) Suite.all
+    @ [ "gemm"; "gemm-n128t4"; "gemm-n128t8p64" ])
 
 (* --- the tiled-GEMM generator family --- *)
 
@@ -173,10 +191,6 @@ let test_gemm_generator () =
     Alcotest.(check string) "strip knob optional" "gemm-n128t4" app.App.name
   | Some (Error e) -> Alcotest.fail e
   | None -> Alcotest.fail "gemm-n128t4 is in the family");
-  (* shaping to a hierarchical platform picks strips = chiplets x tpc *)
-  (match Gemm.for_chiplets ~n:128 ~chiplets:4 () with
-  | Ok app -> Alcotest.(check string) "4 chiplets x 16" "gemm-n128t8p64" app.App.name
-  | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "non-family names are not claimed" true
     (Gemm.of_name "swim" = None && Gemm.of_name "gemmology" = None)
 
@@ -192,13 +206,15 @@ let test_gemm_bad_knobs () =
   expect_error "tile does not divide n" (Gemm.of_name "gemm-n64t7");
   expect_error "strips do not divide n" (Gemm.of_name "gemm-n64t8p7");
   expect_error "zero tile" (Gemm.of_name "gemm-n64t0");
-  (* by_name surfaces the knob error instead of Not_found *)
-  (try
-     ignore (Suite.by_name "gemm-n64t7");
-     Alcotest.fail "bad knobs must raise Invalid_argument"
-   with
-  | Invalid_argument _ -> ()
-  | Not_found -> Alcotest.fail "family names must not fall through to Not_found")
+  (* by_name_result surfaces the knob error, not "unknown application" *)
+  List.iter
+    (fun (name, knob) ->
+      match Suite.by_name_result name with
+      | Error e ->
+        Alcotest.(check bool) (name ^ " names the knob") true
+          (Astring.String.is_infix ~affix:knob e)
+      | Ok _ -> Alcotest.failf "%s must be rejected" name)
+    [ ("gemm-n64t7", "tile size 7"); ("gemm-n0t8", "problem size N=0") ]
 
 let suite =
   [
@@ -213,6 +229,8 @@ let suite =
         Alcotest.test_case "profiles approximate" `Quick test_profiles_approximate;
         Alcotest.test_case "first-touch flags" `Quick test_first_touch_flags;
         Alcotest.test_case "by_name" `Quick test_by_name;
+        Alcotest.test_case "by_name_result resolves" `Quick
+          test_by_name_result_resolves;
         Alcotest.test_case "gemm generator" `Quick test_gemm_generator;
         Alcotest.test_case "gemm knob validation" `Quick test_gemm_bad_knobs;
       ] );
