@@ -352,8 +352,12 @@ let fig25 () =
     H.prepare cfg ~optimized ~threads:32 ~core_offset:offset ~vaddr_base:vbase
       ~name:app.App.name app
   in
-  let alone cfg optimized app =
-    let p = prep cfg optimized 0 0 app in
+  (* an app alone is its co-run job moved to core 0 and address 0 *)
+  let alone cfg (p : Sim.Runner.prepared) =
+    let p =
+      Sim.Runner.relocate cfg p ~vaddr_base:0 ~core_offset:0
+        ~name:p.Sim.Runner.job.Sim.Engine.name
+    in
     (Sim.Runner.run_many cfg ~jobs:[ p ]).Sim.Engine.measured_time
   in
   Printf.printf "  %-4s %-22s %10s %10s %8s\n" "" "apps" "WS orig" "WS opt"
@@ -367,8 +371,8 @@ let fig25 () =
         let pa = prep cfg optimized 0 0 appa in
         let pb = prep cfg optimized 32 (1 lsl 32) appb in
         let r = Sim.Runner.run_many cfg ~jobs:[ pa; pb ] in
-        let ta = float_of_int (alone cfg optimized appa)
-        and tb = float_of_int (alone cfg optimized appb) in
+        let ta = float_of_int (alone cfg pa)
+        and tb = float_of_int (alone cfg pb) in
         (ta /. float_of_int (max 1 r.Sim.Engine.job_measured.(0)))
         +. (tb /. float_of_int (max 1 r.Sim.Engine.job_measured.(1)))
       in

@@ -65,17 +65,11 @@ let run name optimized platform l2 interleave policy mapping tpc optimal
       (match dump_trace with
       | Some path -> (
         try
-          let sites =
-            match prepared.Sim.Runner.job.Sim.Engine.site_streams with
-            | [] -> None
-            | s -> Some s
-          in
-          Sim.Tracefile.dump ?sites path
-            prepared.Sim.Runner.job.Sim.Engine.phases;
+          let job = prepared.Sim.Runner.job in
+          Sim.Tracefile.dump path job;
           Format.printf "trace (%d accesses%s) written to %s@."
-            (Sim.Tracefile.total_accesses
-               prepared.Sim.Runner.job.Sim.Engine.phases)
-            (if sites = None then "" else ", site-tagged")
+            (Sim.Tracefile.total_accesses job.Sim.Engine.phases)
+            (if job.Sim.Engine.site_streams = [] then "" else ", site-tagged")
             path
         with Sys_error e ->
           Printf.eprintf "simulate: cannot write trace: %s\n" e;

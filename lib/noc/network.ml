@@ -16,7 +16,6 @@ type t = {
   cross : bool array;  (** per link-id: crosses a chiplet boundary *)
   chip_latency : int;  (** per-hop latency of a crossing link *)
   chip_bytes : int;  (** width of a crossing link *)
-  mutable busy : int;
 }
 
 let create ?(config = default_config) topo =
@@ -66,7 +65,6 @@ let create ?(config = default_config) topo =
     cross;
     chip_latency;
     chip_bytes;
-    busy = 0;
   }
 
 let route net ~src ~dst =
@@ -106,7 +104,6 @@ let transfer ?on_hop net ~now ~src ~dst ~bytes =
       let start = Int.max !t net.free_at.(id) in
       net.free_at.(id) <- start + ser;
       net.link_busy.(id) <- net.link_busy.(id) + ser;
-      net.busy <- net.busy + ser;
       t := start + lat;
       last_ser := ser;
       match on_hop with None -> () | Some f -> f ~link:id ~start ~finish:!t

@@ -96,8 +96,10 @@ let plan (sc : Scenario.t) ~slots =
 (* ------------------------------------------------------------------ *)
 (* Run *)
 
-let prepare_tenant cfg ~(sc : Scenario.t) ~attr a =
-  let app = Workloads.Suite.by_name a.aapp in
+(* an app's canonical preparation: traced once at slot 0 of slice 0 —
+   exactly its solo run — and relocated for every tenant running it *)
+let prepare_app cfg ~(sc : Scenario.t) ~attr appname =
+  let app = Workloads.Suite.by_name appname in
   let program = Workloads.App.program app in
   let index_lookup = Workloads.App.index_lookup app in
   let profile =
@@ -106,31 +108,33 @@ let prepare_tenant cfg ~(sc : Scenario.t) ~attr a =
       Some (fun arr -> Workloads.Profile.for_transform app analysis arr)
     else None
   in
-  let tpc = cfg.Config.threads_per_core in
   Runner.prepare cfg ~optimized:sc.Scenario.optimized
     ~threads:sc.Scenario.threads_per_tenant
-    ~core_offset:(a.aslot * (sc.Scenario.threads_per_tenant / tpc))
-    ~vaddr_base:(a.aid * slice)
-    ~name:(Printf.sprintf "t%d:%s" a.aid a.aapp)
+    ~name:(Printf.sprintf "t0:%s" appname)
     ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup ?profile ~attr
     program
 
+let place_tenant cfg ~(sc : Scenario.t) canonical a =
+  let tpc = cfg.Config.threads_per_core in
+  Runner.relocate cfg canonical ~vaddr_base:(a.aid * slice)
+    ~core_offset:(a.aslot * (sc.Scenario.threads_per_tenant / tpc))
+    ~name:(Printf.sprintf "t%d:%s" a.aid a.aapp)
+
 (* solo golden: the tenant alone on an otherwise idle machine, same
    thread count and policy — the denominator of slowdown and the
-   numerator of weighted speedup *)
-let solo_time cfg ~(sc : Scenario.t) =
+   numerator of weighted speedup.  That is the app's canonical job, run
+   untagged. *)
+let solo_time cfg canonical =
   let tbl = Hashtbl.create 8 in
   fun appname ->
     match Hashtbl.find_opt tbl appname with
     | Some t -> t
     | None ->
-      let p =
-        prepare_tenant cfg ~sc ~attr:false
-          { aid = 0; aapp = appname; aslot = 0; at = 0 }
-      in
+      let p = canonical appname in
       let r =
         Engine.run cfg ~desired_mc_of_vpage:p.Runner.desired_mc
-          ~jobs:[ p.Runner.job ] ()
+          ~jobs:[ { p.Runner.job with Engine.site_streams = [] } ]
+          ()
       in
       let t = max 1 r.Engine.measured_time in
       Hashtbl.replace tbl appname t;
@@ -219,7 +223,19 @@ let run ?(attr = false) ?(progress = Obs.Progress.null) ?(domains = 1) ?on_plan
       Error "serve: no tenant arrives within the scenario duration"
     else Ok ()
   in
-  let preps = List.map (prepare_tenant cfg ~sc ~attr) plan in
+  let canonical =
+    let tbl = Hashtbl.create 8 in
+    fun appname ->
+      match Hashtbl.find_opt tbl appname with
+      | Some p -> p
+      | None ->
+        let p = prepare_app cfg ~sc ~attr appname in
+        Hashtbl.replace tbl appname p;
+        p
+  in
+  let preps =
+    List.map (fun a -> place_tenant cfg ~sc (canonical a.aapp) a) plan
+  in
   let* () =
     match
       List.find_opt
@@ -271,7 +287,7 @@ let run ?(attr = false) ?(progress = Obs.Progress.null) ?(domains = 1) ?on_plan
       ~desired_mc_of_vpage:(Runner.combined_hints preps)
       ?attr:cube ?on_plan ~domains ~jobs ()
   in
-  let solo = solo_time cfg ~sc in
+  let solo = solo_time cfg canonical in
   let tenants =
     List.map
       (fun a ->

@@ -11,6 +11,11 @@
     an {!Sim.Engine.job} [start_after] chain), so queue wait is part of
     each tenant's completion latency.
 
+    Each app of the mix is traced once: its canonical preparation (slot
+    0 of slice 0, which is also its solo calibration run) is
+    {!Sim.Runner.relocate}d to every tenant's slice and core slot, so
+    all tenants of one app share one read-only trace.
+
     Everything is deterministic in (scenario, seed): arrival times, the
     app lottery, placement and the engine itself — two runs of the same
     scenario produce byte-identical result documents. *)

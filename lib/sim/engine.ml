@@ -7,6 +7,9 @@ module Page_alloc = Os_sim.Page_alloc
 type job = {
   name : string;
   phases : Lang.Interp.phase list;
+      (** may be shared between jobs: the engine never writes to it *)
+  vaddr_offset : int;
+      (** added to every access's vaddr at issue (a relocated trace) *)
   node_of_thread : int array;
   warmup_phases : int;
       (** leading phases (initialization nests) excluded from the
@@ -466,13 +469,14 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     let stream = s.streams.(tid) in
     let n = Array.length stream in
     let measured = s.phase >= s.j.warmup_phases in
+    let offset = s.j.vaddr_offset in
     let rec go t =
       let i = s.pos.(tid) in
       if i >= n then finish_thread s tid t
       else begin
         s.pos.(tid) <- i + 1;
         let a = stream.(i) in
-        let vaddr = Lang.Interp.addr_of_access a
+        let vaddr = Lang.Interp.addr_of_access a + offset
         and wr = Lang.Interp.is_write a in
         let node = s.j.node_of_thread.(tid) in
         let paddr = Page_alloc.translate_owned pa ~owner:jid ~node ~vaddr in

@@ -17,6 +17,15 @@
 type job = {
   name : string;
   phases : Lang.Interp.phase list;
+      (** the per-thread access streams of each phase.  Jobs may share
+          one [phases] value (a trace placed several times, see
+          {!Runner.relocate}): the engine only reads it, and so must
+          every other consumer *)
+  vaddr_offset : int;
+      (** added to every access's virtual address at issue: the job
+          replays [phases] shifted by this constant.  A freshly traced
+          job has offset 0; a relocated one reuses another job's trace
+          at a page-aligned offset *)
   node_of_thread : int array;
       (** mesh node of each of the job's threads (thread binding) *)
   warmup_phases : int;

@@ -1,8 +1,8 @@
 (* Partition-confined parallel simulation: see par_engine.mli for the
    protocol argument.  The plan is one union-find over clusters: every
    way two clusters could exchange an event joins them, and each set
-   that runs jobs becomes a partition.  Its page scan is O(total
-   accesses), with a last-page fast path. *)
+   that runs jobs becomes a partition.  Its page scan is O(accesses)
+   per distinct trace plus O(distinct pages) per job. *)
 
 type partition = {
   part_clusters : int list;
@@ -86,6 +86,31 @@ let rec join_shared_links cfg u =
     ends;
   if !joined then join_shared_links cfg u
 
+(* The distinct virtual pages of a trace, in first-touch order.
+   O(accesses), with a last-page fast path. *)
+let first_touches ~page_bytes phases =
+  let seen : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
+  let order = ref [] in
+  let last = ref min_int in
+  List.iter
+    (fun (phase : Lang.Interp.phase) ->
+      Array.iter
+        (fun stream ->
+          Array.iter
+            (fun a ->
+              let v = Lang.Interp.addr_of_access a / page_bytes in
+              if v <> !last then begin
+                last := v;
+                if not (Hashtbl.mem seen v) then begin
+                  Hashtbl.add seen v ();
+                  order := v :: !order
+                end
+              end)
+            stream)
+        phase)
+    phases;
+  Array.of_list (List.rev !order)
+
 let plan (cfg : Config.t) ?desired_mc_of_vpage ~(jobs : Engine.job list) () =
   let cluster = Config.cluster cfg and topo = Config.topo cfg in
   let cluster_of_node = Core.Cluster.cluster_of_node cluster topo in
@@ -149,32 +174,41 @@ let plan (cfg : Config.t) ?desired_mc_of_vpage ~(jobs : Engine.job list) () =
         | _ -> ())
       js;
     (* vpage -> first cluster seen touching it, over every access of every
-       job (warmup included — warmup accesses allocate pages too) *)
+       job (warmup included — warmup accesses allocate pages too).  Only a
+       page's first touch within a job can change the plan (a later one
+       finds the page owned by that job's cluster or already joined to
+       it), so each job replays its trace's distinct pages in first-touch
+       order, shifted by its offset — scanned once per shared trace. *)
     let page_bytes = Config.page_bytes cfg in
     let owner : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+    let scanned = ref [] in
     Array.iteri
       (fun i (j : Engine.job) ->
         let c = job_cluster.(i) in
-        let last = ref min_int in
-        List.iter
-          (fun (phase : Lang.Interp.phase) ->
-            Array.iter
-              (fun stream ->
-                Array.iter
-                  (fun a ->
-                    let v = Lang.Interp.addr_of_access a / page_bytes in
-                    if v <> !last then begin
-                      last := v;
-                      match Hashtbl.find_opt owner v with
-                      | Some c' ->
-                        if c' <> c then
-                          join u c' c (fun () ->
-                              Printf.sprintf "virtual page %d" v)
-                      | None -> Hashtbl.add owner v c
-                    end)
-                  stream)
-              phase)
-          j.Engine.phases)
+        let off = j.Engine.vaddr_offset in
+        (* relocation moves traces by whole pages; any other offset
+           would split a trace page across two *)
+        if off mod page_bytes <> 0 then
+          rejectf "job %d (%s)'s address offset %d is not page-aligned" i
+            j.Engine.name off;
+        let pages =
+          match List.assq_opt j.Engine.phases !scanned with
+          | Some pages -> pages
+          | None ->
+            let pages = first_touches ~page_bytes j.Engine.phases in
+            scanned := (j.Engine.phases, pages) :: !scanned;
+            pages
+        in
+        let shift = off / page_bytes in
+        Array.iter
+          (fun v ->
+            let v = v + shift in
+            match Hashtbl.find_opt owner v with
+            | Some c' ->
+              if c' <> c then
+                join u c' c (fun () -> Printf.sprintf "virtual page %d" v)
+            | None -> Hashtbl.add owner v c)
+          pages)
       js;
     let frees =
       List.filter_map

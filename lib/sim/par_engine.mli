@@ -52,17 +52,20 @@ val plan :
   unit ->
   plan
 (** The partitions: connected components of the clusters over the jobs'
-    precomputed access traces.  Two clusters join when a job's threads
-    span them, an admission chain links their jobs, a virtual page is
-    touched from both, a job's freed range covers a page the other
-    touched, a page's home controller ({!Os_sim.Page_alloc.home_mc}
+    precomputed access traces, each at its job's [vaddr_offset] (a trace
+    shared by several jobs is scanned once).  Two clusters join when a
+    job's threads span them, an admission chain links their jobs, a
+    virtual page is touched from both, a job's freed range covers a page
+    the other touched, a page's home controller
+    ({!Os_sim.Page_alloc.home_mc}
     under the run's policy and [desired_mc_of_vpage] hints) sits in the
     other, under [--optimal] a thread's nearest controller sits in the
     other, or the XY routes between the components' nodes and controller
     sites share a mesh link.  Each component that runs jobs is a
     partition; fewer than two is [Sequential], naming the join that
     merged the last two (e.g. ["virtual page 812 joins clusters 0 and
-    2"]).  Shared L2, line interleaving, a job without threads, a desired
+    2"]).  Shared L2, line interleaving, a job without threads, an
+    address offset that is not a whole number of pages, a desired
     controller out of range and a controller over its frame budget are
     [Sequential] whatever the components. *)
 

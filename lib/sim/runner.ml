@@ -16,6 +16,34 @@ type prepared = {
 
 let align_up x a = (x + a - 1) / a * a
 
+(* base-address padding: every array is aligned to num_mcs interleaving
+   units and to num_mcs pages, so the chunk-to-controller arithmetic holds
+   under both granularities *)
+let alignment cfg =
+  let num_mcs = Core.Cluster.num_mcs (Config.cluster cfg) in
+  let a = num_mcs * Config.l2_line cfg
+  and b = num_mcs * Config.page_bytes cfg in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  a * b / gcd a b
+
+(* where the first array starts when the program is laid out from
+   [vaddr_base]; every later base sits a [vaddr_base]-independent distance
+   past it, since each base is a multiple of the alignment *)
+let first_base cfg vaddr_base =
+  let a = alignment cfg in
+  align_up (max vaddr_base a) a
+
+let bind_threads cfg ~threads ~core_offset =
+  let cores_total = Noc.Topology.nodes (Config.topo cfg) in
+  let tpc = cfg.Config.threads_per_core in
+  Array.init threads (fun t ->
+      let core = (t / tpc) + core_offset in
+      Core.Cluster.node_of_thread (Config.cluster cfg) (Config.topo cfg)
+        (core mod cores_total))
+
+let traced = Atomic.make 0
+let traces_generated () = Atomic.get traced
+
 let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
     ?(vaddr_base = 0) ?name ?(warmup_phases = 0)
     ?(index_lookup = fun _ _ -> 0) ?profile ?(attr = false) program =
@@ -32,16 +60,9 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
       Core.Layout.identity ~array:info.Analysis.decl.Lang.Ast.name
         ~extents:info.Analysis.extents ~elem_bytes:(Config.elem_bytes cfg)
   in
-  (* base-address padding: align every array to num_mcs interleaving units
-     and to num_mcs pages, so the chunk-to-controller arithmetic holds
-     under both granularities *)
   let num_mcs = Core.Cluster.num_mcs (Config.cluster cfg) in
-  let alignment =
-    let a = num_mcs * (Config.l2_line cfg) and b = num_mcs * (Config.page_bytes cfg) in
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    a * b / gcd a b
-  in
-  let next = ref (align_up (max vaddr_base alignment) alignment) in
+  let alignment = alignment cfg in
+  let next = ref (first_base cfg vaddr_base) in
   let table = Hashtbl.create 16 and maps = Hashtbl.create 16 in
   let bases =
     List.map
@@ -62,6 +83,7 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
     match threads with Some t -> t | None -> cores_total * tpc
   in
   let sites = Lang.Sites.of_program program in
+  Atomic.incr traced;
   (* the interpreter traces the original program, so resolving sites by
      physical ref identity is exact; site ids travel in a side band
      (never in the access ints, whose high bits verify's replay owns) *)
@@ -81,16 +103,12 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
           program,
         [] )
   in
-  let node_of_thread =
-    Array.init threads (fun t ->
-        let core = (t / tpc) + core_offset in
-        Core.Cluster.node_of_thread (Config.cluster cfg) (Config.topo cfg) (core mod cores_total))
-  in
   let job =
     {
       Engine.name = Option.value name ~default:"job";
       phases;
-      node_of_thread;
+      vaddr_offset = 0;
+      node_of_thread = bind_threads cfg ~threads ~core_offset;
       warmup_phases;
       site_streams;
       start_time = 0;
@@ -122,6 +140,34 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
     else None
   in
   { program; analysis; report; job; bases; desired_mc; sites }
+
+(* The layout from [vaddr_base] is the layout from p's own base shifted by
+   the difference of the two first bases, a multiple of the alignment and
+   hence of num_mcs pages: every address moves by that constant, and every
+   hinted page keeps its [vpage mod num_mcs] controller. *)
+let relocate cfg p ~vaddr_base ~core_offset ~name =
+  let shift =
+    match p.bases with
+    | (_, first) :: _ -> first_base cfg vaddr_base - first
+    | [] -> 0
+  in
+  let pages = shift / Config.page_bytes cfg in
+  let desired_mc = p.desired_mc in
+  {
+    p with
+    job =
+      {
+        p.job with
+        Engine.name;
+        vaddr_offset = p.job.Engine.vaddr_offset + shift;
+        node_of_thread =
+          bind_threads cfg
+            ~threads:(Array.length p.job.Engine.node_of_thread)
+            ~core_offset;
+      };
+    bases = List.map (fun (a, b) -> (a, b + shift)) p.bases;
+    desired_mc = (fun vpage -> desired_mc (vpage - pages));
+  }
 
 let combined_hints preps vpage =
   List.fold_left
@@ -177,13 +223,15 @@ let prepare_replicas cfg ~optimized ?threads ?name ?(warmup_phases = 0)
   in
   let slice = 256 * 1024 * 1024 in
   let base = Option.value name ~default:"job" in
+  (* one trace, placed once per cluster *)
+  let p =
+    prepare cfg ~optimized ~threads ~warmup_phases ?index_lookup ?profile ~attr
+      program
+  in
   List.init nclusters (fun c ->
-      let p =
-        prepare cfg ~optimized ~threads ~vaddr_base:(c * slice)
-          ~name:(Printf.sprintf "%s@%d" base c) ~warmup_phases ?index_lookup
-          ?profile ~attr program
-      in
-      confine cfg ~cluster:c p)
+      relocate cfg p ~vaddr_base:(c * slice) ~core_offset:0
+        ~name:(Printf.sprintf "%s@%d" base c)
+      |> confine cfg ~cluster:c)
 
 let run cfg ~optimized ?warmup_phases ?index_lookup ?profile ?trace program =
   let p = prepare cfg ~optimized ?warmup_phases ?index_lookup ?profile program in

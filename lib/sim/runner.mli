@@ -40,6 +40,31 @@ val prepare :
     side streams so the engine can attribute off-chip traffic (see
     {!attr_for}); plain preparation leaves the job untagged. *)
 
+val relocate :
+  Config.t ->
+  prepared ->
+  vaddr_base:int ->
+  core_offset:int ->
+  name:string ->
+  prepared
+(** [relocate cfg p ~vaddr_base ~core_offset ~name] is what {!prepare}
+    with the same program, options and thread count would return at
+    [vaddr_base] and [core_offset] — without interpreting the program
+    again.  Laying the arrays out from [vaddr_base] moves every base by
+    the constant [S(vaddr_base) − S(b)], where [S] is the padded start
+    of the first array and [b] the base [p] was laid out from; the
+    constant is a multiple of [num_mcs] pages, so the job shares [p]'s
+    [phases] (and site streams) and carries the constant in
+    [vaddr_offset].  The thread binding is recomputed from
+    [core_offset] ({!prepare_replicas}' cluster confinement is not
+    kept), [bases] are shifted and [desired_mc] is [p]'s hints shifted
+    by the same page count.  O(threads + arrays).  [cfg] must be the
+    configuration [p] was prepared for. *)
+
+val traces_generated : unit -> int
+(** Programs interpreted by {!prepare} in this process so far — the
+    host cost {!relocate} saves.  Relocation never counts. *)
+
 val combined_hints : prepared list -> int -> int option
 (** Page hints of several prepared jobs, first match wins — sound because
     their virtual ranges are disjoint.  This is what {!run_many} passes
@@ -67,7 +92,8 @@ val prepare_replicas :
     virtual slices — the canonical decomposable workload: under page
     interleaving with the first-touch policy, {!Par_engine.plan} splits
     it into partitions.  [threads] defaults to one cluster's cores ×
-    threads-per-core. *)
+    threads-per-core.  The program is traced once; every copy is a
+    {!relocate}d view of that one trace (the copies share [phases]). *)
 
 val run :
   Config.t ->

@@ -1,9 +1,8 @@
-let dump ?sites path phases =
+let dump path (job : Engine.job) =
   let oc = open_out path in
-  let tagged = sites <> None in
-  let site_streams =
-    match sites with Some s -> Array.of_list s | None -> [||]
-  in
+  let site_streams = Array.of_list job.Engine.site_streams in
+  let tagged = site_streams <> [||] in
+  let offset = job.Engine.vaddr_offset in
   output_string oc
     (if tagged then "# offchip trace v2\n" else "# offchip trace v1\n");
   List.iteri
@@ -15,14 +14,14 @@ let dump ?sites path phases =
           Array.iteri
             (fun i a ->
               Printf.fprintf oc "%d %c"
-                (Lang.Interp.addr_of_access a)
+                (Lang.Interp.addr_of_access a + offset)
                 (if Lang.Interp.is_write a then 'W' else 'R');
               if tagged then
                 Printf.fprintf oc " %d" site_streams.(p).(t).(i);
               output_char oc '\n')
             stream)
         phase)
-    phases;
+    job.Engine.phases;
   close_out oc
 
 let total_accesses phases =

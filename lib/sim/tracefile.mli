@@ -17,9 +17,11 @@
     access back to its {!Lang.Sites} entry.  [simulate --dump-trace FILE]
     writes one ([--attr] selects v2). *)
 
-val dump : ?sites:int array array list -> string -> Lang.Interp.phase list -> unit
-(** Writes the phases to a path; with [sites] (per-phase site-id streams,
-    index-parallel to the phases as in {!Engine.job}) writes a v2 file
-    tagging each access.  Raises [Sys_error] on IO failure. *)
+val dump : string -> Engine.job -> unit
+(** Writes the job's phases to a path, each address as the engine
+    replays it (the job's [vaddr_offset] added), so the dump of a
+    {!Runner.relocate}d job shows the addresses it really touches.  A
+    tagged job (non-empty [site_streams]) is written as a v2 file; an
+    untagged one as v1.  Raises [Sys_error] on IO failure. *)
 
 val total_accesses : Lang.Interp.phase list -> int

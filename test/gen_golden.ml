@@ -197,11 +197,11 @@ let trace_goldens dir =
   let p = Sim.Runner.prepare cfg ~optimized:false ~attr:true (parse small_src) in
   let job = p.Sim.Runner.job in
   List.iter
-    (fun (version, sites) ->
+    (fun (version, job) ->
       let path = Filename.concat dir (Printf.sprintf "trace_small_%s.txt" version) in
-      Sim.Tracefile.dump ?sites path job.Sim.Engine.phases;
+      Sim.Tracefile.dump path job;
       Printf.printf "golden written to %s\n" path)
-    [ ("v1", None); ("v2", Some job.Sim.Engine.site_streams) ]
+    [ ("v1", { job with Sim.Engine.site_streams = [] }); ("v2", job) ]
 
 let () =
   match Array.to_list Sys.argv with

@@ -106,6 +106,30 @@ let test_plan_rejects_line () = reject ~interleave:"line" "minimd"
 let test_plan_rejects_shared_l2 () = reject ~l2:"shared" "minimd"
 let test_plan_rejects_hardware () = reject ~policy:"hardware" "minimd"
 
+let test_plan_rejects_sub_page_offset () =
+  (* a trace moved by part of a page no longer has whole pages to
+     replay: the planner falls back instead of guessing *)
+  let cfg = cfg_of () in
+  match replicas cfg "minimd" with
+  | first :: rest ->
+    let job = first.Runner.job in
+    let moved =
+      {
+        first with
+        Runner.job =
+          {
+            job with
+            Sim.Engine.vaddr_offset = job.Sim.Engine.vaddr_offset + 64;
+          };
+      }
+    in
+    (match plan_of cfg (moved :: rest) with
+    | Par.Sequential reason ->
+      Alcotest.(check bool) ("names the offset: " ^ reason) true
+        (contains ~sub:"not page-aligned" reason)
+    | Par.Parallel _ -> Alcotest.fail "a sub-page offset must fall back")
+  | [] -> Alcotest.fail "expected replicas"
+
 let test_plan_rejects_whole_machine () =
   (* one job bound across every cluster cannot be partitioned *)
   let cfg = cfg_of () in
@@ -116,6 +140,97 @@ let test_plan_rejects_whole_machine () =
       true
       (contains ~sub:" joins clusters " reason)
   | Par.Parallel _ -> Alcotest.fail "whole-machine job must fall back"
+
+(* The plan replays each distinct trace's first-touch pages shifted by a
+   job's offset.  Replicas sharing one trace must plan exactly like
+   replicas each traced at its own slice (the way they were once
+   prepared): same partitions, and the same reason when the plan
+   rejects.  Traced once, the replicas cost one interpretation. *)
+let test_shared_and_copied_plan_alike () =
+  let slice = 1 lsl 28 in
+  List.iter
+    (fun (what, cfg, name, optimized, rejects) ->
+      let app = Workloads.Suite.by_name name in
+      let program = Workloads.App.program app in
+      let analysis = Lang.Analysis.analyze program in
+      let profile =
+        if optimized then Some (Workloads.Profile.for_transform app analysis)
+        else None
+      in
+      let warmup_phases = app.Workloads.App.warmup_nests
+      and index_lookup = Workloads.App.index_lookup app in
+      let before = Runner.traces_generated () in
+      let shared =
+        Runner.prepare_replicas cfg ~optimized ~warmup_phases ~index_lookup
+          ?profile program
+      in
+      Alcotest.(check int) (what ^ ": replicas traced once") 1
+        (Runner.traces_generated () - before);
+      let copied =
+        List.mapi
+          (fun c (p : Runner.prepared) ->
+            let job = p.Runner.job in
+            let fresh =
+              Runner.prepare cfg ~optimized
+                ~threads:(Array.length job.Sim.Engine.node_of_thread)
+                ~vaddr_base:(c * slice) ~name:job.Sim.Engine.name
+                ~warmup_phases ~index_lookup ?profile program
+            in
+            {
+              fresh with
+              Runner.job =
+                {
+                  fresh.Runner.job with
+                  Sim.Engine.node_of_thread = job.Sim.Engine.node_of_thread;
+                };
+            })
+          shared
+      in
+      Alcotest.(check bool) (what ^ ": one shared trace") true
+        (List.for_all
+           (fun (p : Runner.prepared) ->
+             p.Runner.job.Sim.Engine.phases
+             == (List.hd shared).Runner.job.Sim.Engine.phases)
+           shared);
+      let show = function
+        | Par.Sequential reason -> "sequential: " ^ reason
+        | Par.Parallel parts ->
+          String.concat ","
+            (Array.to_list
+               (Array.map
+                  (fun p ->
+                    String.concat "+"
+                      (List.map string_of_int p.Par.part_clusters))
+                  parts))
+      in
+      let expected = plan_of cfg copied and got = plan_of cfg shared in
+      Alcotest.(check string) (what ^ ": same plan") (show expected) (show got);
+      Alcotest.(check bool) (what ^ ": same partitions") true (expected = got);
+      match (got, rejects) with
+      | Par.Parallel _, false -> ()
+      | Par.Sequential reason, true ->
+        Alcotest.(check bool) (what ^ ": a page rejects: " ^ reason) true
+          (contains ~sub:"virtual page" reason)
+      | _ -> Alcotest.failf "%s: unexpected plan %s" what (show got))
+    [
+      ("mesh4x4-mc4 minimd", cfg_of (), "minimd", false, false);
+      ( "mesh8x8-mc8 apsi",
+        cfg_of ~platform:"mesh8x8-mc8" (),
+        "apsi",
+        false,
+        false );
+      (* compiler hints home pages across clusters *)
+      ( "mc-aware gafort (opt)",
+        cfg_of ~policy:"mc-aware" (),
+        "gafort",
+        true,
+        true );
+      ( "hardware placement",
+        cfg_of ~policy:"hardware" (),
+        "minimd",
+        false,
+        true );
+    ]
 
 let test_identity_plain () =
   (* mesh8x8-mc8: clusters 2 and 3 share route links, so the plan joins
@@ -235,6 +350,10 @@ let suite =
           test_plan_rejects_shared_l2;
         Alcotest.test_case "plan rejects hardware placement" `Quick
           test_plan_rejects_hardware;
+        Alcotest.test_case "shared and copied traces plan alike" `Quick
+          test_shared_and_copied_plan_alike;
+        Alcotest.test_case "plan rejects a sub-page offset" `Quick
+          test_plan_rejects_sub_page_offset;
         Alcotest.test_case "plan rejects a whole-machine job" `Quick
           test_plan_rejects_whole_machine;
         Alcotest.test_case "replica stats identical across domains" `Quick

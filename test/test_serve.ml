@@ -216,6 +216,19 @@ let test_attr_totals () =
       (Sim.Stats.offchip_accesses run.Server.engine.Sim.Engine.stats)
       (Obs.Attr.snap_total snap)
 
+(* Every tenant and every solo calibration relocates its app's one
+   canonical trace: a run interprets each app of the mix once. *)
+let test_one_trace_per_app () =
+  let sc = { (Scenario.smoke ()) with Scenario.tenants = 6 } in
+  let before = Sim.Runner.traces_generated () in
+  let run = run_exn sc in
+  let apps =
+    List.sort_uniq compare (List.map (fun t -> t.Server.app) run.Server.tenants)
+  in
+  Alcotest.(check int) "six tenants" 6 (List.length run.Server.tenants);
+  Alcotest.(check int) "one trace per app" (List.length apps)
+    (Sim.Runner.traces_generated () - before)
+
 let check_golden seed =
   let sc = Scenario.smoke ~seed () in
   let got = Obs.Json.to_string (Server.result_json (run_exn sc)) ^ "\n" in
@@ -282,6 +295,7 @@ let suite =
           test_fallbacks_under_pressure;
         Alcotest.test_case "progress events" `Quick test_progress_events;
         Alcotest.test_case "attribution totals" `Quick test_attr_totals;
+        Alcotest.test_case "one trace per app" `Quick test_one_trace_per_app;
         Alcotest.test_case "golden seed 0" `Quick test_golden_seed0;
         Alcotest.test_case "golden seed 1" `Quick test_golden_seed1;
       ]

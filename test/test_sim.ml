@@ -355,6 +355,121 @@ let test_runner_multiprogram () =
   Alcotest.(check int) "combined accesses" (2 * 62 * 64 * 4)
     (Stats.total_accesses r.Engine.stats)
 
+(* A relocated job is a fresh preparation at the new base and core
+   offset in everything the engine sees: array bases, thread binding, the
+   page hints around every hinted range and every address it replays —
+   for index-array apps and optimized layouts, at an unaligned base and
+   past 4 GB, with page hints steering the MC-aware policy.  Those are
+   the whole input of the deterministic engine; its result documents are
+   compared too, at the shifted cores of the unaligned and the 4 GB base
+   (an engine run costs ~0.15 s here, and those two corners exercise the
+   offset path the others add nothing to). *)
+let test_relocate_equals_prepare () =
+  let pages_around cfg (p : Runner.prepared) =
+    let page = Config.page_bytes cfg in
+    match p.Runner.report with
+    | None -> []
+    | Some r ->
+      List.concat_map
+        (fun (d : Core.Transform.decision) ->
+          if not d.Core.Transform.optimized then []
+          else
+            let name = d.Core.Transform.info.Lang.Analysis.decl.Lang.Ast.name in
+            let base = List.assoc name p.Runner.bases in
+            let size =
+              Core.Layout.size_bytes (Core.Transform.layout_of r name)
+            in
+            let first = (base / page) - 1
+            and last = ((base + size - 1) / page) + 1 in
+            List.init (last - first + 1) (fun k -> first + k))
+        r.Core.Transform.decisions
+  in
+  let replayed (p : Runner.prepared) =
+    let off = p.Runner.job.Engine.vaddr_offset in
+    List.map
+      (Array.map (Array.map (fun a -> Lang.Interp.addr_of_access a + off)))
+      p.Runner.job.Engine.phases
+  in
+  let doc cfg (p : Runner.prepared) =
+    Obs.Json.to_string
+      (Sweep.Exec.result_json ~app:"relocate" cfg
+         (Engine.run cfg ~desired_mc_of_vpage:p.Runner.desired_mc
+            ~jobs:[ p.Runner.job ] ()))
+  in
+  List.iter
+    (fun platform ->
+      let cfg =
+        ok
+          (Config.build ~scaled:true ~platform ~interleave:"page"
+             ~policy:"mc-aware" ())
+      in
+      List.iter
+        (fun appname ->
+          let app = Workloads.Suite.by_name appname in
+          let program = Workloads.App.program app in
+          let analysis = Lang.Analysis.analyze program in
+          List.iter
+            (fun optimized ->
+              let prepare ~vaddr_base ~core_offset =
+                Runner.prepare cfg ~optimized ~threads:32 ~vaddr_base
+                  ~core_offset ~name:appname
+                  ~warmup_phases:app.Workloads.App.warmup_nests
+                  ~index_lookup:(Workloads.App.index_lookup app)
+                  ?profile:
+                    (if optimized then
+                       Some (Workloads.Profile.for_transform app analysis)
+                     else None)
+                  program
+              in
+              let canonical = prepare ~vaddr_base:0 ~core_offset:0 in
+              List.iter
+                (fun vaddr_base ->
+                  List.iter
+                    (fun core_offset ->
+                      let what =
+                        Printf.sprintf "%s %s%s at %d, core %d" platform
+                          appname
+                          (if optimized then " (opt)" else "")
+                          vaddr_base core_offset
+                      in
+                      let fresh = prepare ~vaddr_base ~core_offset in
+                      let moved =
+                        Runner.relocate cfg canonical ~vaddr_base ~core_offset
+                          ~name:appname
+                      in
+                      Alcotest.(check (list (pair string int)))
+                        (what ^ ": bases") fresh.Runner.bases
+                        moved.Runner.bases;
+                      Alcotest.(check (array int))
+                        (what ^ ": thread binding")
+                        fresh.Runner.job.Engine.node_of_thread
+                        moved.Runner.job.Engine.node_of_thread;
+                      let hinted = pages_around cfg fresh in
+                      if optimized then
+                        Alcotest.(check bool) (what ^ ": has hints") true
+                          (hinted <> []);
+                      List.iter
+                        (fun v ->
+                          Alcotest.(check (option int))
+                            (Printf.sprintf "%s: hint of page %d" what v)
+                            (fresh.Runner.desired_mc v)
+                            (moved.Runner.desired_mc v))
+                        hinted;
+                      Alcotest.(check bool) (what ^ ": replayed addresses")
+                        true
+                        (replayed fresh = replayed moved);
+                      if
+                        core_offset > 0
+                        && (vaddr_base = 12345 || vaddr_base = 1 lsl 32)
+                      then
+                        Alcotest.(check string) (what ^ ": result")
+                          (doc cfg fresh) (doc cfg moved))
+                    [ 0; 20 ])
+                [ 0; 12345; 1 lsl 28; 5 lsl 28; 1 lsl 32 ])
+            [ false; true ])
+        [ "apsi"; "minimd"; "gafort" ])
+    [ "mesh8x8-mc4"; "mesh8x8-mc8" ]
+
 (* --- pooled-engine regression guards --- *)
 
 let test_heap_next_time_pop_payload () =
@@ -409,10 +524,10 @@ let test_prepare_tags_job () =
   Alcotest.(check int) "total_accesses" (62 * 64 * 4)
     (Sim.Tracefile.total_accesses job.Engine.phases)
 
-let check_trace_golden version sites_of () =
-  let job = small_job () in
+let check_trace_golden version tags () =
+  let job = tags (small_job ()) in
   let path = Filename.temp_file "offchip" ".trace" in
-  Sim.Tracefile.dump ?sites:(sites_of job) path job.Engine.phases;
+  Sim.Tracefile.dump path job;
   let got = read_golden path in
   Sys.remove path;
   Alcotest.(check bool)
@@ -420,6 +535,42 @@ let check_trace_golden version sites_of () =
     true
     (String.equal got
        (read_golden (Printf.sprintf "golden/trace_small_%s.txt" version)))
+
+(* A dump is what the engine replays: a relocated replica's file is its
+   first replica's (offset 0) with every address moved by its offset *)
+let test_dump_relocated () =
+  let cfg = Config.scaled () in
+  let dump job =
+    let path = Filename.temp_file "offchip" ".trace" in
+    Sim.Tracefile.dump path job;
+    let lines = String.split_on_char '\n' (read_golden path) in
+    Sys.remove path;
+    lines
+  in
+  match Runner.prepare_replicas cfg ~optimized:false small_program with
+  | first :: second :: _ ->
+    let off = second.Runner.job.Engine.vaddr_offset in
+    Alcotest.(check int) "first replica unshifted" 0
+      first.Runner.job.Engine.vaddr_offset;
+    Alcotest.(check bool) "second replica shifted" true (off > 0);
+    let base = dump first.Runner.job and moved = dump second.Runner.job in
+    Alcotest.(check int) "same line count" (List.length base)
+      (List.length moved);
+    let accesses = ref 0 in
+    List.iter2
+      (fun a b ->
+        match (String.split_on_char ' ' a, String.split_on_char ' ' b) with
+        | [ va; rw ], [ vb; rw' ] when rw = "R" || rw = "W" ->
+          incr accesses;
+          Alcotest.(check int) "address shifted by the offset"
+            (int_of_string va + off) (int_of_string vb);
+          Alcotest.(check string) "same access kind" rw rw'
+        | _ -> Alcotest.(check string) "same framing" a b)
+      base moved;
+    Alcotest.(check int) "every access compared"
+      (Sim.Tracefile.total_accesses first.Runner.job.Engine.phases)
+      !accesses
+  | _ -> Alcotest.fail "expected several replicas"
 
 let test_engine_seed0_golden () =
   (* [to_channel] (used by gen_golden) appends one newline *)
@@ -497,6 +648,7 @@ let test_engine_phase_advance_guard () =
     {
       Engine.name = "empty";
       phases = [];
+      vaddr_offset = 0;
       node_of_thread = [| 0 |];
       warmup_phases = 0;
       site_streams = [];
@@ -569,13 +721,18 @@ let suite =
         Alcotest.test_case "prepare ~attr:true tags the job" `Quick
           test_prepare_tags_job;
         Alcotest.test_case "v1 golden" `Quick
-          (check_trace_golden "v1" (fun _ -> None));
+          (check_trace_golden "v1" (fun job ->
+               { job with Engine.site_streams = [] }));
         Alcotest.test_case "v2 golden" `Quick
-          (check_trace_golden "v2" (fun job -> Some job.Engine.site_streams));
+          (check_trace_golden "v2" Fun.id);
+        Alcotest.test_case "relocated dump is shifted" `Quick
+          test_dump_relocated;
       ] );
     ( "sim.runner",
       [
         Alcotest.test_case "base alignment" `Quick test_runner_alignment;
         Alcotest.test_case "multiprogrammed" `Quick test_runner_multiprogram;
+        Alcotest.test_case "relocate equals prepare at that base" `Quick
+          test_relocate_equals_prepare;
       ] );
   ]
