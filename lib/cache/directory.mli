@@ -5,8 +5,9 @@
     The directory knows which private L2s hold a copy and either forwards
     the request to a sharer (on-chip transfer) or issues an off-chip
     access.  Holders are tracked per line as a bitset sized to the node
-    count, so any mesh works; an update or a lookup allocates nothing
-    once the line is tracked. *)
+    count, so any mesh works, stored in place in one open-addressed
+    table keyed by line address; an update or a lookup allocates nothing
+    unless the table grows.  Line addresses are non-negative. *)
 
 type t
 

@@ -65,10 +65,11 @@ let set_base c line =
 (* The slot holding [line] in the set starting at [base], or -1. *)
 let find_in c base line =
   let stop = base + c.ways in
-  let rec go i =
-    if i = stop then -1 else if c.tags.(i) = line then i else go (i + 1)
-  in
-  go base
+  let i = ref base in
+  while !i < stop && c.tags.(!i) <> line do
+    incr i
+  done;
+  if !i = stop then -1 else !i
 
 let find c line = find_in c (set_base c line) line
 

@@ -27,11 +27,9 @@ val create : ?hash_sets:bool -> size_bytes:int -> line_bytes:int -> ways:int -> 
     which on the scaled-down caches would otherwise alias whole columns
     into one set.
 
-    Addresses are non-negative byte addresses.  A hit returns the
-    constant [Hit] and a fill into an invalid way a shared [Miss]
-    value, but every access still allocates the way search's local
-    closure (a few words; OCaml does not inline the recursive scan),
-    and an eviction allocates its [Miss] record. *)
+    Addresses are non-negative byte addresses.  A hit allocates nothing:
+    it returns the constant [Hit].  A fill into an invalid way returns a
+    shared [Miss] value; only an eviction allocates its [Miss] record. *)
 
 val line_bytes : t -> int
 

@@ -18,131 +18,197 @@ type addr_map =
       whole : Affine.Vec.t -> int;
     }
 
-(* Built like {!compose}: the [Coef] rows fold into one linear function
-   [c + Σ_j g_j·a_j], and only the [Table] rows compute their component
-   and look it up; a miss evaluates [whole (U·a + shift)]. *)
-let apply = function
-  | Fn f -> f
-  | Separable { base; u; shift; comps; whole } ->
-    let cols = Affine.Matrix.cols u in
-    let c = ref base and g = Array.make cols 0 and tabled = ref [] in
-    Array.iteri
-      (fun r comp ->
-        match comp with
-        | Coef gr ->
-          c := !c + (gr * shift.(r));
-          Array.iteri (fun j gj -> g.(j) <- gj + (gr * u.(r).(j))) g
-        | Table { lo; values } ->
-          tabled := (u.(r), shift.(r) - lo, values) :: !tabled)
-      comps;
-    let c = !c and tabled = Array.of_list (List.rev !tabled) in
-    fun a ->
-      if Array.length a <> cols then invalid_arg "Matrix.mul_vec";
-      let rec go i acc =
-        if i = Array.length tabled then acc
-        else
-          let row, k0, t = tabled.(i) in
-          let k = ref k0 in
-          for j = 0 to cols - 1 do
-            k := !k + (row.(j) * a.(j))
-          done;
-          let k = !k in
-          if k >= 0 && k < Array.length t && t.(k) <> min_int then
-            go (i + 1) (acc + t.(k))
-          else whole (Affine.Vec.add (Affine.Matrix.mul_vec u a) shift)
-      in
-      let acc = ref c in
-      for j = 0 to cols - 1 do
-        acc := !acc + (g.(j) * a.(j))
-      done;
-      go 0 !acc
+(* A chain [f(x)] of [/] and [mod] by positive literals over its
+   innermost operand [x = chain_base e]: the strip-mined subscripts the
+   pass emits, such as [((i/5)/8)%4].  [chain_value e x] is its value at
+   [x], with the operators' own truncation toward zero. *)
+let rec chain_base = function
+  | Ast.Div (a, Ast.Int k) | Ast.Mod (a, Ast.Int k) when k > 0 -> chain_base a
+  | a -> a
 
-(* [c + Σ g·env.(s)] over [(s, g)] terms with [g <> 0]. *)
-let affine_fn env c terms : unit -> int =
-  match terms with
-  | [] -> fun () -> c
-  | _ ->
-    let s = Array.of_list (List.map fst terms)
-    and g = Array.of_list (List.map snd terms) in
-    fun () ->
-      let x = ref c in
-      for k = 0 to Array.length s - 1 do
-        x := !x + (g.(k) * env.(s.(k)))
-      done;
-      !x
+let rec chain_value e x =
+  match e with
+  | Ast.Div (a, Ast.Int k) when k > 0 -> chain_value a x / k
+  | Ast.Mod (a, Ast.Int k) when k > 0 -> chain_value a x mod k
+  | _ -> x
 
-(* The address of an affine reference [a = A·i + o] over the loop slots
-   [slots] (column [j] of [A] reads [env.(slots.(j))]), staged against a
-   separable map: [a' = (U·A)·i + (U·o + shift)], each component over
-   its non-zero coefficients only.  [Coef] components fold into one
-   linear function of the slots; a [Table] component is a lookup, and a
-   miss evaluates [whole a'].  [None] when the map is not separable or
-   does not take this reference's rank (or the rank is 0, where [A] has
-   no rows to give [U·A] its width). *)
-let compose env map (r : Affine.Access.t) slots =
+(* [c + Σ_s k.(s)·env.(s)], dense over an environment's slots. *)
+type affine = { c : int; k : int array }
+
+(* [a]'s value over every slot but [skip]. *)
+let sum env ~skip a =
+  let x = ref a.c in
+  for s = 0 to Array.length a.k - 1 do
+    if a.k.(s) <> 0 && s <> skip then x := !x + (a.k.(s) * env.(s))
+  done;
+  !x
+
+(* One looked-up term [g·T[a − lo]] over an affine operand [a].
+   [chain = Some e]: [T] is [e]'s values over its operand's known range,
+   and an operand outside it evaluates the chain; [None]: [T] is a layout
+   [Table] component, whose miss leaves the address to the exact [whole]
+   evaluation. *)
+type term = {
+  g : int;
+  operand : affine;
+  lo : int;
+  values : int array;
+  chain : Ast.expr option;
+}
+
+(* [T[a − lo]], or [min_int] where the address must be evaluated whole:
+   a layout table's miss (a chain value of [min_int] takes that path too,
+   which [whole] evaluates exactly). *)
+let[@inline] lookup t a =
+  let i = a - t.lo in
+  if i >= 0 && i < Array.length t.values then t.values.(i)
+  else match t.chain with Some e -> chain_value e a | None -> min_int
+
+(* A subscript a form can take: an affine sum plus chain terms. *)
+type lin = { aff : affine; chains : term list }
+
+let constant width c = { aff = { c; k = Array.make width 0 }; chains = [] }
+
+let unit_slot width s =
+  let k = Array.make width 0 in
+  k.(s) <- 1;
+  { aff = { c = 0; k }; chains = [] }
+
+let lin_add a b =
+  {
+    aff = { c = a.aff.c + b.aff.c; k = Array.map2 ( + ) a.aff.k b.aff.k };
+    chains = a.chains @ b.chains;
+  }
+
+let lin_scale g l =
+  {
+    aff = { c = g * l.aff.c; k = Array.map (( * ) g) l.aff.k };
+    chains =
+      (if g = 0 then []
+       else List.map (fun t -> { t with g = g * t.g }) l.chains);
+  }
+
+let is_constant l = l.chains = [] && Array.for_all (( = ) 0) l.aff.k
+
+let eval_lin env l =
+  List.fold_left
+    (fun x t -> x + (t.g * lookup t (sum env ~skip:(-1) t.operand)))
+    (sum env ~skip:(-1) l.aff) l.chains
+
+(* An address staged once, as one form over the slots of an environment:
+   [linear + Σ terms], or [whole env] where a term misses. *)
+type form = { linear : affine; terms : term array; whole : int array -> int }
+
+(* The form of a reference whose subscripts are [lins] under [map]: with
+   [a' = U·s + shift], each [Coef g] component adds [g·a'_r] to the
+   linear part, a chain in [s] included, and each [Table] component
+   becomes a layout term over [a'_r], which must then be affine.  [None]
+   for an {!Fn} map, a rank other than [U]'s column count, or a [Table]
+   component over a chain.  [width] is the environment's slot count. *)
+let form_of ~width map (lins : lin array) =
   match map with
   | Fn _ -> None
-  | Separable { u; _ }
-    when Affine.Access.rank r = 0
-         || Affine.Matrix.cols u <> Affine.Access.rank r ->
-    None
+  | Separable { u; _ } when Affine.Matrix.cols u <> Array.length lins -> None
   | Separable { base; u; shift; comps; whole } ->
-    let t = Affine.Access.transform u r in
-    let m = t.Affine.Access.matrix in
-    let c = Array.mapi (fun i o -> o + shift.(i)) t.Affine.Access.offset in
-    let terms coef =
-      List.filter_map
-        (fun j -> if coef j = 0 then None else Some (slots.(j), coef j))
-        (List.init (Array.length slots) Fun.id)
+    let parts =
+      List.mapi
+        (fun r comp ->
+          ( comp,
+            Array.fold_left lin_add (constant width shift.(r))
+              (Array.mapi (fun j l -> lin_scale u.(r).(j) l) lins) ))
+        (Array.to_list comps)
     in
-    let x =
-      Array.init (Array.length comps) (fun i ->
-          affine_fn env c.(i) (terms (fun j -> m.(i).(j))))
-    in
-    let lin_c = ref base and lin_g = Array.make (Array.length slots) 0 in
-    let tabled = ref [] in
-    Array.iteri
-      (fun i comp ->
-        match comp with
-        | Coef g ->
-          lin_c := !lin_c + (g * c.(i));
-          Array.iteri (fun j gj -> lin_g.(j) <- gj + (g * m.(i).(j))) lin_g
-        | Table { lo; values } -> tabled := (x.(i), lo, values) :: !tabled)
-      comps;
-    let lin = affine_fn env !lin_c (terms (fun j -> lin_g.(j))) in
-    let slow () = whole (Array.map (fun x -> x ()) x) in
-    let tabled = Array.of_list (List.rev !tabled) in
-    let rec go i acc =
-      if i = Array.length tabled then acc
-      else
-        let x, lo, t = tabled.(i) in
-        let k = x () - lo in
-        if k >= 0 && k < Array.length t && t.(k) <> min_int then
-          go (i + 1) (acc + t.(k))
-        else slow ()
-    in
-    Some (fun () -> go 0 (lin ()))
+    if List.exists (function Table _, a' -> a'.chains <> [] | _ -> false) parts
+    then None
+    else
+      let lin =
+        List.fold_left
+          (fun lin -> function
+            | Coef g, a' -> lin_add lin (lin_scale g a')
+            | Table _, _ -> lin)
+          (constant width base) parts
+      in
+      let tabled =
+        List.filter_map
+          (function
+            | Table { lo; values }, a' ->
+              Some { g = 1; operand = a'.aff; lo; values; chain = None }
+            | Coef _, _ -> None)
+          parts
+      in
+      Some
+        {
+          linear = lin.aff;
+          terms = Array.of_list (tabled @ lin.chains);
+          whole =
+            (fun env ->
+              whole
+                (Affine.Vec.add
+                   (Affine.Matrix.mul_vec u (Array.map (eval_lin env) lins))
+                   shift));
+        }
 
-(* Growable int buffer: per-thread access stream under construction.
-   [dropped] counts the accesses past the caller's storage cap. *)
-type buf = {
-  mutable data : int array;
+let rec eval_terms env f j acc =
+  if j = Array.length f.terms then acc
+  else
+    let t = f.terms.(j) in
+    let v = lookup t (sum env ~skip:(-1) t.operand) in
+    if v = min_int then f.whole env
+    else eval_terms env f (j + 1) (acc + (t.g * v))
+
+let eval_form env f = eval_terms env f 0 (sum env ~skip:(-1) f.linear)
+
+let apply = function
+  | Fn f -> f
+  | Separable { u; _ } as map ->
+    (* over the index vector itself, every component is affine *)
+    let cols = Affine.Matrix.cols u in
+    let f =
+      Option.get (form_of ~width:cols map (Array.init cols (unit_slot cols)))
+    in
+    fun a ->
+      if Array.length a <> cols then invalid_arg "Matrix.mul_vec";
+      eval_form a f
+
+(* A thread's stream under construction: filled chunks of [chunk_words]
+   words, newest first, and the current one.  [len] counts the stored
+   words, [dropped] the accesses past the caller's storage cap. *)
+let chunk_words = 4096
+
+type stream = {
+  mutable chunk : int array;
+  mutable pos : int;
+  mutable full : int array list;
   mutable len : int;
   mutable dropped : int;
 }
 
-let buf_make () = { data = Array.make 1024 0; len = 0; dropped = 0 }
+let stream () = { chunk = [||]; pos = 0; full = []; len = 0; dropped = 0 }
 
-let buf_push b x =
-  if b.len = Array.length b.data then begin
-    let d = Array.make (2 * b.len) 0 in
-    Array.blit b.data 0 d 0 b.len;
-    b.data <- d
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
+(* Chunks come from [pool] and go back to it once their stream is
+   copied out. *)
+let refill pool s =
+  if s.len > 0 then s.full <- s.chunk :: s.full;
+  (s.chunk <-
+     match !pool with
+     | c :: rest ->
+       pool := rest;
+       c
+     | [] -> Array.make chunk_words 0);
+  s.pos <- 0
 
-let buf_contents b = Array.sub b.data 0 b.len
+let[@inline] push pool s x =
+  if s.pos = Array.length s.chunk then refill pool s;
+  s.chunk.(s.pos) <- x;
+  s.pos <- s.pos + 1;
+  s.len <- s.len + 1
+
+(* The stream as one array of exactly its length; its chunks return to
+   [pool]. *)
+let contents pool s =
+  let a = Array.concat (List.rev (Array.sub s.chunk 0 s.pos :: s.full)) in
+  if s.len > 0 then pool := s.chunk :: List.rev_append s.full !pool;
+  a
 
 (* Contiguous chunk [index] of [0..n-1] split into [chunks] (OpenMP static):
    returns (start, stop) inclusive; empty iff start > stop. *)
@@ -162,33 +228,96 @@ let rec depth ss =
       | Ast.If c -> max d (max (depth c.then_) (depth c.else_)))
     0 ss
 
-(* What the staged code writes to: the current phase's buffers and the
+(* What the staged code writes to: the current phase's streams and the
    running thread's pair.  Outside a parfor the running thread is 0. *)
 type sink = {
-  mutable bufs : buf array;
-  mutable sbufs : buf array;
-  mutable cur : buf;
-  mutable scur : buf;
+  mutable bufs : stream array;
+  mutable sbufs : stream array;
+  mutable cur : stream;
+  mutable scur : stream;
 }
+
+(* A reference staged as a form: from its first stored run on, its
+   address, its form (unless its map has none) and its site. *)
+type fref = {
+  w : int;
+  mutable addr : unit -> int;  (* resolves on its first call *)
+  mutable form : form option;
+  mutable site : int;
+}
+
+(* A reference of a stepped loop: from each entry on, its address at
+   [x] is [l0 + lx·x + Σ g·T[a0 + ax·x − lo]] over the terms that read
+   [x] ([var], with [ax] in [vax] and [a0] in [va0]); the others ([inv])
+   and the outer slots are folded into [l0], unless one misses, which
+   leaves every address of that entry to [whole]. *)
+type kref = {
+  kf : form;
+  kw : int;
+  ksite : int;
+  lx : int;
+  mutable l0 : int;
+  mutable whole_only : bool;
+  inv : term array;
+  var : term array;
+  vax : int array;
+  va0 : int array;
+}
+
+let kref_of slot (f : fref) =
+  let kf = Option.get f.form in
+  let var, inv =
+    List.partition (fun t -> t.operand.k.(slot) <> 0) (Array.to_list kf.terms)
+  in
+  {
+    kf;
+    kw = f.w;
+    ksite = f.site;
+    lx = kf.linear.k.(slot);
+    l0 = 0;
+    whole_only = false;
+    inv = Array.of_list inv;
+    var = Array.of_list var;
+    vax = Array.of_list (List.map (fun t -> t.operand.k.(slot)) var);
+    va0 = Array.make (List.length var) 0;
+  }
+
+let enter env slot kr =
+  kr.whole_only <- false;
+  kr.l0 <- sum env ~skip:slot kr.kf.linear;
+  for j = 0 to Array.length kr.inv - 1 do
+    let t = kr.inv.(j) in
+    let v = lookup t (sum env ~skip:slot t.operand) in
+    if v = min_int then kr.whole_only <- true else kr.l0 <- kr.l0 + (t.g * v)
+  done;
+  for j = 0 to Array.length kr.var - 1 do
+    kr.va0.(j) <- sum env ~skip:slot kr.var.(j).operand
+  done
+
+let rec var_terms env slot x kr j acc =
+  if j = Array.length kr.var then acc
+  else
+    let t = kr.var.(j) in
+    let v = lookup t (kr.va0.(j) + (kr.vax.(j) * x)) in
+    if v <> min_int then var_terms env slot x kr (j + 1) (acc + (t.g * v))
+    else begin
+      env.(slot) <- x;
+      kr.kf.whole env
+    end
+
+(* The address of [kr] at [x = env.(slot)]. *)
+let[@inline] kaddr env slot x kr =
+  if kr.whole_only then begin
+    env.(slot) <- x;
+    kr.kf.whole env
+  end
+  else if Array.length kr.var = 0 then kr.l0 + (kr.lx * x)
+  else var_terms env slot x kr 0 (kr.l0 + (kr.lx * x))
 
 (* [(a / k1) / k2 = a / (k1·k2)] for positive divisors (truncation
    composes), so the strip-mined subscripts the pass emits, such as
    [((i/5)/8)%4], stage as one division. *)
 let foldable k1 k2 = k1 > 0 && k2 > 0 && k1 <= max_int / k2
-
-(* A chain [f(x)] of [/] and [mod] by positive literals over its
-   innermost operand [x = chain_base e]: the strip-mined subscripts the
-   pass emits, such as [((i/5)/8)%4].  [chain_value e x] is its value at
-   [x], with the operators' own truncation toward zero. *)
-let rec chain_base = function
-  | Ast.Div (a, Ast.Int k) | Ast.Mod (a, Ast.Int k) when k > 0 -> chain_base a
-  | a -> a
-
-let rec chain_value e x =
-  match e with
-  | Ast.Div (a, Ast.Int k) when k > 0 -> chain_value a x / k
-  | Ast.Mod (a, Ast.Int k) when k > 0 -> chain_value a x mod k
-  | _ -> x
 
 (* The chain's operators alone: equal chains over different operands
    share one table. *)
@@ -245,6 +374,7 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
   in
   let nparams = List.length p.params in
   let env = Array.make (nparams + depth p.nests) 0 in
+  let width = Array.length env in
   List.iteri (fun i (_, v) -> env.(i) <- v) p.params;
   (* [bounds.(s)]: the values slot [s] can hold — a parameter's value, or
      the interval a loop index ranges over, set while its body stages *)
@@ -285,58 +415,94 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
     | _ -> None
   in
   let tables = Hashtbl.create 16 in
+  (* A chain over an operand whose range is known and at most [max_table]
+     wide is one lookup into its values over that range; an operand
+     outside it evaluates the chain directly.  [(lo, [||])] when the range
+     is unknown or wider. *)
+  let chain_table scope e =
+    match range scope (chain_base e) with
+    | Some (lo, hi) when hi - lo < max_table ->
+      let key = (chain_ops e, lo, hi) in
+      let values =
+        match Hashtbl.find_opt tables key with
+        | Some t -> t
+        | None ->
+          let t = Array.init (hi - lo + 1) (fun i -> chain_value e (lo + i)) in
+          Hashtbl.replace tables key t;
+          t
+      in
+      (lo, values)
+    | _ -> (0, [||])
+  in
   (* innermost binding first; a repeated parameter name keeps its last
      value *)
   let params = List.rev (List.mapi (fun i (n, _) -> (n, i)) p.params) in
-  (* a reference's subscripts as [A·i + o] over the loop indices in
-     scope, resolved as [expr] resolves them: [Analysis.affine_of_expr]
-     tries the loop indices innermost first, then the parameters, last
-     value first; [None] when a subscript is not affine *)
-  let affine_ref scope (r : Ast.ref_) =
-    let loops = List.filter (fun (_, s) -> s >= nparams) scope in
-    let iters = List.map fst loops in
-    let params = List.rev p.params in
-    let subs = List.map (Analysis.affine_of_expr ~params ~iters) r.subs in
+  (* A subscript as an affine sum of the loop slots in scope plus chains
+     of affine operands, names resolved as [expr] resolves them (a
+     parameter is its value); [None] for any other subscript.  Integer
+     arithmetic wraps, so regrouping the sum moves no value. *)
+  let rec lin_of scope e =
+    let both a b f =
+      match (lin_of scope a, lin_of scope b) with
+      | Some x, Some y -> f x y
+      | _ -> None
+    in
+    match e with
+    | Ast.Int n -> Some (constant width n)
+    | Ast.Var x -> (
+      match List.assoc_opt x scope with
+      | Some s when s < nparams -> Some (constant width env.(s))
+      | Some s -> Some (unit_slot width s)
+      | None -> None)
+    | Ast.Neg a -> Option.map (lin_scale (-1)) (lin_of scope a)
+    | Ast.Add (a, b) -> both a b (fun x y -> Some (lin_add x y))
+    | Ast.Sub (a, b) ->
+      both a b (fun x y -> Some (lin_add x (lin_scale (-1) y)))
+    | Ast.Mul (a, b) ->
+      both a b (fun x y ->
+          if is_constant x then Some (lin_scale x.aff.c y)
+          else if is_constant y then Some (lin_scale y.aff.c x)
+          else None)
+    | (Ast.Div (_, Ast.Int k) | Ast.Mod (_, Ast.Int k)) when k > 0 -> (
+      match lin_of scope (chain_base e) with
+      | Some l when is_constant l ->
+        Some (constant width (chain_value e l.aff.c))
+      | Some { aff; chains = [] } ->
+        let lo, values = chain_table scope e in
+        let t = { g = 1; operand = aff; lo; values; chain = Some e } in
+        Some { (constant width 0) with chains = [ t ] }
+      | _ -> None)
+    | Ast.Div _ | Ast.Mod _ | Ast.Load _ -> None
+  in
+  let lin_ref scope (r : Ast.ref_) =
+    let subs = List.map (lin_of scope) r.subs in
     if List.for_all Option.is_some subs then
-      let subs = List.map Option.get subs in
-      Some
-        ( Affine.Access.make
-            (Array.of_list (List.map fst subs))
-            (Array.of_list (List.map snd subs)),
-          Array.of_list (List.map snd loops) )
+      Some (Array.of_list (List.map Option.get subs))
     else None
   in
-  let none = buf_make () in
+  let pool = ref [] in
+  let none = stream () in
   let sink = { bufs = [||]; sbufs = [||]; cur = none; scur = none } in
   let set_thread t =
     sink.cur <- sink.bufs.(t);
     if tagging then sink.scur <- sink.sbufs.(t)
   in
-  (* A chain over an operand whose range is known and at most [max_table]
-     wide is one lookup into its values over that range; an operand
-     outside it evaluates the chain directly. *)
+  let store b x site =
+    push pool b x;
+    if tagging then push pool sink.scur site
+  in
   let rec expr scope e : unit -> int =
     match e with
     | (Ast.Div (_, Ast.Int k) | Ast.Mod (_, Ast.Int k)) when k > 0 -> (
-      let base = chain_base e in
-      match range scope base with
-      | Some (lo, hi) when hi - lo < max_table ->
-        let key = (chain_ops e, lo, hi) in
-        let values =
-          match Hashtbl.find_opt tables key with
-          | Some t -> t
-          | None ->
-            let t = Array.init (hi - lo + 1) (fun i -> chain_value e (lo + i)) in
-            Hashtbl.replace tables key t;
-            t
-        in
-        let x = expr scope base in
+      match chain_table scope e with
+      | _, [||] -> direct scope e
+      | lo, values ->
+        let x = expr scope (chain_base e) in
         fun () ->
           let v = x () in
           let i = v - lo in
           if i >= 0 && i < Array.length values then values.(i)
-          else chain_value e v
-      | _ -> direct scope e)
+          else chain_value e v)
     | _ -> direct scope e
   and direct scope e : unit -> int =
     match e with
@@ -440,19 +606,56 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
         done;
         let b = sink.cur in
         if b.len < cap then begin
-          buf_push b ((!addr v lsl 1) lor w);
-          if tagging then buf_push sink.scur !site
+          let a = !addr v in
+          store b ((a lsl 1) lor w) !site
         end
         else b.dropped <- b.dropped + 1;
         v
     end
-  (* One access of a reference whose value is not needed.  Affine
-     subscripts read no array and cannot fail, so such a reference runs
-     none of them: it computes its address from the loop slots through
-     {!compose}, and past the cap it only counts.  Any other {!pure}
-     reference evaluates its subscripts only to store the access. *)
+  (* A reference whose subscripts are affine or chains of affine, staged
+     as a form: on its first stored run it resolves [addr_of r.array]
+     and composes the map with its subscripts ({!form_of}); a map without
+     a form evaluates the subscripts into [v] and applies. *)
+  and fref scope (r : Ast.ref_) w lins =
+    let subs = Array.of_list (List.map (expr scope) r.subs) in
+    let v = Array.make (Array.length subs) 0 in
+    let f = { w; addr = (fun () -> 0); form = None; site = -1 } in
+    f.addr <-
+      (fun () ->
+        let map = addr_of r.array in
+        f.site <- site_id r;
+        (f.addr <-
+           match form_of ~width map lins with
+           | Some form ->
+             f.form <- Some form;
+             fun () -> eval_form env form
+           | None ->
+             let g = apply map in
+             fun () ->
+               for k = 0 to Array.length subs - 1 do
+                 v.(k) <- subs.(k) ()
+               done;
+               g v);
+        f.addr ());
+    f
+  and emit f =
+    let b = sink.cur in
+    if b.len < cap then begin
+      let a = f.addr () in
+      store b ((a lsl 1) lor f.w) f.site
+    end
+    else b.dropped <- b.dropped + 1
+  (* One access of a reference whose value is not needed.  A reference
+     with affine or chained subscripts runs none of them: it computes its
+     address from the loop slots through its form, and past the cap it
+     only counts.  Any other {!pure} reference evaluates its subscripts
+     only to store the access. *)
   and access scope (r : Ast.ref_) w : unit -> unit =
-    match affine_ref scope r with
+    match lin_ref scope r with
+    | Some _ when exclude r.array -> fun () -> ()
+    | Some lins ->
+      let f = fref scope r w lins in
+      fun () -> emit f
     | None when List.for_all (pure scope) r.subs ->
       if exclude r.array then fun () -> ()
       else
@@ -463,30 +666,94 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
     | None ->
       let read = reference scope r w in
       fun () -> ignore (read ())
-    | Some _ when exclude r.array -> fun () -> ()
-    | Some (a, slots) ->
-      let site = ref (-1) in
-      let addr = ref (fun () -> 0) in
-      (addr :=
-         fun () ->
-           let map = addr_of r.array in
-           let f =
-             match compose env map a slots with
-             | Some f -> f
-             | None ->
-               let f = apply map and subs = List.map (expr scope) r.subs in
-               fun () -> f (Array.of_list (List.map (fun s -> s ()) subs))
-           in
-           site := site_id r;
-           addr := f;
-           f ());
-      fun () ->
-        let b = sink.cur in
-        if b.len < cap then begin
-          buf_push b ((!addr () lsl 1) lor w);
-          if tagging then buf_push sink.scur !site
-        end
-        else b.dropped <- b.dropped + 1
+  in
+  (* The references of a straight-line body, in evaluation order, with
+     the excluded ones left out: [None] unless every statement is an
+     assignment whose expressions can neither raise nor need a value
+     (bound names, positive literal divisors, loads of non-index arrays)
+     and every reference is affine or chained. *)
+  let straight scope ss =
+    let rec loads acc = function
+      | Ast.Int _ -> Some acc
+      | Ast.Var x -> if List.mem_assoc x scope then Some acc else None
+      | Ast.Neg a -> loads acc a
+      | (Ast.Div (a, Ast.Int k) | Ast.Mod (a, Ast.Int k)) when k > 0 ->
+        loads acc a
+      | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b) ->
+        Option.bind (loads acc b) (fun acc -> loads acc a)
+      | Ast.Div _ | Ast.Mod _ -> None
+      | Ast.Load r when is_index r.array -> None
+      | Ast.Load r -> Some ((r, 0) :: acc)
+    in
+    let refs =
+      List.fold_left
+        (fun acc s ->
+          match (acc, s) with
+          | Some acc, Ast.Assign (lhs, rhs) ->
+            Option.map (fun acc -> (lhs, 1) :: acc) (loads acc rhs)
+          | _ -> None)
+        (Some []) ss
+    in
+    Option.bind refs (fun refs ->
+        List.fold_left
+          (fun acc (r, w) ->
+            match (acc, lin_ref scope r) with
+            | Some acc, Some _ when exclude r.array -> Some acc
+            | Some acc, Some lins -> Some (fref scope r w lins :: acc)
+            | _ -> None)
+          (Some []) refs
+        |> Option.map Array.of_list)
+  in
+  (* A straight-line innermost loop over [lo..hi].  Until every reference
+     has resolved, an iteration runs the references' own closures; once
+     all have forms, the rest of the range is stepped: at entry the outer
+     slots and the terms that do not read [x] fold into a base, then each
+     access is [l0 + lx·x + Σ g·T[a0 + ax·x]], a layout table miss taking
+     the exact [whole] evaluation.  Past the cap the range only adds its
+     remaining count. *)
+  let stepped slot frefs =
+    let n = Array.length frefs in
+    let krefs = ref [||] in
+    let ready () =
+      Array.length !krefs = n
+      ||
+      if Array.for_all (fun f -> f.form <> None) frefs then begin
+        krefs := Array.map (kref_of slot) frefs;
+        true
+      end
+      else false
+    in
+    let step x0 hi =
+      let krefs = !krefs and b = sink.cur and sb = sink.scur in
+      for k = 0 to n - 1 do
+        enter env slot krefs.(k)
+      done;
+      let x = ref x0 in
+      while !x <= hi && b.len < cap do
+        let xv = !x in
+        for k = 0 to n - 1 do
+          let kr = krefs.(k) in
+          if b.len < cap then begin
+            push pool b ((kaddr env slot xv kr lsl 1) lor kr.kw);
+            if tagging then push pool sb kr.ksite
+          end
+          else b.dropped <- b.dropped + 1
+        done;
+        incr x
+      done;
+      b.dropped <- b.dropped + ((hi - !x + 1) * n)
+    in
+    fun lo hi ->
+      let b = sink.cur in
+      let x = ref lo in
+      while !x <= hi && b.len < cap && not (ready ()) do
+        env.(slot) <- !x;
+        Array.iter emit frefs;
+        incr x
+      done;
+      if !x <= hi then
+        if b.len < cap then step !x hi
+        else b.dropped <- b.dropped + ((hi - !x + 1) * n)
   in
   (* [inside]: statically within a parfor, where a nested parfor runs
      sequentially on its owner; outside, a parfor fans out. *)
@@ -521,8 +788,20 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
          | _ -> None);
       let lo = expr scope l.lo and hi = expr scope l.hi in
       let scope = (l.index, slot) :: scope in
-      if l.parallel && not inside then begin
-        let b = body scope ~inside:true ~slot:(slot + 1) l.body in
+      let run =
+        match straight scope l.body with
+        | Some [||] -> fun _ _ -> ()
+        | Some frefs -> stepped slot frefs
+        | None ->
+          let inside = inside || l.parallel in
+          let b = body scope ~inside ~slot:(slot + 1) l.body in
+          fun lo hi ->
+            for x = lo to hi do
+              env.(slot) <- x;
+              b ()
+            done
+      in
+      if l.parallel && not inside then
         fun () ->
           (* fan out: split [lo..hi] per core, then per thread of a core *)
           let lo = lo () in
@@ -535,23 +814,14 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
             let w = max 0 (cen - cst + 1) in
             let sst, sen = chunk_bounds w threads_per_core sub in
             set_thread t;
-            for x = lo + cst + sst to lo + cst + sen do
-              env.(slot) <- x;
-              b ()
-            done
+            run (lo + cst + sst) (lo + cst + sen)
           done;
           set_thread 0
-      end
-      else begin
-        let b = body scope ~inside ~slot:(slot + 1) l.body in
+      else
         fun () ->
           let lo = lo () in
           let hi = hi () in
-          for x = lo to hi do
-            env.(slot) <- x;
-            b ()
-          done
-      end
+          run lo hi
   and body scope ~inside ~slot ss =
     let ss = Array.of_list (List.map (stmt scope ~inside ~slot) ss) in
     fun () -> Array.iter (fun s -> s ()) ss
@@ -559,17 +829,19 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
   let nests = List.map (stmt params ~inside:false ~slot:nparams) p.nests in
   List.map
     (fun run ->
-      sink.bufs <- Array.init threads (fun _ -> buf_make ());
+      sink.bufs <- Array.init threads (fun _ -> stream ());
       (* side-band site streams, index-parallel to the access streams:
          the access encoding's high bits belong to synthetic replay
          addresses (verify's V007), so ids cannot be packed into the
          access int *)
-      if tagging then sink.sbufs <- Array.init threads (fun _ -> buf_make ());
+      if tagging then sink.sbufs <- Array.init threads (fun _ -> stream ());
       set_thread 0;
       run ();
-      ( Array.map buf_contents sink.bufs,
-        (if tagging then Array.map buf_contents sink.sbufs else [||]),
-        Array.map (fun b -> b.len + b.dropped) sink.bufs ))
+      let counts = Array.map (fun b -> b.len + b.dropped) sink.bufs in
+      let streams = Array.map (contents pool) sink.bufs in
+      ( streams,
+        (if tagging then Array.map (contents pool) sink.sbufs else [||]),
+        counts ))
     nests
 
 let trace ~threads ?threads_per_core ~addr_of ?index_lookup p =

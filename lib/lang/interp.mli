@@ -75,8 +75,10 @@ type addr_map =
           [Invalid_argument "Matrix.mul_vec"]. *)
 
 val apply : addr_map -> Affine.Vec.t -> int
-(** The address of one index vector.  [apply m] stages [m] once and
-    allocates nothing per call unless a component misses. *)
+(** The address of one index vector.  [apply m] stages [m] once, as the
+    same form {!trace} stages a reference into (over the index vector's
+    components), and allocates nothing per call unless a component
+    misses. *)
 
 val trace :
   threads:int ->
@@ -92,17 +94,30 @@ val trace :
     never runs never resolves), and its result serves every later access
     of that reference — so resolve the array there, not per access.
 
-    A reference whose subscripts are all affine in the loop indices
-    ({!Analysis.affine_of_expr}, names resolved as the interpreter
-    resolves them) is staged against a {!Separable} map once: its
-    address becomes [(U·A)·i + (U·o + shift)] over the loop indices
-    with a non-zero coefficient, fed to the per-component functions, so
-    no index vector is built (all-{!Coef} maps fold to one
-    [c + Σ g·i]).  Any other reference — an index-array subscript, a
-    [/] or [mod] of an iterator, a load of an index array — or an {!Fn}
-    map evaluates the subscripts into the reference's own buffer and
-    applies the map to it; an {!Fn} function receives that buffer,
-    overwritten on the next access: read it, never retain it.
+    A reference whose subscripts are affine in the loop indices, or
+    chains of [/] and [mod] by positive literals over affine operands
+    (names resolved as the interpreter resolves them, a parameter as its
+    value), is staged against a {!Separable} map once, as one form over
+    the loop slots: a linear part [c + Σ g·i] (every {!Coef} component,
+    a chain's share included) plus terms [g·T[a - lo]], each a {!Table}
+    component over an affine [a'_r] or a chain's table over its affine
+    operand.  No index vector is built; a {!Table} miss evaluates
+    [whole], and a chain operand outside its table evaluates the chain.
+    A {!Table} component over a chain, a rank other than [u]'s column
+    count, any other reference — an index-array subscript, a product of
+    two iterators, a load of an index array — or an {!Fn} map evaluates
+    the subscripts into the reference's own buffer and applies the map
+    to it; an {!Fn} function receives that buffer, overwritten on the
+    next access: read it, never retain it.
+
+    An innermost loop whose body is only assignments that cannot raise
+    (bound names, positive literal divisors, loads of non-index arrays)
+    over such references is stepped through their forms: once every
+    reference has resolved, each entry folds the outer indices, and the
+    terms that do not read the loop index, into one base per reference,
+    and the loop emits [base + Lx·x + Σ g·T[a0 + ax·x - lo]] per access
+    ([whole] where a {!Table} term misses).  Streams fill fixed-size
+    chunks and are copied out once per phase, at their exact length.
     [index_lookup] supplies the {e values} of index arrays (default: 0),
     used to resolve indexed subscripts; it receives a fresh copy of the
     index vector.  Reads of index arrays still appear in the trace via
@@ -149,7 +164,8 @@ val trace_capped :
     is — only counts; any other still evaluates its subscripts (and
     [index_lookup] still runs), so it raises where {!trace} would.
     [addr_of] is not called past the cap, so a reference whose first
-    run lies past the cap never resolves.  A
+    run lies past the cap never resolves; a stepped loop that reaches
+    the cap adds the rest of its range's count at once.  A
     reference to an array for which [exclude] (default: none) holds
     emits nothing and is not counted; its non-affine subscripts and
     [index_lookup] still run.  The stored prefix is

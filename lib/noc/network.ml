@@ -8,10 +8,11 @@ type t = {
   nodes : int;
   free_at : int array;  (** per link-id: earliest cycle it can accept *)
   link_busy : int array;  (** per link-id: cycles reserved so far *)
-  routes : int array array;
-      (** memoized XY routes as link-id arrays, indexed [src·nodes + dst];
-          a pair is computed from the topology once, on first use ([||]
-          marks an unfilled slot — every src ≠ dst route has ≥ 1 link) *)
+  routes : int array array array;
+      (** memoized XY routes as link-id arrays, indexed [src], then [dst];
+          a source's row is allocated on its first message and a pair is
+          computed from the topology once, on first use ([||] marks an
+          unfilled row or slot — every src ≠ dst route has ≥ 1 link) *)
   hier : bool;  (** the topology has ≥ 2 chiplets *)
   cross : bool array;  (** per link-id: crosses a chiplet boundary *)
   chip_latency : int;  (** per-hop latency of a crossing link *)
@@ -60,7 +61,7 @@ let create ?(config = default_config) topo =
     nodes;
     free_at = Array.make links 0;
     link_busy = Array.make links 0;
-    routes = Array.make (nodes * nodes) [||];
+    routes = Array.make nodes [||];
     hier;
     cross;
     chip_latency;
@@ -68,12 +69,14 @@ let create ?(config = default_config) topo =
   }
 
 let route net ~src ~dst =
-  let idx = (src * net.nodes) + dst in
-  let r = net.routes.(idx) in
+  if Array.length net.routes.(src) = 0 then
+    net.routes.(src) <- Array.make net.nodes [||];
+  let row = net.routes.(src) in
+  let r = row.(dst) in
   if Array.length r > 0 then r
   else begin
     let r = Topology.link_ids net.topo ~src ~dst in
-    net.routes.(idx) <- r;
+    row.(dst) <- r;
     r
   end
 

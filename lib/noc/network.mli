@@ -44,8 +44,10 @@ val transfer :
     a busy link delays it.  The hop count equals [Topology.distance]
     (memoizable by the caller) and the contention delay is [arrival -
     now - unloaded latency].  [src = dst] delivers instantly.  Routes
-    are memoized per (src, dst) in a flat table built from the topology
-    on first use, so XY routing is not recomputed per leg.
+    are memoized per (src, dst), built from the topology on first use,
+    so XY routing is not recomputed per leg; a source's row of the memo
+    is allocated on its first message, so a large mesh pays only for
+    the sources that send.
 
     [on_hop] is invoked once per traversed link with its link id, the
     cycle the header started on the link and the cycle it reached the next

@@ -289,11 +289,16 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     Array.init nodes (fun n -> Noc.Placement.nearest placement topo n)
   in
   let nearest_mc node = nearest_tbl.(node) in
-  let hop_rows =
-    Array.init nodes (fun src ->
-        Array.init nodes (fun dst -> Noc.Topology.distance topo src dst))
+  (* a source's row of hop counts is built on its first use: the
+     sources that send are few on a large mesh *)
+  let hop_rows = Array.make nodes [||] in
+  let hop_row src =
+    if Array.length hop_rows.(src) = 0 then
+      hop_rows.(src) <-
+        Array.init nodes (fun dst -> Noc.Topology.distance topo src dst);
+    hop_rows.(src)
   in
-  let hops_between src dst = hop_rows.(src).(dst) in
+  let hops_between src dst = (hop_row src).(dst) in
   (* inter-chiplet off-chip traffic: the counter is registered only on
      hierarchical platforms, so flat runs' stats documents stay
      byte-identical; the origin-node × MC crossing table makes the hot
@@ -595,7 +600,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
            requester, already registered, is excluded) *)
         if
           Directory.closest_holder dir ~line ~excluding:node
-            ~distance:hop_rows.(node)
+            ~distance:(hop_row node)
           >= 0
         then begin
           let m = Address_map.mc_of_paddr amap paddr in
@@ -729,7 +734,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       let line = line_of req.rpaddr in
       let h =
         Directory.closest_holder dir ~line ~excluding:req.rnode
-          ~distance:hop_rows.(req.rnode)
+          ~distance:(hop_row req.rnode)
       in
       if h >= 0 then begin
         (* on-chip: the pending request leg was on-chip after all *)

@@ -38,6 +38,27 @@ let test_lru_eviction () =
   Alcotest.(check bool) "0 still resident" true (is_hit (Sacache.access c ~addr:0 ~write:false));
   Alcotest.(check bool) "512 gone" false (is_hit (Sacache.access c ~addr:512 ~write:false))
 
+(* A hit allocates nothing: the minor words counted across many hits,
+   reads and writes, in every way of the set, equal those counted across
+   none. *)
+let test_hit_allocates_nothing () =
+  List.iter
+    (fun hash ->
+      let c = mk ~hash ~ways:4 () in
+      let addrs = [| 0; 256; 512; 768 |] in
+      Array.iter (fun addr -> ignore (Sacache.access c ~addr ~write:false)) addrs;
+      let words n =
+        let before = Gc.minor_words () in
+        for k = 1 to n do
+          ignore (Sacache.access c ~addr:addrs.(k land 3) ~write:(k land 4 = 0))
+        done;
+        Gc.minor_words () -. before
+      in
+      let none = words 0 in
+      Alcotest.(check (float 0.)) "minor words across 10000 hits" none (words 10000);
+      Alcotest.(check int) "all hits" 10000 (fst (Sacache.stats c)))
+    [ false; true ]
+
 let test_dirty_writeback () =
   (* direct-mapped: 16 sets, same-set stride 1024 *)
   let c = mk ~ways:1 () in
@@ -318,6 +339,66 @@ let prop_directory_matches_naive =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
+(* The same oracle through what the six-line property never reaches:
+   thousands of lines, so the open-addressed table grows and probe runs
+   collide, lines that lose their last holder (deleted by shifting their
+   probe run back), and lines added again after that.  Every line's
+   holders and closest holder must agree after each phase. *)
+let prop_directory_grows =
+  let gen =
+    QCheck.Gen.(triple (oneofl [ 1; 63; 100 ]) (oneofl [ 64; 700; 3000 ]) int)
+  in
+  QCheck.Test.make ~name:"flat directory equals the list oracle through growth and deletion"
+    ~count:20
+    (QCheck.make
+       ~print:(fun (nodes, lines, seed) ->
+         Printf.sprintf "%d nodes, %d lines, seed %d" nodes lines seed)
+       gen)
+    (fun (nodes, lines, seed) ->
+      let st = Random.State.make [| seed |] in
+      let d = Directory.create ~nodes and o = Naive_directory.create ~nodes in
+      (* random line addresses: an arithmetic run of lines hashes almost
+         without collisions *)
+      let pool = Array.init lines (fun _ -> 64 * Random.State.bits st) in
+      let line () = pool.(Random.State.int st lines) in
+      let add line node =
+        Directory.add_holder d ~line ~node;
+        Naive_directory.add_holder o ~line ~node
+      and remove line node =
+        Directory.remove_holder d ~line ~node;
+        Naive_directory.remove_holder o ~line ~node
+      in
+      let agree () =
+        let dist = Array.init nodes (fun _ -> Random.State.int st 3) in
+        List.for_all
+          (fun line ->
+            let excluding = Random.State.int st (nodes + 1) - 1 in
+            Directory.holders d ~line = Naive_directory.holders o ~line
+            && Directory.closest_holder d ~line ~excluding ~distance:dist
+               = Option.value ~default:(-1)
+                   (Naive_directory.closest_holder o ~line ~excluding
+                      ~distance:(fun n -> dist.(n)) ()))
+          (Array.to_list pool)
+      in
+      for _ = 1 to 3 * lines do
+        let l = line () and n = Random.State.int st nodes in
+        if Random.State.int st 4 = 0 then remove l n else add l n
+      done;
+      let grown = agree () in
+      (* drain about half the lines completely *)
+      Array.iter
+        (fun l ->
+          if Random.State.bool st then
+            for n = 0 to nodes - 1 do
+              remove l n
+            done)
+        pool;
+      let drained = agree () in
+      for _ = 1 to lines do
+        add (line ()) (Random.State.int st nodes)
+      done;
+      grown && drained && agree ())
+
 let suite =
   [
     ( "cache.sacache",
@@ -326,6 +407,7 @@ let suite =
         Alcotest.test_case "hit after fill" `Quick test_hit_after_fill;
         Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
         Alcotest.test_case "dirty writeback" `Quick test_dirty_writeback;
+        Alcotest.test_case "a hit allocates nothing" `Quick test_hit_allocates_nothing;
         Alcotest.test_case "probe/invalidate" `Quick test_probe_invalidate;
         Alcotest.test_case "stats/clear" `Quick test_stats_and_clear;
         Alcotest.test_case "set hashing" `Quick test_hash_spreads_aliases;
@@ -339,5 +421,6 @@ let suite =
         Alcotest.test_case "144 nodes" `Quick (test_directory_large 144);
         Alcotest.test_case "256 nodes" `Quick (test_directory_large 256);
       ]
-      @ qsuite [ prop_directory_membership; prop_directory_matches_naive ] );
+      @ qsuite
+          [ prop_directory_membership; prop_directory_matches_naive; prop_directory_grows ] );
   ]

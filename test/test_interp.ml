@@ -298,6 +298,263 @@ let prop_composed_addresses =
       in
       same_full && same_capped)
 
+(* Straight-line innermost loops, the shape the interpreter steps through
+   one staged form per reference: assignments only, loads of plain
+   arrays, subscripts affine in [i] and [j] (inner strides negative, zero
+   and positive) or strip-mined [/]/[%] chains of affine operands, loops
+   that may be empty, start below zero or be the only loop.  Each array
+   gets one of three layouts: the identity, a customized one with
+   [Table] components (some of whose entries fault), or row-major over
+   padded extents, the emitted side of V007.  Against [Naive_interp]:
+   - the full trace and its site streams, exceptions included;
+   - at caps 0, 1, 7, one that falls inside an iteration and [max_int],
+     with one array excluded or none: each thread's stored head and
+     count, and [addr_of] called once per reference that stored an
+     access, on that first stored run, and never for any other;
+   - on one thread, where a layout raises: the stored prefix up to the
+     raising access traces cleanly, and one access more raises the
+     naive walk's exception. *)
+let prop_stepped_loops =
+  let arrays = [ "A0"; "A1"; "A2" ] in
+  let id a = 1 + List.length (List.filter (fun b -> b < a) arrays) in
+  let open Gen in
+  let affine ~outer =
+    let* a = if outer then oneofl [ 0; 1; -1; 2 ] else return 0 in
+    let* b = oneofl [ -2; -1; 0; 0; 0; 1; 1; 2; 3 ] in
+    let* c = int_range (-3) 3 in
+    let* r = bool in
+    let i = if r then Ast.Mul (Ast.Var "R", Ast.Var "i") else Ast.Mul (Ast.Int a, Ast.Var "i") in
+    let e = Ast.Add (Ast.Mul (Ast.Int b, Ast.Var "j"), Ast.Int c) in
+    return (if outer && (r || a <> 0) then Ast.Add (i, e) else e)
+  in
+  let sub ~outer =
+    let k = oneofl [ 1; 2; 3; 4; 8 ] in
+    frequency
+      [
+        (3, affine ~outer);
+        (1, map2 (fun e k -> Ast.Div (e, Ast.Int k)) (affine ~outer) k);
+        (1, map2 (fun e k -> Ast.Mod (e, Ast.Int k)) (affine ~outer) k);
+        ( 2,
+          map3
+            (fun e k1 k2 -> Ast.Mod (Ast.Div (Ast.Div (e, Ast.Int k1), Ast.Int k2), Ast.Int 3))
+            (affine ~outer) k k );
+      ]
+  in
+  let gen_ref ~outer =
+    let* array = oneofl arrays in
+    let* s1 = sub ~outer in
+    let* s2 = sub ~outer in
+    return (Ast.mk_ref ~array ~subs:[ s1; s2 ] ())
+  in
+  let gen_program =
+    let* outer = bool in
+    let* n = int_range 4 9 in
+    let* stmts =
+      list_size (int_range 1 3)
+        (let* lhs = gen_ref ~outer in
+         let* r1 = gen_ref ~outer in
+         let* r2 = gen_ref ~outer in
+         let* rhs =
+           oneofl
+             [
+               Ast.Load r1;
+               Ast.Add (Ast.Load r1, Ast.Load r2);
+               Ast.Mul (Ast.Sub (Ast.Load r1, Ast.Int 1), Ast.Load r2);
+               Ast.Div (Ast.Load r1, Ast.Int 3);
+               Ast.Int 5;
+             ]
+         in
+         return (Ast.Assign (lhs, rhs)))
+    in
+    let range = pair (int_range (-2) 2) (oneofl [ 0; 1; 2; 5; 9 ]) in
+    let* (lo_i, len_i), (lo_j, len_j) = pair range range in
+    let* par = oneofl [ `Outer; `Inner; `Neither ] in
+    let loop index (lo, len) parallel body =
+      Ast.Loop
+        {
+          Ast.index;
+          lo = Ast.Int lo;
+          hi = Ast.Int (lo + len - 1);
+          parallel;
+          body;
+          loop_span = Lang.Span.dummy;
+        }
+    in
+    let inner = loop "j" (lo_j, len_j) (par = `Inner || not outer) stmts in
+    return
+      {
+        Ast.params = [ ("N", n); ("R", 3) ];
+        decls =
+          List.map
+            (fun name -> Ast.mk_decl ~name ~extents:[ Ast.Var "N"; Ast.Var "N" ] ())
+            arrays;
+        nests =
+          [ (if outer then loop "i" (lo_i, len_i) (par = `Outer) [ inner ] else inner) ];
+      }
+  in
+  let gen_layout n =
+    let extents = [| n; n |] in
+    frequency
+      [
+        (1, return (Core.Layout.identity ~array:"x" ~extents ~elem_bytes:8));
+        (2, Test_core.gen_layout ~cols:2 extents);
+        ( 1,
+          map2
+            (fun p q ->
+              Core.Layout.identity ~array:"x" ~extents:[| n + p; n + q |]
+                ~elem_bytes:8)
+            (int_range 0 5) (int_range 1 5) );
+      ]
+  in
+  let gen =
+    let* p = gen_program in
+    let n = List.assoc "N" p.Ast.params in
+    let* layouts = flatten_l (List.map (fun _ -> gen_layout n) arrays) in
+    let* threads = int_range 1 5 in
+    let* excluded = oneofl [ "none"; "A0"; "A1" ] in
+    return (p, List.combine arrays layouts, threads, excluded)
+  in
+  let print (p, layouts, threads, excluded) =
+    Printf.sprintf "%s\n%s\nthreads=%d exclude=%s" (Ast.program_to_string p)
+      (String.concat "\n"
+         (List.map (fun (a, l) -> a ^ ": " ^ Test_core.print_layout l) layouts))
+      threads excluded
+  in
+  QCheck.Test.make ~name:"stepped loops = naive at every cap and layout" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (p, layouts, threads, excluded) ->
+      let base a = id a * 1_000_003 in
+      let staged a = Core.Layout.addr_map ~base:(base a) ~scale:8 (List.assoc a layouts) in
+      let naive a v = base a + (8 * Naive_layout.offset (List.assoc a layouts) v) in
+      let sites = Lang.Sites.of_program p in
+      let site_of = Lang.Sites.id_of_ref sites in
+      let array_of = Array.map (fun s -> s.Lang.Sites.array) (Lang.Sites.sites sites) in
+      let run f = match f () with v -> Ok v | exception e -> Error e in
+      let want = run (fun () -> Naive_interp.trace_gen ~threads ~addr_of:naive ~site_of p) in
+      let got =
+        run (fun () -> Lang.Interp.trace_tagged ~threads ~addr_of:staged ~site_of p)
+      in
+      let same_full =
+        match (want, got) with
+        | Ok w, Ok g -> w = g
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      let per_iteration =
+        List.length (List.filter (fun a -> a <> excluded) (Array.to_list array_of))
+      in
+      let capped cap =
+        match want with
+        | Error _ -> true
+        | Ok w ->
+          let calls = Hashtbl.create 4 in
+          let addr_of a =
+            Hashtbl.replace calls a (1 + Option.value ~default:0 (Hashtbl.find_opt calls a));
+            staged a
+          in
+          let got =
+            Lang.Interp.trace_capped ~threads ~cap ~exclude:(String.equal excluded) ~addr_of p
+          in
+          let kept =
+            List.map
+              (fun (ph, ss) ->
+                Array.mapi
+                  (fun t s ->
+                    List.filter
+                      (fun (_, site) -> array_of.(site) <> excluded)
+                      (List.combine (Array.to_list s) (Array.to_list ss.(t))))
+                  ph)
+              w
+          in
+          let head l = List.filteri (fun i _ -> i < cap) l in
+          let resolved = Hashtbl.create 8 in
+          List.iter
+            (Array.iter (fun l -> List.iter (fun (_, site) -> Hashtbl.replace resolved site ()) (head l)))
+            kept;
+          let want_calls a =
+            Hashtbl.fold (fun site () n -> if array_of.(site) = a then n + 1 else n) resolved 0
+          in
+          got
+          = List.map
+              (fun ph ->
+                ( Array.map (fun l -> Array.of_list (List.map fst (head l))) ph,
+                  Array.map List.length ph ))
+              kept
+          && List.for_all
+               (fun a -> Option.value ~default:0 (Hashtbl.find_opt calls a) = want_calls a)
+               arrays
+      in
+      (* on one thread the evaluation order is each stream's order: the
+         raising access is the [k]-th the naive walk addresses *)
+      let raises_at_the_same_access () =
+        let count = ref 0 in
+        let counted a v =
+          incr count;
+          naive a v
+        in
+        match Naive_interp.trace_gen ~threads:1 ~addr_of:counted p with
+        | _ -> true
+        | exception e ->
+          let k = !count - 1 in
+          let capped cap =
+            run (fun () -> Lang.Interp.trace_capped ~threads:1 ~cap ~addr_of:staged p)
+          in
+          Result.is_ok (capped k)
+          && (match capped (k + 1) with Error e' -> e = e' | Ok _ -> false)
+      in
+      same_full
+      && List.for_all capped [ 0; 1; 7; (3 * per_iteration) + 1; max_int ]
+      && raises_at_the_same_access ())
+
+(* A reference with no subscripts under a map of no columns (a
+   zero-dimensional array, which the checker rejects but the interpreter
+   still traces) has a form of constants only: stepped, in a loop
+   beside a 1-D reference, it must address like the naive walk. *)
+let test_rank_zero_stepped () =
+  let layouts =
+    [
+      ("S", Core.Layout.identity ~array:"S" ~extents:[||] ~elem_bytes:8);
+      ("A", Core.Layout.identity ~array:"A" ~extents:[| 8 |] ~elem_bytes:8);
+    ]
+  in
+  let base a = if a = "S" then 1000 else 2000 in
+  let p =
+    {
+      Ast.params = [];
+      decls = [];
+      nests =
+        [
+          Ast.Loop
+            {
+              Ast.index = "i";
+              lo = Ast.Int 0;
+              hi = Ast.Int 7;
+              parallel = true;
+              body =
+                [
+                  Ast.Assign
+                    ( Ast.mk_ref ~array:"S" ~subs:[] (),
+                      Ast.Load (Ast.mk_ref ~array:"A" ~subs:[ Ast.Var "i" ] ()) );
+                ];
+              loop_span = Lang.Span.dummy;
+            };
+        ];
+    }
+  in
+  let want =
+    Naive_interp.trace_gen ~threads:2
+      ~addr_of:(fun a v ->
+        base a + (8 * Naive_layout.offset (List.assoc a layouts) v))
+      p
+  in
+  let got =
+    Lang.Interp.trace ~threads:2
+      ~addr_of:(fun a ->
+        Core.Layout.addr_map ~base:(base a) ~scale:8 (List.assoc a layouts))
+      p
+  in
+  Alcotest.(check bool) "stepped = naive" true (List.map fst want = got)
+
 (* A constant operand is folded into its operator's closure, and a chain
    of positive constant divisors into one division; the failure points
    and values must not move: a zero divisor raises after the left
@@ -404,10 +661,12 @@ let suite =
     ( "interp_oracle",
       List.map QCheck_alcotest.to_alcotest
         (prop_fuzz_kernels :: prop_capped :: prop_capped_chains
-       :: prop_composed_addresses
+       :: prop_composed_addresses :: prop_stepped_loops
         :: List.map prop_named named_cases)
       @ [
           Alcotest.test_case "constant operands keep the failure points" `Quick
             test_constant_operand_failures;
+          Alcotest.test_case "rank-zero reference in a stepped loop" `Quick
+            test_rank_zero_stepped;
         ] );
   ]
