@@ -348,19 +348,14 @@ let default () =
 
 (* --- JSON (de)serialization -------------------------------------------- *)
 
-let to_json t =
-  let open Obs.Json in
-  let coord n =
-    let c = Noc.Topology.coord_of_node t.topo n in
-    List [ Int c.Noc.Coord.x; Int c.Noc.Coord.y ]
-  in
-  (* the "hierarchy" member exists only on hierarchical platforms: a flat
-     platform's document stays byte-identical to what it was before the
-     chiplet level existed *)
-  let hierarchy =
-    match t.topo.Noc.Topology.chiplets with
-    | None -> []
-    | Some g ->
+(* the "hierarchy" member exists only on hierarchical platforms: a flat
+   platform's document stays byte-identical to what it was before the
+   chiplet level existed *)
+let hierarchy_member t =
+  match t.topo.Noc.Topology.chiplets with
+  | None -> []
+  | Some g ->
+    Obs.Json.
       [
         ( "hierarchy",
           obj
@@ -371,6 +366,12 @@ let to_json t =
               ("link_bytes", Int g.Noc.Topology.link_bytes);
             ] );
       ]
+
+let to_json t =
+  let open Obs.Json in
+  let coord n =
+    let c = Noc.Topology.coord_of_node t.topo n in
+    List [ Int c.Noc.Coord.x; Int c.Noc.Coord.y ]
   in
   obj
     ([
@@ -378,7 +379,7 @@ let to_json t =
       ("mesh_width", Int t.topo.Noc.Topology.width);
       ("mesh_height", Int t.topo.Noc.Topology.height);
     ]
-    @ hierarchy
+    @ hierarchy_member t
     @ [
       ( "cluster",
         obj

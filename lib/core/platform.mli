@@ -111,6 +111,10 @@ val to_json : t -> Obs.Json.t
     ([chiplets_x]/[chiplets_y]/[link_latency]/[link_bytes]); flat
     platforms' documents are byte-identical to the pre-chiplet format. *)
 
+val hierarchy_member : t -> (string * Obs.Json.t) list
+(** The ["hierarchy"] member of {!to_json}, or [[]] on a flat platform;
+    the simulator's configuration document embeds the same bytes. *)
+
 val of_json : Obs.Json.t -> (t, string) result
 (** Inverse of {!to_json}; [cluster], [placement], [hierarchy] and the
     scalar parameters are optional and default to the preset values

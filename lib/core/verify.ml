@@ -193,31 +193,24 @@ let check_cluster diags (cfg : Customize.config) =
 
 (* --- V006: sampled semantic equivalence ------------------------------- *)
 
+(* A sample whose subscripts or bounds do not evaluate (an unbound name,
+   a zero divisor) is skipped: it names no index to compare. *)
+exception Skip
+
 (* Evaluate an expression under an environment of iterator/parameter
-   bindings.  Loads resolve through [resolve] — index-array values are
+   bindings.  Loads resolve through [read] — index-array values are
    not modelled, so both sides resolve them identically (to 0), which
    still exercises all the affine arithmetic around them. *)
-let rec eval_expr ~resolve env = function
-  | Ast.Int n -> n
-  | Ast.Var x -> ( match List.assoc_opt x env with Some v -> v | None -> 0)
-  | Ast.Neg a -> -eval_expr ~resolve env a
-  | Ast.Add (a, b) -> eval_expr ~resolve env a + eval_expr ~resolve env b
-  | Ast.Sub (a, b) -> eval_expr ~resolve env a - eval_expr ~resolve env b
-  | Ast.Mul (a, b) -> eval_expr ~resolve env a * eval_expr ~resolve env b
-  | Ast.Div (a, b) ->
-    let d = eval_expr ~resolve env b in
-    if d = 0 then 0 else eval_expr ~resolve env a / d
-  | Ast.Mod (a, b) ->
-    let d = eval_expr ~resolve env b in
-    if d = 0 then 0 else eval_expr ~resolve env a mod d
-  | Ast.Load r ->
-    resolve r.Ast.array (List.map (eval_expr ~resolve env) r.Ast.subs)
+let value ~read env e =
+  match Ast.eval ~read (fun x -> List.assoc_opt x env) e with
+  | Ok v -> v
+  | Error _ -> raise Skip
 
 exception Home_index_out_of_range of int
 
-let resolve_orig _array _subs = 0
+let read_orig _array _subs = 0
 
-let resolve_trans ~home array subs =
+let read_trans ~home array subs =
   if String.equal array "__home" then begin
     match (home, subs) with
     | Some t, [ x ] ->
@@ -227,10 +220,31 @@ let resolve_trans ~home array subs =
   end
   else 0
 
-type equiv_ctx = {
-  diags : Diag.t list ref;
+(* What V006 and V007 read from the report: each array's decision and
+   the one __home table the rewrite emits, if any layout has one. *)
+type report_ctx = {
   decision_of : string -> Transform.decision option;
   home : int array option;
+}
+
+let report_ctx (report_ : Transform.report) =
+  let decisions = report_.Transform.decisions in
+  {
+    decision_of =
+      (fun name ->
+        List.find_opt
+          (fun (d : Transform.decision) -> String.equal (name_of d) name)
+          decisions);
+    home =
+      List.find_map
+        (fun (d : Transform.decision) ->
+          match perm_tables d.Transform.layout with t :: _ -> Some t | [] -> None)
+        decisions;
+  }
+
+type equiv_ctx = {
+  diags : Diag.t list ref;
+  rc : report_ctx;
   mutable reported : Span.t list;  (* one diagnostic per source reference *)
 }
 
@@ -243,61 +257,64 @@ let report ctx span msg =
 (* Check one statement-level reference pair at one sampled iteration:
    the transformed subscripts, flattened row-major over the transformed
    extents, must equal what offset_of_index predicts for the original
-   index vector. *)
+   index vector.  Once the original subscripts evaluate, transformed ones
+   that do not are a disagreement. *)
 let check_ref ctx env (ro : Ast.ref_) (rt : Ast.ref_) =
-  let a =
-    Array.of_list (List.map (eval_expr ~resolve:resolve_orig env) ro.Ast.subs)
+  let trans () =
+    List.map (value ~read:(read_trans ~home:ctx.rc.home) env) rt.Ast.subs
   in
-  match ctx.decision_of ro.Ast.array with
-  | Some d when d.Transform.optimized ->
-    let l = d.Transform.layout in
-    let in_bounds =
-      Array.length a = Array.length l.Layout.orig_extents
-      && Array.for_all2 (fun v e -> v >= 0 && v < e) a l.Layout.orig_extents
-    in
-    if in_bounds then begin
-      match
-        List.map (eval_expr ~resolve:(resolve_trans ~home:ctx.home) env)
-          rt.Ast.subs
-      with
-      | subs' ->
-        let expected = Layout.offset_of_index l a in
-        let actual =
-          List.fold_left2
-            (fun acc v (od : Layout.out_dim) -> (acc * od.Layout.extent) + v)
-            0 subs'
-            (Array.to_list l.Layout.out)
-        in
-        if actual <> expected then
+  match Array.of_list (List.map (value ~read:read_orig env) ro.Ast.subs) with
+  | exception Skip -> ()
+  | a -> (
+    match ctx.rc.decision_of ro.Ast.array with
+    | Some d when d.Transform.optimized ->
+      let l = d.Transform.layout in
+      let in_bounds =
+        Array.length a = Array.length l.Layout.orig_extents
+        && Array.for_all2 (fun v e -> v >= 0 && v < e) a l.Layout.orig_extents
+      in
+      if in_bounds then begin
+        match trans () with
+        | subs' ->
+          let expected = Layout.offset_of_index l a in
+          let actual =
+            List.fold_left2
+              (fun acc v (od : Layout.out_dim) -> (acc * od.Layout.extent) + v)
+              0 subs'
+              (Array.to_list l.Layout.out)
+          in
+          if actual <> expected then
+            report ctx ro.Ast.ref_span
+              (Printf.sprintf
+                 "transformed reference to %s disagrees with its layout at \
+                  index [%s]: subscripts give offset %d, layout says %d"
+                 ro.Ast.array
+                 (String.concat "," (Array.to_list (Array.map string_of_int a)))
+                 actual expected)
+        | exception Home_index_out_of_range x ->
+          report ctx ro.Ast.ref_span
+            (Printf.sprintf "reference to %s indexes __home out of range (%d)"
+               ro.Ast.array x)
+        | exception Invalid_argument _ ->
           report ctx ro.Ast.ref_span
             (Printf.sprintf
-               "transformed reference to %s disagrees with its layout at \
-                index [%s]: subscripts give offset %d, layout says %d"
+               "transformed reference to %s has %d subscripts, layout has %d \
+                dimensions"
                ro.Ast.array
-               (String.concat "," (Array.to_list (Array.map string_of_int a)))
-               actual expected)
-      | exception Home_index_out_of_range x ->
+               (List.length rt.Ast.subs)
+               (Array.length l.Layout.out))
+        | exception Skip ->
+          report ctx ro.Ast.ref_span
+            (Printf.sprintf "transformed reference to %s does not evaluate"
+               ro.Ast.array)
+      end
+    | _ ->
+      (* untransformed array: subscripts must evaluate identically *)
+      if (match trans () with b -> Array.to_list a <> b | exception Skip -> true)
+      then
         report ctx ro.Ast.ref_span
-          (Printf.sprintf "reference to %s indexes __home out of range (%d)"
-             ro.Ast.array x)
-      | exception Invalid_argument _ ->
-        report ctx ro.Ast.ref_span
-          (Printf.sprintf
-             "transformed reference to %s has %d subscripts, layout has %d \
-              dimensions"
-             ro.Ast.array
-             (List.length rt.Ast.subs)
-             (Array.length l.Layout.out))
-    end
-  | _ ->
-    (* untransformed array: subscripts must evaluate identically *)
-    let b =
-      List.map (eval_expr ~resolve:(resolve_trans ~home:ctx.home) env) rt.Ast.subs
-    in
-    if Array.to_list a <> b then
-      report ctx ro.Ast.ref_span
-        (Printf.sprintf "reference to untransformed array %s was rewritten"
-           ro.Ast.array)
+          (Printf.sprintf "reference to untransformed array %s was rewritten"
+             ro.Ast.array))
 
 let structure_mismatch ctx span =
   report ctx span "transformed program structure diverges from the original"
@@ -333,13 +350,17 @@ let rec walk_stmt ctx env o t =
     if lo_.Ast.index <> lt.Ast.index then
       structure_mismatch ctx lo_.Ast.loop_span
     else begin
-      let lo = eval_expr ~resolve:resolve_orig env lo_.Ast.lo in
-      let hi = eval_expr ~resolve:resolve_orig env lo_.Ast.hi in
+      let samples =
+        let bound = value ~read:read_orig env in
+        match (bound lo_.Ast.lo, bound lo_.Ast.hi) with
+        | lo, hi -> loop_samples lo hi
+        | exception Skip -> []
+      in
       List.iter
         (fun v ->
           let env = (lo_.Ast.index, v) :: env in
           walk_body ctx env lo_.Ast.loop_span lo_.Ast.body lt.Ast.body)
-        (loop_samples lo hi)
+        samples
     end
   | Ast.If co, Ast.If ct ->
     walk_expr ctx env co.Ast.lhs ct.Ast.lhs;
@@ -355,21 +376,7 @@ and walk_body ctx env span o t =
 
 let check_equivalence diags report_ (original : Ast.program)
     (transformed : Ast.program) =
-  let decision_of name =
-    List.find_opt
-      (fun (d : Transform.decision) -> String.equal (name_of d) name)
-      report_.Transform.decisions
-  in
-  let home =
-    List.fold_left
-      (fun acc (d : Transform.decision) ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match perm_tables d.Transform.layout with t :: _ -> Some t | [] -> acc))
-      None report_.Transform.decisions
-  in
-  let ctx = { diags; decision_of; home; reported = [] } in
+  let ctx = { diags; rc = report_ctx report_; reported = [] } in
   let env = original.Ast.params in
   if List.length original.Ast.nests <> List.length transformed.Ast.nests then
     structure_mismatch ctx Span.dummy
@@ -391,14 +398,13 @@ let check_equivalence diags report_ (original : Ast.program)
    without modelling real allocation. *)
 let id_shift = 40
 
+(* an array whose extents do not evaluate is addressed at its base *)
 let decl_extents (p : Ast.program) =
-  List.map
+  List.filter_map
     (fun (d : Ast.decl) ->
-      ( d.Ast.name,
-        Array.of_list
-          (List.map
-             (eval_expr ~resolve:resolve_orig p.Ast.params)
-             d.Ast.extents) ))
+      match List.map (value ~read:read_orig p.Ast.params) d.Ast.extents with
+      | e -> Some (d.Ast.name, Array.of_list e)
+      | exception Skip -> None)
     p.Ast.decls
 
 (* Cap on element-wise comparison per thread per nest; stream lengths are
@@ -407,20 +413,7 @@ let replay_cap = 1 lsl 16
 
 let check_codegen ~report:(report_ : Transform.report)
     ~(original : Ast.program) ~(transformed : Ast.program) =
-  let decision_of name =
-    List.find_opt
-      (fun (d : Transform.decision) -> String.equal (name_of d) name)
-      report_.Transform.decisions
-  in
-  let home =
-    List.fold_left
-      (fun acc (d : Transform.decision) ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match perm_tables d.Transform.layout with t :: _ -> Some t | [] -> acc))
-      None report_.Transform.decisions
-  in
+  let { decision_of; home } = report_ctx report_ in
   let ids = Hashtbl.create 16 in
   List.iteri
     (fun i (d : Ast.decl) -> Hashtbl.replace ids d.Ast.name i)

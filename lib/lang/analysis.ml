@@ -26,24 +26,6 @@ type t = {
   arrays : array_info list;
 }
 
-exception Unsupported of string
-
-let rec const_expr env = function
-  | Ast.Int n -> Some n
-  | Ast.Var x -> List.assoc_opt x env
-  | Ast.Neg a -> Option.map (fun v -> -v) (const_expr env a)
-  | Ast.Add (a, b) -> combine env a b ( + )
-  | Ast.Sub (a, b) -> combine env a b ( - )
-  | Ast.Mul (a, b) -> combine env a b ( * )
-  | Ast.Div (a, b) -> combine env a b ( / )
-  | Ast.Mod (a, b) -> combine env a b (fun x y -> x mod y)
-  | Ast.Load _ -> None
-
-and combine env a b op =
-  match (const_expr env a, const_expr env b) with
-  | Some x, Some y -> Some (op x y)
-  | _ -> None
-
 let affine_of_expr ~params ~iters e =
   let m = List.length iters in
   let pos x =
@@ -97,15 +79,23 @@ let affine_of_expr ~params ~iters e =
   in
   go e
 
-(* Estimated trip count of a loop whose bounds may mention outer iterators:
-   outer iterators are bound to the midpoint of their own ranges. *)
-let loop_trip env (l : Ast.loop) =
-  match (const_expr env l.lo, const_expr env l.hi) with
-  | Some lo, Some hi -> max 0 (hi - lo + 1)
-  | _ -> 1
-
-let analyze (p : Ast.program) =
+let analyze_result (p : Ast.program) =
   let params = p.params in
+  let diags = ref [] in
+  let error ~code span msg = diags := Diag.error ~code span msg :: !diags in
+  let eval env = Ast.eval (fun x -> List.assoc_opt x env) in
+  (* one diagnostic per declaration, at its first extent that fails *)
+  let extents_of (d : Ast.decl) =
+    let vals = List.map (eval params) d.extents in
+    (match List.find_map (function Error e -> Some e | Ok _ -> None) vals with
+    | Some Ast.Zero_divisor ->
+      error ~code:"S009" d.decl_span ("zero divisor in an extent of " ^ d.name)
+    | Some (Ast.Unbound _ | Ast.Read) ->
+      error ~code:"S008" d.decl_span ("non-constant extent for " ^ d.name)
+    | None -> ());
+    Array.of_list (List.map (Result.value ~default:0) vals)
+  in
+  let extents = List.map extents_of p.decls in
   let occs : (string, occurrence list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (d : Ast.decl) -> Hashtbl.replace occs d.name (ref [])) p.decls;
   let record occ =
@@ -128,128 +118,81 @@ let analyze (p : Ast.program) =
      of the innermost parallel loop, the environment of midpoint bindings
      for trip estimation, and the cumulative trip count. *)
   let rec walk_stmt nest_id iters par_dim env trip stmt =
+    let record_ref is_write (r : Ast.ref_) =
+      record
+        {
+          array = r.array;
+          kind = classify_ref ~iters r;
+          iters;
+          par_dim;
+          trip_count = trip;
+          is_write;
+          nest_id;
+        }
+    in
+    (* the reads in an expression; subscripts through index arrays are
+       themselves reads *)
+    let rec reads = function
+      | Ast.Int _ | Ast.Var _ -> ()
+      | Ast.Neg a -> reads a
+      | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b)
+      | Ast.Div (a, b) | Ast.Mod (a, b) ->
+        reads a;
+        reads b
+      | Ast.Load r ->
+        record_ref false r;
+        List.iter reads r.subs
+    in
     match stmt with
     | Ast.If c ->
       (* conservative: both branches assumed taken (Section 4); references
          in the condition itself are reads too *)
-      let record_cond_refs e =
-        let rec go = function
-          | Ast.Int _ | Ast.Var _ -> ()
-          | Ast.Neg a -> go a
-          | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b)
-          | Ast.Div (a, b) | Ast.Mod (a, b) ->
-            go a;
-            go b
-          | Ast.Load r ->
-            record
-              {
-                array = r.Ast.array;
-                kind = classify_ref ~iters r;
-                iters;
-                par_dim;
-                trip_count = trip;
-                is_write = false;
-                nest_id;
-              };
-            List.iter go r.Ast.subs
-        in
-        go e
-      in
-      record_cond_refs c.Ast.lhs;
-      record_cond_refs c.Ast.rhs;
+      reads c.Ast.lhs;
+      reads c.Ast.rhs;
       List.iter (walk_stmt nest_id iters par_dim env trip) c.Ast.then_;
       List.iter (walk_stmt nest_id iters par_dim env trip) c.Ast.else_
     | Ast.Loop l ->
-      let t = loop_trip env l in
-      let mid =
-        match (const_expr env l.lo, const_expr env l.hi) with
-        | Some lo, Some hi -> (lo + hi) / 2
-        | _ -> 0
+      (* estimated trip count, with outer iterators bound to the midpoint
+         of their own ranges; a bound that does not evaluate counts 1 *)
+      let t, mid =
+        match (eval env l.lo, eval env l.hi) with
+        | Ok lo, Ok hi -> (max 0 (hi - lo + 1), (lo + hi) / 2)
+        | Error Ast.Zero_divisor, _ | _, Error Ast.Zero_divisor ->
+          error ~code:"S009" l.loop_span
+            ("zero divisor in the bounds of loop " ^ l.index);
+          (1, 0)
+        | _ -> (1, 0)
       in
       let iters' = iters @ [ l.index ] in
       let par_dim' = if l.parallel then Some (List.length iters) else par_dim in
       let env' = (l.index, mid) :: env in
       List.iter (walk_stmt nest_id iters' par_dim' env' (trip * t)) l.body
     | Ast.Assign (lhs, rhs) ->
-      let rec emit_ref is_write (r : Ast.ref_) =
-        record
-          {
-            array = r.array;
-            kind = classify_ref ~iters r;
-            iters;
-            par_dim;
-            trip_count = trip;
-            is_write;
-            nest_id;
-          };
-        (* subscripts through index arrays are themselves reads *)
-        List.iter (collect_expr ~iters) r.subs
-      and collect_expr ~iters e =
-        let rec go = function
-          | Ast.Int _ | Ast.Var _ -> ()
-          | Ast.Neg a -> go a
-          | Ast.Add (a, b) | Ast.Sub (a, b) | Ast.Mul (a, b)
-          | Ast.Div (a, b) | Ast.Mod (a, b) ->
-            go a;
-            go b
-          | Ast.Load r ->
-            record
-              {
-                array = r.array;
-                kind = classify_ref ~iters r;
-                iters;
-                par_dim;
-                trip_count = trip;
-                is_write = false;
-                nest_id;
-              };
-            List.iter go r.subs
-        in
-        go e
-      in
-      emit_ref true lhs;
-      collect_expr ~iters rhs
+      record_ref true lhs;
+      List.iter reads lhs.subs;
+      reads rhs
   in
   List.iteri (fun i nest -> walk_stmt i [] None params 1 nest) p.nests;
-  let arrays =
-    List.map
-      (fun (d : Ast.decl) ->
-        let extents =
-          List.map
-            (fun e ->
-              match const_expr params e with
-              | Some v -> v
-              | None -> raise (Unsupported ("non-constant extent for " ^ d.name)))
-            d.extents
-        in
-        let os = match Hashtbl.find_opt occs d.name with
-          | Some r -> List.rev !r
-          | None -> []
-        in
-        { decl = d; extents = Array.of_list extents; occurrences = os })
-      p.decls
-  in
-  { program = p; params; arrays }
+  match List.rev !diags with
+  | _ :: _ as ds -> Error ds
+  | [] ->
+    let arrays =
+      List.map2
+        (fun (d : Ast.decl) extents ->
+          let os =
+            match Hashtbl.find_opt occs d.name with
+            | Some r -> List.rev !r
+            | None -> []
+          in
+          { decl = d; extents; occurrences = os })
+        p.decls extents
+    in
+    Ok { program = p; params; arrays }
 
-(* Pre-checks the one Unsupported condition with a located diagnostic per
-   offending declaration, then runs the (infallible) analysis. *)
-let analyze_result (p : Ast.program) =
-  let bad =
-    List.filter_map
-      (fun (d : Ast.decl) ->
-        if List.exists (fun e -> const_expr p.params e = None) d.extents then
-          Some
-            (Diag.error ~code:"S008" d.decl_span
-               ("non-constant extent for " ^ d.name))
-        else None)
-      p.decls
-  in
-  if bad <> [] then Error bad
-  else
-    match analyze p with
-    | t -> Ok t
-    | exception Unsupported msg ->
-      Error [ Diag.error ~code:"S008" Span.dummy msg ]
+let analyze p =
+  match analyze_result p with
+  | Ok t -> t
+  | Error ds -> raise (Diag.Fatal (List.hd ds))
 
 let array_info t name =
   List.find (fun a -> String.equal a.decl.name name) t.arrays

@@ -35,23 +35,15 @@ type t = {
   arrays : array_info list;  (** every declared array, in program order *)
 }
 
-exception Unsupported of string
-
 val analyze : Ast.program -> t
-(** Raises {!Unsupported} if an extent is not constant. *)
+(** {!analyze_result} for programs known to be well formed (the built-in
+    apps): raises [Diag.Fatal] with its first diagnostic. *)
 
 val analyze_result : Ast.program -> (t, Diag.t list) result
-(** Like {!analyze}, but returns one located diagnostic ([S008]) per
-    declaration whose extents are not constant. *)
+(** The analysis, or one located diagnostic per declaration whose extents
+    do not evaluate ([S008] non-constant, [S009] zero divisor) and per
+    loop header whose bounds divide by zero ([S009]).  Each extent and
+    each loop bound is evaluated once. *)
 
 val array_info : t -> string -> array_info
 (** Raises [Not_found] for an undeclared array. *)
-
-val affine_of_expr :
-  params:(string * int) list ->
-  iters:string list ->
-  Ast.expr ->
-  (Affine.Vec.t * int) option
-(** [affine_of_expr ~params ~iters e] is [Some (coeffs, const)] when [e]
-    is an affine function of the iterators, i.e. [e = coeffs·iters +
-    const]; [None] otherwise. *)

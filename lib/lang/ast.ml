@@ -68,6 +68,38 @@ let mk_ref ?(span = Span.dummy) ~array ~subs () =
 let mk_decl ?(span = Span.dummy) ?(index_array = false) ~name ~extents () =
   { name; extents; index_array; decl_span = span }
 
+(* The one evaluator of integer expressions outside the interpreter's
+   staged closures: parameters, extents, loop bounds, the verifier's
+   sampled subscripts and the profiler.  [/] and [%] truncate as OCaml's
+   do, operands left before right; a failure is a value, never raised. *)
+type eval_error =
+  | Unbound of string  (** a name [lookup] does not bind *)
+  | Read  (** an array read, and no [read] callback *)
+  | Zero_divisor  (** [/] or [%] by zero *)
+
+let eval ?read lookup e =
+  let exception Fail of eval_error in
+  let divisor b = if b = 0 then raise_notrace (Fail Zero_divisor) else b in
+  let rec go = function
+    | Int n -> n
+    | Var x -> (
+      match lookup x with Some v -> v | None -> raise_notrace (Fail (Unbound x)))
+    | Neg a -> -go a
+    | Add (a, b) -> bin a b ( + )
+    | Sub (a, b) -> bin a b ( - )
+    | Mul (a, b) -> bin a b ( * )
+    | Div (a, b) -> bin a b (fun x y -> x / divisor y)
+    | Mod (a, b) -> bin a b (fun x y -> x mod divisor y)
+    | Load r -> (
+      match read with
+      | Some f -> f r.array (List.map go r.subs)
+      | None -> raise_notrace (Fail Read))
+  and bin a b op =
+    let x = go a in
+    op x (go b)
+  in
+  match go e with v -> Ok v | exception Fail err -> Error err
+
 let span_of_stmt = function
   | Assign (r, _) -> r.ref_span
   | Loop l -> l.loop_span

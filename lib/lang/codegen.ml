@@ -19,20 +19,14 @@ type env = {
    [Invalid_argument] for callers that treat them as fatal. *)
 let error ~code ~span msg = raise (Diag.Fatal (Diag.error ~code span msg))
 
-let rec static_extent ~span env e =
-  match e with
-  | Ast.Int n -> n
-  | Ast.Var x -> (
-    match List.assoc_opt x env with
-    | Some v -> v
-    | None -> error ~code:"G002" ~span ("Codegen: non-constant extent " ^ x))
-  | Ast.Neg a -> -static_extent ~span env a
-  | Ast.Add (a, b) -> static_extent ~span env a + static_extent ~span env b
-  | Ast.Sub (a, b) -> static_extent ~span env a - static_extent ~span env b
-  | Ast.Mul (a, b) -> static_extent ~span env a * static_extent ~span env b
-  | Ast.Div (a, b) -> static_extent ~span env a / static_extent ~span env b
-  | Ast.Mod (a, b) -> static_extent ~span env a mod static_extent ~span env b
-  | Ast.Load _ -> error ~code:"G002" ~span "Codegen: load in extent"
+let static_extent ~span env e =
+  match Ast.eval (fun x -> List.assoc_opt x env) e with
+  | Ok v -> v
+  | Error (Ast.Unbound x) ->
+    error ~code:"G002" ~span ("Codegen: non-constant extent " ^ x)
+  | Error Ast.Read -> error ~code:"G002" ~span "Codegen: load in extent"
+  | Error Ast.Zero_divisor ->
+    error ~code:"G002" ~span "Codegen: zero divisor in extent"
 
 (* flattened reference: A[(e1)*M2*M3 + (e2)*M3 + e3] *)
 let rec render_ref env buf (r : Ast.ref_) =

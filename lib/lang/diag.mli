@@ -23,7 +23,7 @@ type t = {
 exception Fatal of t
 (** Internal carrier used inside [_result] entry points (parser, codegen)
     to abort to the nearest handler; it never escapes the public API
-    except from {!Interp.trace}.  [Printexc.to_string] renders it as its
+    except from {!Interp.trace} and {!Analysis.analyze}.  [Printexc.to_string] renders it as its
     diagnostic, e.g. [error[I001]: unbound variable x]. *)
 
 val make :

@@ -491,6 +491,7 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
     push pool b x;
     if tagging then push pool sink.scur site
   in
+  (* Literal-operand cases and chain tables are for speed: without them serve-mcaware's wall_s went 0.549 -> 0.655 s. *)
   let rec expr scope e : unit -> int =
     match e with
     | (Ast.Div (_, Ast.Int k) | Ast.Mod (_, Ast.Int k)) when k > 0 -> (

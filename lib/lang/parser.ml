@@ -207,24 +207,16 @@ and loop_stmt st =
 
 let program st =
   let params = ref [] and decls = ref [] and nests = ref [] in
-  let rec const_eval ~span e =
-    (* parameters may be used in later param definitions and extents *)
-    match e with
-    | Ast.Int n -> n
-    | Ast.Var x -> (
-      match List.assoc_opt x !params with
-      | Some v -> v
-      | None ->
-        raise (Error (Diag.error ~code:"S001" span ("unknown parameter " ^ x))))
-    | Ast.Neg a -> -const_eval ~span a
-    | Ast.Add (a, b) -> const_eval ~span a + const_eval ~span b
-    | Ast.Sub (a, b) -> const_eval ~span a - const_eval ~span b
-    | Ast.Mul (a, b) -> const_eval ~span a * const_eval ~span b
-    | Ast.Div (a, b) -> const_eval ~span a / const_eval ~span b
-    | Ast.Mod (a, b) -> const_eval ~span a mod const_eval ~span b
-    | Ast.Load _ ->
-      raise
-        (Error (Diag.error ~code:"S002" span "array reference in constant expression"))
+  (* parameters may be used in later param definitions *)
+  let const_eval ~name ~span e =
+    let fail code msg = raise (Error (Diag.error ~code span msg)) in
+    match Ast.eval (fun x -> List.assoc_opt x !params) e with
+    | Ok v -> v
+    | Result.Error (Ast.Unbound x) -> fail "S001" ("unknown parameter " ^ x)
+    | Result.Error Ast.Read ->
+      fail "S002" "array reference in constant expression"
+    | Result.Error Ast.Zero_divisor ->
+      fail "S009" ("zero divisor in the definition of parameter " ^ name)
   in
   let rec items () =
     match peek st with
@@ -235,7 +227,7 @@ let program st =
       let name = ident st in
       expect st Lexer.EQUALS;
       let e = expr st in
-      let v = const_eval ~span:(since st lo) e in
+      let v = const_eval ~name ~span:(since st lo) e in
       expect st Lexer.SEMI;
       params := !params @ [ (name, v) ];
       items ()

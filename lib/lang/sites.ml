@@ -26,11 +26,15 @@ let id_of_ref t (r : Ast.ref_) =
     in
     scan !bucket
 
-(* The walk mirrors the interpreter's emission order exactly (interp.ml):
-   an expression emits its loads innermost-subscript first, an assignment
-   emits its right-hand side, then the left-hand side's subscripts, then
-   the write; loop bounds are evaluated before the body; both branches of
-   an [if] are walked (only one runs, but ids must cover either). *)
+(* The walk follows the interpreter's emission order (interp.ml) but for
+   one case: an expression emits its loads innermost-subscript first, an
+   assignment emits its right-hand side, then the left-hand side's
+   subscripts, then the write; loop bounds are evaluated before the body;
+   both branches of an [if] are walked (only one runs, but ids must cover
+   either).  The exception is a binary operator, walked left operand
+   first where the interpreter runs its right operand first.  Ids key on
+   reference identity, so no output depends on it; reordering the walk
+   would renumber every attribution table. *)
 let of_program (p : Ast.program) =
   let acc = ref [] in
   let n = ref 0 in

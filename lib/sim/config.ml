@@ -175,29 +175,14 @@ let build ?(scaled = true) ?(platform = "") ?(l2 = "private")
 
 let to_json t =
   let open Obs.Json in
-  (* emitted only on hierarchical platforms: flat configs keep the
-     pre-chiplet document bytes (the seed-0 golden pins them) *)
-  let hierarchy =
-    match (topo t).Noc.Topology.chiplets with
-    | None -> []
-    | Some g ->
-      [
-        ( "hierarchy",
-          obj
-            [
-              ("chiplets_x", Int g.Noc.Topology.grid_x);
-              ("chiplets_y", Int g.Noc.Topology.grid_y);
-              ("link_latency", Int g.Noc.Topology.link_latency);
-              ("link_bytes", Int g.Noc.Topology.link_bytes);
-            ] );
-      ]
-  in
   obj
     ([
       ("mesh_width", Int (topo t).Noc.Topology.width);
       ("mesh_height", Int (topo t).Noc.Topology.height);
     ]
-    @ hierarchy
+    (* flat configs keep the pre-chiplet document bytes (the seed-0
+       golden pins them) *)
+    @ Core.Platform.hierarchy_member t.platform
     @ [
       ("l2_org", String (name_of l2_orgs t.l2_org));
       ( "interleaving",

@@ -19,20 +19,16 @@ let samples app (analysis : Lang.Analysis.t) array =
       (fun (d : Ast.decl) -> if d.Ast.index_array then Some d.Ast.name else None)
       prog.Ast.decls
   in
-  let rec eval = function
-    | Ast.Int n -> n
-    | Ast.Var x -> Hashtbl.find env x
-    | Ast.Neg a -> -eval a
-    | Ast.Add (a, b) -> eval a + eval b
-    | Ast.Sub (a, b) -> eval a - eval b
-    | Ast.Mul (a, b) -> eval a * eval b
-    | Ast.Div (a, b) -> eval a / eval b
-    | Ast.Mod (a, b) -> eval a mod eval b
-    | Ast.Load r ->
-      let subs = List.map eval r.Ast.subs in
-      if List.exists (String.equal r.Ast.array) index_arrays then
-        App.index_lookup app r.Ast.array (Array.of_list subs)
-      else 0
+  let read array subs =
+    if List.exists (String.equal array) index_arrays then
+      App.index_lookup app array (Array.of_list subs)
+    else 0
+  in
+  let eval e =
+    match Ast.eval ~read (Hashtbl.find_opt env) e with
+    | Ok v -> v
+    | Error _ ->
+      invalid_arg "Profile.samples: a bound or subscript does not evaluate"
   in
   let out = ref [] in
   (* indexed references to [array] inside an expression *)

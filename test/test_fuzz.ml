@@ -78,9 +78,25 @@ let gen_wide_sub it other =
    the right operand of the [+], an [if] with loads on both sides of its
    condition, and a reference subscripted through an index array.  With
    [wide], subscripts come from {!gen_wide_sub}, the loop bounds and [N]
-   may be odd, and the loops may start below zero. *)
-let gen_kernel_of ~wide : kernel Gen.t =
+   may be odd, and the loops may start below zero.  With [hostile], a
+   parameter [D], the extents and the loop bounds may divide, or take
+   [%], by 0 or by a negative literal, and the inner bound may divide by
+   [D]; such text need not analyze. *)
+let gen_kernel_of ?(hostile = false) ~wide () : kernel Gen.t =
   let open Gen in
+  let divided =
+    if hostile then
+      frequency
+        [
+          (2, return (fun e -> e));
+          ( 3,
+            map2
+              (fun op d e -> Printf.sprintf "(%s) %s %d" e op d)
+              (oneofl [ "/"; "%" ])
+              (oneofl [ 0; 0; -1; -3; 2 ]) );
+        ]
+    else return (fun e -> e)
+  in
   let* n_arrays = int_range 1 3 in
   let* n =
     if wide then int_range 8 40 else map (fun k -> 8 * k) (int_range 4 8)
@@ -103,14 +119,22 @@ let gen_kernel_of ~wide : kernel Gen.t =
   let* indexed = bool in
   let arrays = List.init n_arrays (fun i -> Printf.sprintf "A%d" i) in
   let buf = Buffer.create 256 in
+  let* d_param = divided and* extent = divided and* outer_hi = divided in
+  let* inner_hi =
+    if hostile then oneof [ divided; return (fun e -> e ^ " / D") ] else divided
+  in
   Buffer.add_string buf (Printf.sprintf "param N = %d;\n" n);
   if wide then Buffer.add_string buf (Printf.sprintf "param R = %d;\n" r);
-  List.iter (fun a -> Buffer.add_string buf (Printf.sprintf "array %s[N][N];\n" a)) arrays;
+  if hostile then Buffer.add_string buf (Printf.sprintf "param D = %s;\n" (d_param "N"));
+  List.iter
+    (fun a -> Buffer.add_string buf (Printf.sprintf "array %s[%s][N];\n" a (extent "N")))
+    arrays;
   if indexed then Buffer.add_string buf "index IX[N][N];\n";
   let outer, inner = if par_inner then ("for", "parfor") else ("parfor", "for") in
+  let hi f = f (Printf.sprintf "N-%d" hi_gap) in
   Buffer.add_string buf
-    (Printf.sprintf "%s i = %d to N-%d {\n  %s j = %d to N-%d {\n" outer lo
-       hi_gap inner lo hi_gap);
+    (Printf.sprintf "%s i = %d to %s {\n  %s j = %d to %s {\n" outer lo
+       (hi outer_hi) inner lo (hi inner_hi));
   let choice = ref sub_choices and wide_choice = ref wide_subs in
   let next_sub () =
     if wide then
@@ -156,9 +180,9 @@ let gen_kernel_of ~wide : kernel Gen.t =
   Buffer.add_string buf "  }\n}\n";
   return { src = Buffer.contents buf; n }
 
-let gen_kernel = gen_kernel_of ~wide:false
+let gen_kernel = gen_kernel_of ~wide:false ()
 
-let gen_kernel_wide = gen_kernel_of ~wide:true
+let gen_kernel_wide = gen_kernel_of ~wide:true ()
 
 let arb_kernel = QCheck.make ~print:(fun k -> k.src) gen_kernel
 
@@ -383,6 +407,26 @@ let renumber extreme target doc =
 (* Every mutant decodes to [Ok] or a one-line [Error]; none raises.  A
    fourth mutation cuts the valid text at a random byte, and the last
    four set one number to an extreme. *)
+(* Zero and negative divisors in parameters, extents and loop bounds are
+   located diagnostics (S009), never an exception. *)
+let prop_hostile_constants =
+  QCheck.Test.make ~name:"divisors in constants never raise in parse or analysis"
+    ~count:300
+    (QCheck.make ~print:(fun k -> k.src)
+       (Gen.oneof
+          [
+            gen_kernel_of ~hostile:true ~wide:false ();
+            gen_kernel_of ~hostile:true ~wide:true ();
+          ]))
+    (fun k ->
+      match
+        Result.bind (Lang.Parser.parse_result k.src) Lang.Analysis.analyze_result
+      with
+      | Ok _ -> true
+      | Error ds -> ds <> []
+      | exception e ->
+        QCheck.Test.fail_reportf "%s raised %s" k.src (Printexc.to_string e))
+
 let prop_json_mutants =
   QCheck.Test.make ~name:"JSON input decoders survive mutation" ~count:1000
     QCheck.(quad small_nat (int_bound 7) (int_bound 100_000) (int_bound 100_000))
@@ -413,6 +457,7 @@ let suite =
           prop_layouts_injective;
           prop_simulation_conserves;
           prop_trace_counts_match;
+          prop_hostile_constants;
           prop_json_mutants;
         ] );
   ]

@@ -95,23 +95,31 @@ let test_roundtrip_all_apps () =
 (* --- analysis --- *)
 
 let test_affine_extraction () =
-  let params = [ ("N", 10) ] in
-  let iters = [ "i"; "j" ] in
-  (match Analysis.affine_of_expr ~params ~iters (Ast.Add (Ast.Mul (Ast.Int 2, Ast.Var "j"), Ast.Int 1)) with
-  | Some (c, k) ->
-    Alcotest.(check (list int)) "coeffs" [ 0; 2 ] (Array.to_list c);
-    Alcotest.(check int) "const" 1 k
-  | None -> Alcotest.fail "expected affine");
-  (match Analysis.affine_of_expr ~params ~iters (Ast.Var "N") with
-  | Some (c, k) ->
-    Alcotest.(check bool) "param is constant" true (Vec.is_zero c);
-    Alcotest.(check int) "param value" 10 k
-  | None -> Alcotest.fail "param should be affine");
-  match
-    Analysis.affine_of_expr ~params ~iters (Ast.Mul (Ast.Var "i", Ast.Var "j"))
-  with
-  | None -> ()
-  | Some _ -> Alcotest.fail "i*j is not affine"
+  let a =
+    Analysis.analyze
+      (parse
+         "param N = 10; array A[32];\n\
+          for i = 0 to 3 { for j = 0 to 3 { A[2*j+1] = A[N] + A[i*j]; } }")
+  in
+  match (Analysis.array_info a "A").Analysis.occurrences with
+  | [ w; n; ij ] ->
+    (match w.Analysis.kind with
+    | Analysis.Affine_ref acc ->
+      Alcotest.(check (list int)) "coeffs" [ 0; 2 ]
+        (Array.to_list (Matrix.row acc.Affine.Access.matrix 0));
+      Alcotest.(check (list int)) "const" [ 1 ]
+        (Array.to_list acc.Affine.Access.offset)
+    | Analysis.Indexed_ref -> Alcotest.fail "expected affine");
+    (match n.Analysis.kind with
+    | Analysis.Affine_ref acc ->
+      Alcotest.(check bool) "param is constant" true
+        (Vec.is_zero (Matrix.row acc.Affine.Access.matrix 0));
+      Alcotest.(check (list int)) "param value" [ 10 ]
+        (Array.to_list acc.Affine.Access.offset)
+    | Analysis.Indexed_ref -> Alcotest.fail "param should be affine");
+    Alcotest.(check bool) "i*j is not affine" true
+      (ij.Analysis.kind = Analysis.Indexed_ref)
+  | os -> Alcotest.failf "expected 3 occurrences of A, got %d" (List.length os)
 
 let test_analysis_fig9 () =
   let a = Analysis.analyze (parse fig9_source) in
@@ -168,6 +176,85 @@ parfor i = 0 to N-1 { for j = 0 to N-1 { A[i][j] = 1; } }
   match info.Analysis.occurrences with
   | [ o ] -> Alcotest.(check int) "trip = N²" 100 o.Analysis.trip_count
   | _ -> Alcotest.fail "expected one occurrence"
+
+(* A zero divisor is S009 at the definition, the declaration or the
+   loop header whose constant divides by it. *)
+let test_zero_divisor () =
+  let expect what src code lo =
+    match Result.bind (Parser.parse_result src) Analysis.analyze_result with
+    | Error [ d ] ->
+      Alcotest.(check string) (what ^ " code") code d.Lang.Diag.code;
+      Alcotest.(check int) (what ^ " offset") lo d.Lang.Diag.span.Lang.Span.lo
+    | Error ds -> Alcotest.failf "%s: %d diagnostics" what (List.length ds)
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+  in
+  expect "param" "param N = 8; param Z = N%0;" "S009" 13;
+  expect "extent" "param N = 8; array A[N][N/0];" "S009" 13;
+  expect "extent through a parameter" "param N = 0; array A[8/N];" "S009" 13;
+  expect "bound" "param N = 8; array A[N]; parfor i = 0 to N/0 { A[i] = 1; }"
+    "S009" 25;
+  expect "inner bound"
+    "array A[8]; parfor i = 0 to 7 { for j = 0 to i/(i-i) { A[j] = 1; } }"
+    "S009" 32;
+  expect "unknown parameter" "param Z = M/0;" "S001" 0;
+  expect "non-constant extent" "array A[M/0];" "S008" 0
+
+(* --- the shared evaluator --- *)
+
+let eval_env = [ ("N", 7); ("M", -3); ("Z", 0) ]
+
+(* parameter-only expressions over small, zero and extreme operands *)
+let gen_param_expr =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map (fun n -> Ast.Int n) (int_range (-4) 4));
+        (1, map (fun n -> Ast.Int n) (oneofl [ min_int; max_int ]));
+        (3, map (fun x -> Ast.Var x) (oneofl [ "N"; "M"; "Z" ]));
+      ]
+  in
+  let binop =
+    oneofl
+      [
+        (fun a b -> Ast.Add (a, b));
+        (fun a b -> Ast.Sub (a, b));
+        (fun a b -> Ast.Mul (a, b));
+        (fun a b -> Ast.Div (a, b));
+        (fun a b -> Ast.Mod (a, b));
+      ]
+  in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (1, map (fun a -> Ast.Neg a) (self (n - 1)));
+               (4, map3 (fun op a b -> op a b) binop (self (n / 2)) (self (n / 2)));
+             ])
+
+let rec ocaml_eval = function
+  | Ast.Int n -> n
+  | Ast.Var x -> List.assoc x eval_env
+  | Ast.Neg a -> -ocaml_eval a
+  | Ast.Add (a, b) -> ocaml_eval a + ocaml_eval b
+  | Ast.Sub (a, b) -> ocaml_eval a - ocaml_eval b
+  | Ast.Mul (a, b) -> ocaml_eval a * ocaml_eval b
+  | Ast.Div (a, b) -> ocaml_eval a / ocaml_eval b
+  | Ast.Mod (a, b) -> ocaml_eval a mod ocaml_eval b
+  | Ast.Load _ -> assert false
+
+let prop_eval_is_ocaml =
+  QCheck.Test.make ~name:"Ast.eval is OCaml arithmetic, Zero_divisor where it raises"
+    ~count:2000
+    (QCheck.make ~print:(Format.asprintf "%a" Ast.pp_expr) gen_param_expr)
+    (fun e ->
+      let got = Ast.eval (fun x -> List.assoc_opt x eval_env) e in
+      match ocaml_eval e with
+      | v -> got = Ok v
+      | exception Division_by_zero -> got = Error Ast.Zero_divisor)
 
 (* --- conditionals (Section 4: both branches assumed taken) --- *)
 
@@ -429,7 +516,9 @@ let suite =
         Alcotest.test_case "fig9 accesses" `Quick test_analysis_fig9;
         Alcotest.test_case "indexed refs" `Quick test_analysis_indexed;
         Alcotest.test_case "trip counts" `Quick test_trip_counts;
+        Alcotest.test_case "zero divisor is S009" `Quick test_zero_divisor;
       ] );
+    ("lang.eval", [ QCheck_alcotest.to_alcotest prop_eval_is_ocaml ]);
     ( "lang.cond",
       [
         Alcotest.test_case "parse/print" `Quick test_cond_parse_print;

@@ -237,6 +237,39 @@ let test_parse_file () =
           (Astring.String.is_prefix ~affix:(path ^ ":2:21: error[S004]") first)
       | code, _ -> Alcotest.failf "occ %s: exit %d (want 1)" path code)
 
+(* a zero divisor in a constant is one located S009, with or without
+   --emit, never an internal error *)
+let test_zero_divisor_exit () =
+  List.iter
+    (fun src ->
+      with_source src (fun path ->
+          List.iter
+            (fun args ->
+              let errors lines =
+                List.filter
+                  (fun l -> Astring.String.is_infix ~affix:"error[" l)
+                  lines
+              in
+              match run_driver "occ.exe" (path :: args) with
+              | 1, lines -> (
+                match errors lines with
+                | [ e ] ->
+                  Alcotest.(check bool)
+                    (src ^ ": located S009") true
+                    (Astring.String.is_prefix ~affix:(path ^ ":1:") e
+                    && Astring.String.is_infix ~affix:"error[S009]" e)
+                | es ->
+                  Alcotest.failf "%s: %d error lines (want one)" src
+                    (List.length es))
+              | code, _ -> Alcotest.failf "%s: exit %d (want 1)" src code)
+            [ []; [ "--emit"; "ast" ] ]))
+    [
+      "param N = 8; param Z = N/0;";
+      "param N = 8; array A[N/0];";
+      "param N = 8; array A[N]; parfor i = 0 to N/0 { A[i] = 1; }";
+      "array A[8]; parfor i = 0 to 7 { for j = 0 to i/(i-i) { A[j] = 1; } }";
+    ]
+
 let test_parse_file_missing () =
   match run_driver "occ.exe" [ "/nonexistent/offchip.mc" ] with
   | 1, [ line ] ->
@@ -266,5 +299,6 @@ let suite =
           test_driver_one_line_errors;
         Alcotest.test_case "parse_file" `Quick test_parse_file;
         Alcotest.test_case "parse_file missing" `Quick test_parse_file_missing;
+        Alcotest.test_case "zero divisor exits 1" `Quick test_zero_divisor_exit;
       ] );
   ]
