@@ -524,6 +524,7 @@ let check_codegen ~report:(report_ : Transform.report)
     in
     (trace ~addr_of:addr_intended original, got)
   with
+  | exception Diag.Fatal d -> [ d ]
   | exception e ->
     [
       Diag.error ~code:"V007" Span.dummy

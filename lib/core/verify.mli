@@ -48,4 +48,6 @@ val check_codegen :
     side's row-major map takes only references of the declaration's
     rank, as {!Lang.Parser.check_result} guarantees.  The first
     violation, in nest, then thread, then length-before-elements order,
-    is reported at the offending nest's span. *)
+    is reported at the offending nest's span.  A program that fails to
+    trace with a located diagnostic (a run-time zero divisor, [I002])
+    reports that diagnostic itself. *)

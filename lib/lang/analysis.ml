@@ -87,11 +87,14 @@ let analyze_result (p : Ast.program) =
   (* one diagnostic per declaration, at its first extent that fails *)
   let extents_of (d : Ast.decl) =
     let vals = List.map (eval params) d.extents in
-    (match List.find_map (function Error e -> Some e | Ok _ -> None) vals with
-    | Some Ast.Zero_divisor ->
+    (match List.find_opt (function Error _ -> true | Ok v -> v <= 0) vals with
+    | Some (Error Ast.Zero_divisor) ->
       error ~code:"S009" d.decl_span ("zero divisor in an extent of " ^ d.name)
-    | Some (Ast.Unbound _ | Ast.Read) ->
+    | Some (Error (Ast.Unbound _ | Ast.Read)) ->
       error ~code:"S008" d.decl_span ("non-constant extent for " ^ d.name)
+    | Some (Ok v) ->
+      error ~code:"S010" d.decl_span
+        (Printf.sprintf "extent %d of %s is not positive" v d.name)
     | None -> ());
     Array.of_list (List.map (Result.value ~default:0) vals)
   in

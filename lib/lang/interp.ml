@@ -349,6 +349,12 @@ let unbound x () =
   raise
     (Diag.Fatal (Diag.error ~code:"I001" Span.dummy ("unbound variable " ^ x)))
 
+(* A [/] or [%] whose divisor is zero when it runs (the checker rejects
+   only constant ones), at the reference, condition or loop header that
+   evaluates it. *)
+let zero_divisor span =
+  raise (Diag.Fatal (Diag.error ~code:"I002" span "zero divisor at run time"))
+
 (* The program is staged once into closures over an integer environment
    (parameters first, then one slot per loop depth), then each top-level
    nest runs as one phase.  Evaluation order is the one the trace
@@ -492,86 +498,88 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
     if tagging then push pool sink.scur site
   in
   (* Literal-operand cases and chain tables are for speed: without them serve-mcaware's wall_s went 0.549 -> 0.655 s. *)
-  let rec expr scope e : unit -> int =
+  let rec expr sp scope e : unit -> int =
     match e with
     | (Ast.Div (_, Ast.Int k) | Ast.Mod (_, Ast.Int k)) when k > 0 -> (
       match chain_table scope e with
-      | _, [||] -> direct scope e
+      | _, [||] -> direct sp scope e
       | lo, values ->
-        let x = expr scope (chain_base e) in
+        let x = expr sp scope (chain_base e) in
         fun () ->
           let v = x () in
           let i = v - lo in
           if i >= 0 && i < Array.length values then values.(i)
           else chain_value e v)
-    | _ -> direct scope e
-  and direct scope e : unit -> int =
+    | _ -> direct sp scope e
+  and direct sp scope e : unit -> int =
     match e with
     | Ast.Int n -> fun () -> n
     | Ast.Add (a, Ast.Int k) ->
-      let a = expr scope a in
+      let a = expr sp scope a in
       fun () -> a () + k
     | Ast.Sub (a, Ast.Int k) ->
-      let a = expr scope a in
+      let a = expr sp scope a in
       fun () -> a () - k
     | Ast.Mul (Ast.Int k, a) ->
-      let a = expr scope a in
+      let a = expr sp scope a in
       fun () -> k * a ()
     | Ast.Mul (a, Ast.Int k) ->
-      let a = expr scope a in
+      let a = expr sp scope a in
       fun () -> a () * k
     | Ast.Div (Ast.Div (a, Ast.Int k1), Ast.Int k2) when foldable k1 k2 ->
-      expr scope (Ast.Div (a, Ast.Int (k1 * k2)))
+      expr sp scope (Ast.Div (a, Ast.Int (k1 * k2)))
     | Ast.Mod (Ast.Div (Ast.Div (a, Ast.Int k1), Ast.Int k2), m)
       when foldable k1 k2 ->
-      expr scope (Ast.Mod (Ast.Div (a, Ast.Int (k1 * k2)), m))
-    | Ast.Mod (Ast.Div (a, Ast.Int k1), Ast.Int k2) ->
-      let a = expr scope a in
+      expr sp scope (Ast.Mod (Ast.Div (a, Ast.Int (k1 * k2)), m))
+    | Ast.Mod (Ast.Div (a, Ast.Int k1), Ast.Int k2) when k1 <> 0 && k2 <> 0 ->
+      let a = expr sp scope a in
       fun () -> a () / k1 mod k2
-    | Ast.Div (Ast.Var x, Ast.Int k) when List.mem_assoc x scope ->
+    | Ast.Div (Ast.Var x, Ast.Int k) when k <> 0 && List.mem_assoc x scope ->
       let s = List.assoc x scope in
       fun () -> env.(s) / k
-    | Ast.Mod (Ast.Var x, Ast.Int k) when List.mem_assoc x scope ->
+    | Ast.Mod (Ast.Var x, Ast.Int k) when k <> 0 && List.mem_assoc x scope ->
       let s = List.assoc x scope in
       fun () -> env.(s) mod k
-    | Ast.Div (a, Ast.Int k) ->
-      let a = expr scope a in
+    | Ast.Div (a, Ast.Int k) when k <> 0 ->
+      let a = expr sp scope a in
       fun () -> a () / k
-    | Ast.Mod (a, Ast.Int k) ->
-      let a = expr scope a in
+    | Ast.Mod (a, Ast.Int k) when k <> 0 ->
+      let a = expr sp scope a in
       fun () -> a () mod k
     | Ast.Var x -> (
       match List.assoc_opt x scope with
       | Some s -> fun () -> env.(s)
       | None -> unbound x)
     | Ast.Neg a ->
-      let a = expr scope a in
+      let a = expr sp scope a in
       fun () -> -a ()
     | Ast.Add (a, b) ->
-      let a = expr scope a and b = expr scope b in
+      let a = expr sp scope a and b = expr sp scope b in
       fun () ->
         let y = b () in
         a () + y
     | Ast.Sub (a, b) ->
-      let a = expr scope a and b = expr scope b in
+      let a = expr sp scope a and b = expr sp scope b in
       fun () ->
         let y = b () in
         a () - y
     | Ast.Mul (a, b) ->
-      let a = expr scope a and b = expr scope b in
+      let a = expr sp scope a and b = expr sp scope b in
       fun () ->
         let y = b () in
         a () * y
     | Ast.Div (a, b) ->
-      let a = expr scope a and b = expr scope b in
+      let a = expr sp scope a and b = expr sp scope b in
       fun () ->
         let y = b () in
-        a () / y
+        let x = a () in
+        if y = 0 then zero_divisor sp else x / y
     | Ast.Mod (a, b) ->
-      let a = expr scope a and b = expr scope b in
+      let a = expr sp scope a and b = expr sp scope b in
       fun () ->
         let y = b () in
-        a () mod y
+        let x = a () in
+        if y = 0 then zero_divisor sp else x mod y
     | Ast.Load r when is_index r.array ->
       let read = reference scope r 0 in
       fun () -> index_lookup r.array (Array.copy (read ()))
@@ -584,7 +592,7 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
      own buffer, emits, and returns the buffer.  [addr_of r.array] is
      applied on the first stored run only. *)
   and reference scope (r : Ast.ref_) w : unit -> Affine.Vec.t =
-    let subs = Array.of_list (List.map (expr scope) r.subs) in
+    let subs = Array.of_list (List.map (expr r.ref_span scope) r.subs) in
     let n = Array.length subs in
     let v = Array.make n 0 in
     if exclude r.array then fun () ->
@@ -618,7 +626,7 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
      and composes the map with its subscripts ({!form_of}); a map without
      a form evaluates the subscripts into [v] and applies. *)
   and fref scope (r : Ast.ref_) w lins =
-    let subs = Array.of_list (List.map (expr scope) r.subs) in
+    let subs = Array.of_list (List.map (expr r.ref_span scope) r.subs) in
     let v = Array.make (Array.length subs) 0 in
     let f = { w; addr = (fun () -> 0); form = None; site = -1 } in
     f.addr <-
@@ -761,7 +769,8 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
   let rec stmt scope ~inside ~slot s : unit -> unit =
     match s with
     | Ast.If c ->
-      let lhs = expr scope c.Ast.lhs and rhs = expr scope c.Ast.rhs in
+      let lhs = expr c.Ast.cond_span scope c.Ast.lhs
+      and rhs = expr c.Ast.cond_span scope c.Ast.rhs in
       let then_ = body scope ~inside ~slot c.Ast.then_
       and else_ = body scope ~inside ~slot c.Ast.else_ in
       fun () ->
@@ -778,7 +787,7 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
         in
         if taken then then_ () else else_ ()
     | Ast.Assign (lhs, rhs) ->
-      let rhs = expr scope rhs and lhs = access scope lhs 1 in
+      let rhs = expr lhs.Ast.ref_span scope rhs and lhs = access scope lhs 1 in
       fun () ->
         ignore (rhs ());
         lhs ()
@@ -787,7 +796,8 @@ let trace_gen ~threads ?(threads_per_core = 1) ?(cap = max_int)
         (match (range scope l.lo, range scope l.hi) with
          | Some (lo, _), Some (_, hi) when lo <= hi -> Some (lo, hi)
          | _ -> None);
-      let lo = expr scope l.lo and hi = expr scope l.hi in
+      let lo = expr l.loop_span scope l.lo
+      and hi = expr l.loop_span scope l.hi in
       let scope = (l.index, slot) :: scope in
       let run =
         match straight scope l.body with

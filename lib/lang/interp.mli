@@ -36,7 +36,10 @@
     Names resolve statically, so a program should pass
     {!Parser.check_result} (no unbound variable, no shadowing loop
     index).  An unbound variable still fails only when it is evaluated,
-    with a [Diag.Fatal] carrying [I001]. *)
+    with a [Diag.Fatal] carrying [I001]; a [/] or [%] whose divisor is
+    zero when it runs fails with [I002], located at the reference, [if]
+    header or loop header that evaluates it, after its operands'
+    accesses. *)
 
 type access = int
 (** [(vaddr lsl 1) lor w] with [w = 1] for writes. *)

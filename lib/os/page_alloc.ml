@@ -3,22 +3,34 @@ type policy =
   | First_touch of (int -> int)
   | Mc_aware of { desired : int -> int option; fallback : int -> int }
 
-(* Virtual pages come in dense runs (one per array), so the identity is
-   a collision-free hash over the table's power-of-two bucket array, and
-   it is computed in OCaml rather than by the generic C hash. *)
-module Page_tbl = Hashtbl.Make (struct
-  type t = int
+(* The page table is a radix tree over virtual page numbers: a root that
+   grows on demand, one word per [1 lsl top_shift] pages, then a middle
+   level and leaves of frame numbers (-1 = unmapped).  Absent middles and
+   leaves are the shared, never-written [empty_mid] and [empty_leaf], so a
+   lookup is three loads with no test below the root's bound, and memory
+   grows with the pages touched. *)
+let leaf_bits = 10
 
-  let equal (a : int) b = a = b
+let mid_bits = 10
 
-  let hash (x : int) = x
-end)
+let top_shift = leaf_bits + mid_bits
+
+let leaf_mask = (1 lsl leaf_bits) - 1
+
+let mid_mask = (1 lsl mid_bits) - 1
+
+let empty_leaf = Array.make (1 lsl leaf_bits) (-1)
+
+let empty_mid = Array.make (1 lsl mid_bits) empty_leaf
 
 type t = {
   map : Dram.Address_map.t;
   policy : policy;
   frames_per_mc : int;
-  table : int Page_tbl.t;  (** virtual page -> physical frame *)
+  page_bytes : int;
+  page_shift : int;  (** log2 [page_bytes]; -1 = divide *)
+  mutable root : int array array array;  (** virtual page -> frame *)
+  mutable mapped : int;
   next_local : int array;  (** per MC: next never-used local frame index *)
   free_local : int list array;
       (** per MC: reclaimed local frame indices, reused LIFO before the
@@ -37,7 +49,10 @@ let create ~map ~policy ?(frames_per_mc = 1 lsl 18) () =
     map;
     policy;
     frames_per_mc;
-    table = Page_tbl.create 4096;
+    page_bytes = map.Dram.Address_map.page_bytes;
+    page_shift = Dram.Address_map.log2 map.Dram.Address_map.page_bytes;
+    root = [| empty_mid |];
+    mapped = 0;
     next_local = Array.make map.Dram.Address_map.num_mcs 0;
     free_local = Array.make map.Dram.Address_map.num_mcs [];
     in_use = Array.make map.Dram.Address_map.num_mcs 0;
@@ -96,66 +111,111 @@ let home_mc policy ~num_mcs ~node ~vpage =
   | Mc_aware { desired; fallback } -> (
     match desired vpage with Some m -> m | None -> fallback node)
 
-let translate_owned t ~owner ~node ~vaddr =
-  let page_bytes = t.map.Dram.Address_map.page_bytes in
-  let vpage = vaddr / page_bytes in
-  let frame =
-    match Page_tbl.find t.table vpage with
-    | f -> f
-    | exception Not_found ->
-      let f =
-        match t.map.Dram.Address_map.interleaving with
-        | Dram.Address_map.Line_interleaved ->
-          (* MC bits are inside the page offset: any frame works, but the
-             total capacity is still bounded *)
-          if
-            t.seq_in_use
-            >= t.frames_per_mc * t.map.Dram.Address_map.num_mcs
-          then failwith "Page_alloc: physical memory exhausted"
-          else begin
-            t.seq_in_use <- t.seq_in_use + 1;
-            match t.free_seq with
-            | f :: rest ->
-              t.free_seq <- rest;
-              f
-            | [] ->
-              let f = t.next_seq in
-              t.next_seq <- f + 1;
-              f
-          end
-        | Dram.Address_map.Page_interleaved ->
-          alloc_on t ~owner
-            (home_mc t.policy ~num_mcs:t.map.Dram.Address_map.num_mcs ~node
-               ~vpage)
-      in
-      Page_tbl.replace t.table vpage f;
-      f
+(* The frame of [vpage], -1 when unmapped.  Every middle and leaf array
+   is full-size, so the masked indices below the root are in bounds. *)
+let lookup t vpage =
+  let hi = vpage lsr top_shift in
+  if hi >= Array.length t.root then -1
+  else
+    let mid = Array.unsafe_get t.root hi in
+    let leaf = Array.unsafe_get mid ((vpage lsr leaf_bits) land mid_mask) in
+    Array.unsafe_get leaf (vpage land leaf_mask)
+
+let set t vpage f =
+  let hi = vpage lsr top_shift in
+  let n = Array.length t.root in
+  if hi >= n then begin
+    let root = Array.make (max (hi + 1) (2 * n)) empty_mid in
+    Array.blit t.root 0 root 0 n;
+    t.root <- root
+  end;
+  if t.root.(hi) == empty_mid then
+    t.root.(hi) <- Array.make (1 lsl mid_bits) empty_leaf;
+  let mid = t.root.(hi) and i = (vpage lsr leaf_bits) land mid_mask in
+  if mid.(i) == empty_leaf then mid.(i) <- Array.make (1 lsl leaf_bits) (-1);
+  mid.(i).(vpage land leaf_mask) <- f
+
+(* First touch of [vpage]: take a frame under the policy and map it. *)
+let map_page t ~owner ~node vpage =
+  let f =
+    match t.map.Dram.Address_map.interleaving with
+    | Dram.Address_map.Line_interleaved ->
+      (* MC bits are inside the page offset: any frame works, but the
+         total capacity is still bounded *)
+      if t.seq_in_use >= t.frames_per_mc * t.map.Dram.Address_map.num_mcs
+      then failwith "Page_alloc: physical memory exhausted"
+      else begin
+        t.seq_in_use <- t.seq_in_use + 1;
+        match t.free_seq with
+        | f :: rest ->
+          t.free_seq <- rest;
+          f
+        | [] ->
+          let f = t.next_seq in
+          t.next_seq <- f + 1;
+          f
+      end
+    | Dram.Address_map.Page_interleaved ->
+      alloc_on t ~owner
+        (home_mc t.policy ~num_mcs:t.map.Dram.Address_map.num_mcs ~node ~vpage)
   in
-  (frame * page_bytes) + (vaddr mod page_bytes)
+  set t vpage f;
+  t.mapped <- t.mapped + 1;
+  f
+
+let translate_owned t ~owner ~node ~vaddr =
+  if vaddr < 0 then invalid_arg "Page_alloc.translate: negative vaddr";
+  let s = t.page_shift in
+  let vpage = if s >= 0 then vaddr lsr s else vaddr / t.page_bytes in
+  let f = lookup t vpage in
+  let f = if f >= 0 then f else map_page t ~owner ~node vpage in
+  if s >= 0 then (f lsl s) lor (vaddr land (t.page_bytes - 1))
+  else (f * t.page_bytes) + (vaddr mod t.page_bytes)
 
 let translate t ~node ~vaddr = translate_owned t ~owner:(-1) ~node ~vaddr
 
+let release t f =
+  match t.map.Dram.Address_map.interleaving with
+  | Dram.Address_map.Line_interleaved ->
+    t.free_seq <- f :: t.free_seq;
+    t.seq_in_use <- t.seq_in_use - 1
+  | Dram.Address_map.Page_interleaved ->
+    let num_mcs = t.map.Dram.Address_map.num_mcs in
+    let m = f mod num_mcs in
+    t.free_local.(m) <- (f / num_mcs) :: t.free_local.(m);
+    t.in_use.(m) <- t.in_use.(m) - 1
+
+(* Pages are freed in ascending order (the free lists are LIFO, so the
+   order is observable); absent middles and leaves are skipped whole. *)
 let free_region t ~first_vpage ~last_vpage =
   let freed = ref 0 in
-  for vpage = first_vpage to last_vpage do
-    match Page_tbl.find_opt t.table vpage with
-    | None -> ()
-    | Some f ->
-      Page_tbl.remove t.table vpage;
-      incr freed;
-      (match t.map.Dram.Address_map.interleaving with
-      | Dram.Address_map.Line_interleaved ->
-        t.free_seq <- f :: t.free_seq;
-        t.seq_in_use <- t.seq_in_use - 1
-      | Dram.Address_map.Page_interleaved ->
-        let num_mcs = t.map.Dram.Address_map.num_mcs in
-        let m = f mod num_mcs in
-        t.free_local.(m) <- (f / num_mcs) :: t.free_local.(m);
-        t.in_use.(m) <- t.in_use.(m) - 1)
-  done;
+  let rec from v =
+    let hi = v lsr top_shift in
+    if v <= last_vpage && hi < Array.length t.root then begin
+      let mid = t.root.(hi) in
+      let leaf = mid.((v lsr leaf_bits) land mid_mask) in
+      let last_of_span =
+        if mid == empty_mid then v lor ((1 lsl top_shift) - 1)
+        else v lor leaf_mask
+      in
+      let stop = min last_vpage last_of_span in
+      if leaf != empty_leaf then
+        for u = v to stop do
+          let f = leaf.(u land leaf_mask) in
+          if f >= 0 then begin
+            leaf.(u land leaf_mask) <- -1;
+            t.mapped <- t.mapped - 1;
+            incr freed;
+            release t f
+          end
+        done;
+      if stop < last_vpage then from (stop + 1)
+    end
+  in
+  from (max 0 first_vpage);
   !freed
 
-let pages_allocated t = Page_tbl.length t.table
+let pages_allocated t = t.mapped
 
 let fallback_allocations t = t.fallbacks
 

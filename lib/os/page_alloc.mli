@@ -48,9 +48,15 @@ val create :
 
 val translate : t -> node:int -> vaddr:int -> int
 (** Physical address; allocates the page on first touch.  [node] is the
-    requesting mesh node (used by first-touch).  The page table is an
-    int-keyed hash table hashed in OCaml, so translating an already
-    mapped page allocates nothing and makes no C call. *)
+    requesting mesh node (used by first-touch).  The page table is a
+    radix tree (a root that grows on demand, a middle level and leaves of
+    1024 frames), so translating an already mapped page is three loads,
+    allocates nothing and makes no call; with a power-of-two page size
+    the page number and offset are a shift and a mask.  Memory grows
+    with the pages touched: the root holds one word per 1024·1024 pages
+    below the highest one touched.
+
+    @raise Invalid_argument on a negative [vaddr]. *)
 
 val translate_owned : t -> owner:int -> node:int -> vaddr:int -> int
 (** Like {!translate}, but charges any fallback allocation this access

@@ -346,22 +346,42 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
             if x = 0 then 1 else x))
       js
   in
+  (* a power-of-two issue cost draws by mask: on the non-negative draw
+     [x land max_int] that equals the [mod] *)
+  let jitter_on = cfg.jitter && issue_cost > 1 in
+  let jitter_mask =
+    if Address_map.log2 issue_cost >= 0 then issue_cost - 1 else -1
+  in
   let jitter jid tid =
-    if (not cfg.jitter) || issue_cost <= 1 then 0
+    if not jitter_on then 0
     else begin
       let x = jitter_state.(jid).(tid) in
       let x = x lxor (x lsl 13) in
       let x = x lxor (x lsr 7) in
       let x = x lxor (x lsl 17) in
       jitter_state.(jid).(tid) <- x;
-      (x land max_int) mod issue_cost
+      if jitter_mask >= 0 then x land jitter_mask
+      else (x land max_int) mod issue_cost
     end
   in
-  (* bank-local view of a shared-L2 bank address: strip the bank-select
-     bits so a bank's sets index its own lines, not the global ones *)
+  (* shared L2: a line's home bank is its line number modulo the node
+     count, and the bank-local view of its address strips those
+     bank-select bits so a bank's sets index its own lines, not the
+     global ones; shifts when the node count is a power of two *)
+  let line_shift = Address_map.log2 l2_line in
+  let node_shift = Address_map.log2 nodes in
+  let shifts = line_shift >= 0 && node_shift >= 0 in
+  let home_of paddr =
+    if shifts then (paddr lsr line_shift) land (nodes - 1)
+    else paddr / l2_line mod nodes
+  in
   let bank_local paddr =
-    let line = paddr / l2_line in
-    ((line / nodes) * l2_line) + (paddr mod l2_line)
+    if shifts then
+      ((paddr lsr (line_shift + node_shift)) lsl line_shift)
+      lor (paddr land (l2_line - 1))
+    else
+      let line = paddr / l2_line in
+      ((line / nodes) * l2_line) + (paddr mod l2_line)
   in
   let log_leg ~measured ~offchip hops cycles =
     if measured then Stats.record_leg stats ~offchip ~hops ~cycles
@@ -632,7 +652,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       end
   and miss_shared jid tid node paddr wr ~rid ~site ~traced ~measured ~resume t
       =
-    let home = paddr / l2_line mod nodes in
+    let home = home_of paddr in
     let req = alloc_req () in
     init_req req ~rid ~jid ~tid ~node ~paddr ~wr ~site ~home ~shared:true
       ~measured ~traced ~resume;

@@ -5,13 +5,15 @@
      dune exec test/gen_golden.exe -- --attr golden/seed0_attr.txt
      dune exec test/gen_golden.exe -- --emits test/golden
      dune exec test/gen_golden.exe -- --dram test/golden
+     dune exec test/gen_golden.exe -- --division test/golden
      dune exec test/gen_golden.exe -- --search test/golden
      dune exec test/gen_golden.exe -- --trace test/golden
 
    The seed-0 stats golden pins the simulator's observable behavior: the
    engine refactors (event heap, request pool, route memoization) must
    keep it byte-identical.  The --dram goldens pin the same run under
-   the memory controller's non-default paths.  The --emits goldens pin the compiler
+   the memory controller's non-default paths, the --division goldens on
+   geometries whose address steps are exact divisions.  The --emits goldens pin the compiler
    pipeline's stage dumps (occ --emit) for jacobi and hpccg.  The --search
    goldens pin the placement search as occ runs it.  The --trace goldens
    pin the trace-file writer (simulate --dump-trace) in both versions.
@@ -90,6 +92,50 @@ let dram_goldens dir =
       ("closed_page", { base with Sim.Config.mc_row_policy = Dram.Fr_fcfs.Closed_page });
       ("one_channel", Sim.Config.with_channels_per_mc base 1);
     ]
+
+(* The seed-0 stats run on geometries that are not powers of two, where
+   the per-access steps keep their exact divisions: 6 banks per
+   controller (read from a platform document, as a platform file is),
+   an issue cost of 48 (3 threads per core) for the jitter draw, and a
+   shared L2 over the 144 home banks of a 12x12 mesh. *)
+let division_configs () =
+  let base = Sim.Config.scaled () in
+  let ok = function Ok v -> v | Error e -> failwith e in
+  let banks6 =
+    match Core.Platform.to_json (Sim.Config.platform base) with
+    | Obs.Json.Obj fields ->
+      Core.Platform.of_json
+        (Obs.Json.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "banks_per_mc" then (k, Obs.Json.Int 6) else (k, v))
+              fields))
+      |> ok
+    | _ -> failwith "platform JSON must be an object"
+  in
+  [
+    ("banks6", Sim.Config.with_platform base banks6);
+    ("tpc3", { base with Sim.Config.threads_per_core = 3 });
+    ( "shared_mesh12x12",
+      {
+        (Sim.Config.with_platform base
+           (ok (Core.Platform.of_spec "mesh12x12-mc4")))
+        with
+        Sim.Config.l2_org = Sim.Config.Shared_l2;
+      } );
+  ]
+
+let division_goldens dir =
+  let program = parse small_src in
+  List.iter
+    (fun (name, cfg) ->
+      let r = Sim.Runner.run cfg ~optimized:false program in
+      let path = Filename.concat dir (Printf.sprintf "division_%s.json" name) in
+      let oc = open_out path in
+      Obs.Json.to_channel oc (Sweep.Exec.result_json ~app:"golden-small" cfg r);
+      close_out oc;
+      Printf.printf "golden written to %s\n" path)
+    (division_configs ())
 
 (* The pipeline stage dumps the test suite compares against
    (test_pipeline.ml): default platform, same stages as occ --emit. *)
@@ -210,6 +256,7 @@ let () =
   | _ :: "--attr" :: rest -> attr_golden (List.nth_opt rest 0)
   | _ :: "--serve" :: dir :: _ -> serve_goldens dir
   | _ :: "--dram" :: dir :: _ -> dram_goldens dir
+  | _ :: "--division" :: dir :: _ -> division_goldens dir
   | _ :: "--trace" :: dir :: _ -> trace_goldens dir
   | _ :: path :: _ -> stats_golden (Some path)
   | _ -> stats_golden None

@@ -172,6 +172,7 @@ let check_codegen ~report:(report_ : Transform.report)
          ~index_lookup:lookup_home
          transformed )
    with
+  | exception Diag.Fatal d -> diags := [ d ]
   | exception e ->
     diags :=
       [

@@ -32,6 +32,12 @@ let chunk_bounds n chunks index =
   let len = base + if index < rem then 1 else 0 in
   (start, start + len - 1)
 
+(* [x op y], or the run-time zero divisor at [span] *)
+let divide span op x y =
+  if y = 0 then
+    raise (Diag.Fatal (Diag.error ~code:"I002" span "zero divisor at run time"))
+  else op x y
+
 let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
     ?(index_lookup = fun _ _ -> 0) ?site_of (p : Ast.program) =
   if threads <= 0 || threads_per_core <= 0 || threads mod threads_per_core <> 0
@@ -62,7 +68,10 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
       buf_push bufs.(t) ((addr lsl 1) lor if write then 1 else 0);
       if tagging then buf_push sbufs.(t) (site_id r)
     in
-    let rec eval t e =
+    (* [span]: the reference, condition or loop header a run-time zero
+       divisor is reported at *)
+    let rec eval t span e =
+      let eval t e = eval t span e in
       match e with
       | Ast.Int n -> n
       | Ast.Var x -> (
@@ -76,14 +85,18 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
       | Ast.Add (a, b) -> eval t a + eval t b
       | Ast.Sub (a, b) -> eval t a - eval t b
       | Ast.Mul (a, b) -> eval t a * eval t b
-      | Ast.Div (a, b) -> eval t a / eval t b
-      | Ast.Mod (a, b) -> eval t a mod eval t b
+      | Ast.Div (a, b) ->
+        let y = eval t b in
+        divide span ( / ) (eval t a) y
+      | Ast.Mod (a, b) ->
+        let y = eval t b in
+        divide span ( mod ) (eval t a) y
       | Ast.Load r ->
-        let subs = List.map (eval t) r.subs in
+        let subs = List.map (eval_sub t r) r.subs in
         emit t r false subs;
         if is_index r.array then index_lookup r.array (Array.of_list subs)
         else 0
-    in
+    and eval_sub t (r : Ast.ref_) e = eval t r.ref_span e in
     (* [who]: None = outside any parallel region (statements run once, on
        thread 0; a parfor fans out); Some t = inside thread t's chunk. *)
     let rec exec who stmt =
@@ -91,7 +104,8 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
       | Ast.If c ->
         let t = Option.value who ~default:0 in
         let taken =
-          let l = eval t c.Ast.lhs and r = eval t c.Ast.rhs in
+          let l = eval t c.Ast.cond_span c.Ast.lhs
+          and r = eval t c.Ast.cond_span c.Ast.rhs in
           match c.Ast.op with
           | Ast.Lt -> l < r
           | Ast.Le -> l <= r
@@ -103,12 +117,12 @@ let trace_gen ~threads ?(threads_per_core = 1) ~addr_of
         List.iter (exec who) (if taken then c.Ast.then_ else c.Ast.else_)
       | Ast.Assign (lhs, rhs) ->
         let t = Option.value who ~default:0 in
-        ignore (eval t rhs);
-        let subs = List.map (eval t) lhs.subs in
+        ignore (eval t lhs.ref_span rhs);
+        let subs = List.map (eval_sub t lhs) lhs.subs in
         emit t lhs true subs
       | Ast.Loop l -> (
-        let lo = eval (Option.value who ~default:0) l.lo
-        and hi = eval (Option.value who ~default:0) l.hi in
+        let lo = eval (Option.value who ~default:0) l.loop_span l.lo
+        and hi = eval (Option.value who ~default:0) l.loop_span l.hi in
         match (l.parallel, who) with
         | true, None ->
           (* fan out: split [lo..hi] per core, then per thread of a core *)

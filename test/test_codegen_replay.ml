@@ -242,7 +242,7 @@ let suite =
                     guarded row Ast.Eq (Ast.Int 14) (extra_read b) b)));
           Alcotest.test_case "zero divisor beyond the cap" `Quick
             (check_mutant
-               ~expect:[ "codegen replay failed to trace: Division_by_zero" ]
+               ~expect:[ "k.mc:108-115: error[I002]: zero divisor at run time" ]
                (map_inner 0 (fun b ->
                     guarded
                       (Ast.Mod (row, Ast.Int 16))

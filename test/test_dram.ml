@@ -54,6 +54,53 @@ let prop_mc_partition =
       in
       ok line_map && ok page_map)
 
+(* The staged forms against the division formulas they replaced, on
+   power-of-two geometries (shifts) and others (6 banks, 3 controllers,
+   a 3-line page, a 192-byte line under a 4 KB page: exact division),
+   both interleavings.
+   Addresses span 2^44 bytes, so high row bits are exercised too. *)
+let prop_staged_equals_division =
+  let open QCheck.Gen in
+  let gen =
+    let* interleaving =
+      oneofl [ Address_map.Line_interleaved; Address_map.Page_interleaved ]
+    in
+    let* line_bytes = oneofl [ 64; 128; 256; 256; 192 ] in
+    let* page_bytes =
+      oneofl [ line_bytes; 2 * line_bytes; 3 * line_bytes; 16 * line_bytes; 4096 ]
+    in
+    let* num_mcs = oneofl [ 1; 2; 3; 4; 4; 6; 8; 16 ] in
+    let* banks_per_mc = oneofl [ 1; 2; 4; 6; 8; 16 ] in
+    let* paddrs = list_size (return 20) (int_range 0 ((1 lsl 44) - 1)) in
+    return (interleaving, line_bytes, page_bytes, num_mcs, banks_per_mc, paddrs)
+  in
+  let print (i, l, p, m, b, _) =
+    Printf.sprintf "%s line=%d page=%d mcs=%d banks=%d"
+      (Address_map.interleaving_to_string i) l p m b
+  in
+  QCheck.Test.make ~name:"staged controller/bank/row = division formulas" ~count:500
+    (QCheck.make ~print gen)
+    (fun (interleaving, line_bytes, page_bytes, num_mcs, banks_per_mc, paddrs) ->
+      let map =
+        Address_map.make ~interleaving ~line_bytes ~page_bytes ~num_mcs ~banks_per_mc ()
+      in
+      let unit_bytes =
+        match interleaving with
+        | Address_map.Line_interleaved -> line_bytes
+        | Address_map.Page_interleaved -> page_bytes
+      in
+      let channel paddr =
+        ((paddr / unit_bytes / num_mcs) * unit_bytes) + (paddr mod unit_bytes)
+      in
+      List.for_all
+        (fun paddr ->
+          Address_map.mc_of_paddr map paddr = paddr / unit_bytes mod num_mcs
+          && Address_map.bank_of_paddr map paddr
+             = channel paddr / page_bytes mod banks_per_mc
+          && Address_map.row_of_paddr map paddr
+             = channel paddr / page_bytes / banks_per_mc)
+        paddrs)
+
 (* --- FR-FCFS --- *)
 
 let drain mc =
@@ -444,7 +491,7 @@ let suite =
         Alcotest.test_case "page interleaving" `Quick test_page_interleaving;
         Alcotest.test_case "bank/row" `Quick test_bank_row;
       ]
-      @ qsuite [ prop_mc_partition ] );
+      @ qsuite [ prop_mc_partition; prop_staged_equals_division ] );
     ( "dram.fr_fcfs",
       [
         Alcotest.test_case "row-hit priority" `Quick test_row_hit_priority;

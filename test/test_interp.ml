@@ -618,13 +618,13 @@ let test_constant_operand_failures () =
     [
       ( "B[i] / 0",
         loop ~hi:3 (Ast.Div (b_i, Ast.Int 0)),
-        [ "Division_by_zero"; "B[0]" ] );
+        [ "I002"; "B[0]" ] );
       ( "B[i] mod 0",
         loop ~hi:3 (Ast.Mod (b_i, Ast.Int 0)),
-        [ "Division_by_zero"; "B[0]" ] );
+        [ "I002"; "B[0]" ] );
       ( "i / 0",
         loop ~hi:3 (Ast.Div (Ast.Var "i", Ast.Int 0)),
-        [ "Division_by_zero" ] );
+        [ "I002" ] );
       ( "i / 2, i mod 2",
         loop ~hi:1
           (Ast.Add
@@ -633,10 +633,10 @@ let test_constant_operand_failures () =
         [ "ok"; "A[0]"; "A[4]" ] );
       ( "(B[i] / 2) / 0",
         loop ~hi:3 (Ast.Div (Ast.Div (b_i, Ast.Int 2), Ast.Int 0)),
-        [ "Division_by_zero"; "B[0]" ] );
+        [ "I002"; "B[0]" ] );
       ( "(B[i] / 2) mod 0",
         loop ~hi:3 (Ast.Mod (Ast.Div (b_i, Ast.Int 2), Ast.Int 0)),
-        [ "Division_by_zero"; "B[0]" ] );
+        [ "I002"; "B[0]" ] );
       ( "(((i - 9) / 2) / 3) mod 4",
         loop ~hi:3
           (Ast.Mod

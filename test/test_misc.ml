@@ -237,38 +237,51 @@ let test_parse_file () =
           (Astring.String.is_prefix ~affix:(path ^ ":2:21: error[S004]") first)
       | code, _ -> Alcotest.failf "occ %s: exit %d (want 1)" path code)
 
+(* [src] fails occ with exit 1 and one error line, the diagnostic
+   [code] located on line 1 of the file, with or without --emit *)
+let check_located ~code ?(args = []) src =
+  with_source src (fun path ->
+      List.iter
+        (fun emit ->
+          let errors lines =
+            List.filter (fun l -> Astring.String.is_infix ~affix:"error[" l) lines
+          in
+          match run_driver "occ.exe" ((path :: args) @ emit) with
+          | 1, lines -> (
+            match errors lines with
+            | [ e ] ->
+              Alcotest.(check bool)
+                (src ^ ": located " ^ code)
+                true
+                (Astring.String.is_prefix ~affix:(path ^ ":1:") e
+                && Astring.String.is_infix ~affix:("error[" ^ code ^ "]") e)
+            | es ->
+              Alcotest.failf "%s: %d error lines (want one)" src (List.length es))
+          | status, _ -> Alcotest.failf "%s: exit %d (want 1)" src status)
+        [ []; [ "--emit"; "ast" ] ])
+
 (* a zero divisor in a constant is one located S009, with or without
    --emit, never an internal error *)
 let test_zero_divisor_exit () =
-  List.iter
-    (fun src ->
-      with_source src (fun path ->
-          List.iter
-            (fun args ->
-              let errors lines =
-                List.filter
-                  (fun l -> Astring.String.is_infix ~affix:"error[" l)
-                  lines
-              in
-              match run_driver "occ.exe" (path :: args) with
-              | 1, lines -> (
-                match errors lines with
-                | [ e ] ->
-                  Alcotest.(check bool)
-                    (src ^ ": located S009") true
-                    (Astring.String.is_prefix ~affix:(path ^ ":1:") e
-                    && Astring.String.is_infix ~affix:"error[S009]" e)
-                | es ->
-                  Alcotest.failf "%s: %d error lines (want one)" src
-                    (List.length es))
-              | code, _ -> Alcotest.failf "%s: exit %d (want 1)" src code)
-            [ []; [ "--emit"; "ast" ] ]))
+  List.iter (check_located ~code:"S009")
     [
       "param N = 8; param Z = N/0;";
       "param N = 8; array A[N/0];";
       "param N = 8; array A[N]; parfor i = 0 to N/0 { A[i] = 1; }";
       "array A[8]; parfor i = 0 to 7 { for j = 0 to i/(i-i) { A[j] = 1; } }";
     ]
+
+(* under the verifier's replay of the emitted C: a subscript divided by
+   zero at run time is one located I002, a zero or negative extent one
+   located S010 *)
+let test_run_time_errors_exit () =
+  let c = Filename.temp_file "offchip" ".c" in
+  let args = [ "--verify"; "--emit-c"; c ] in
+  check_located ~code:"I002" ~args
+    "param N = 8; array A[N]; parfor i = 0 to N - 1 { A[i/(i-i)] = 1; }";
+  check_located ~code:"S010" ~args "array A[-3]; parfor i = 0 to 2 { A[i] = 1; }";
+  check_located ~code:"S010" ~args "array A[4][0]; parfor i = 0 to 2 { A[i][0] = 1; }";
+  Sys.remove c
 
 let test_parse_file_missing () =
   match run_driver "occ.exe" [ "/nonexistent/offchip.mc" ] with
@@ -300,5 +313,7 @@ let suite =
         Alcotest.test_case "parse_file" `Quick test_parse_file;
         Alcotest.test_case "parse_file missing" `Quick test_parse_file_missing;
         Alcotest.test_case "zero divisor exits 1" `Quick test_zero_divisor_exit;
+        Alcotest.test_case "run-time zero divisor and bad extent exit 1" `Quick
+          test_run_time_errors_exit;
       ] );
   ]

@@ -190,6 +190,122 @@ let prop_translation_injective =
       in
       List.length frames = List.length (List.sort_uniq compare frames))
 
+(* The radix page table and staged shifts against the hash-table
+   allocator they replaced ([Naive_page_alloc]): the same random
+   sequence of translations and frees under each policy, both
+   interleavings, power-of-two and other page sizes and controller
+   counts, must give equal paddrs (or the same exhaustion failure) and
+   equal page, fallback and per-owner fallback counts after every step.
+   Pages cluster around 0, leaf (1024-page) and middle (2^20-page)
+   boundaries, page 2^19 (the middle level's top bit), 5·256 MB and
+   4 GB; frees reuse frames; a budget of a few
+   frames per controller forces spills and exhaustion. *)
+type op = Translate of int * int * int | Free of int * int
+
+let prop_radix_equals_naive =
+  let open QCheck.Gen in
+  let gen =
+    let* interleaving =
+      oneofl [ Address_map.Line_interleaved; Address_map.Page_interleaved ]
+    in
+    let* page_bytes = oneofl [ 4096; 4096; 1024; 3072 ] in
+    let* num_mcs = oneofl [ 1; 2; 3; 4; 4; 6; 8 ] in
+    let* policy = int_range 0 2 in
+    let* frames_per_mc = oneof [ int_range 1 12; return (1 lsl 18) ] in
+    let base =
+      oneofl
+        [
+          0;
+          1024 * page_bytes;
+          (1 lsl 19) * page_bytes;
+          (1 lsl 20) * page_bytes;
+          5 lsl 28;
+          1 lsl 32;
+        ]
+    in
+    let vpage =
+      let* b = base in
+      let* d = int_range (-4) 40 in
+      return (max 0 ((b / page_bytes) + d))
+    in
+    let op =
+      frequency
+        [
+          ( 8,
+            let* owner = int_range (-1) 2 in
+            let* node = int_range 0 63 in
+            let* v = vpage in
+            let* off = int_range 0 (page_bytes - 1) in
+            return (Translate (owner, node, (v * page_bytes) + off)) );
+          ( 1,
+            let* first = vpage in
+            let* len = oneof [ int_range (-1) 50; int_range 900 2100 ] in
+            return (Free (first - (len / 2), first + (len / 2))) );
+        ]
+    in
+    let* ops = list_size (int_range 1 200) op in
+    return (interleaving, page_bytes, num_mcs, policy, frames_per_mc, ops)
+  in
+  let print (i, pb, m, pol, f, ops) =
+    Printf.sprintf "%s page=%d mcs=%d policy=%d frames=%d\n%s"
+      (Address_map.interleaving_to_string i) pb m pol f
+      (String.concat "\n"
+         (List.map
+            (function
+              | Translate (o, n, v) -> Printf.sprintf "translate owner=%d node=%d vaddr=%d" o n v
+              | Free (a, b) -> Printf.sprintf "free %d..%d" a b)
+            ops))
+  in
+  QCheck.Test.make ~name:"radix page table = naive allocator" ~count:300
+    (QCheck.make ~print gen)
+    (fun (interleaving, page_bytes, num_mcs, policy, frames_per_mc, ops) ->
+      let map =
+        Address_map.make ~interleaving ~line_bytes:256 ~page_bytes ~num_mcs ()
+      in
+      let policy =
+        match policy with
+        | 0 -> Page_alloc.Hardware_interleaved
+        | 1 -> Page_alloc.First_touch (fun node -> node mod num_mcs)
+        | _ ->
+          Page_alloc.Mc_aware
+            {
+              desired =
+                (fun v -> if v mod 3 = 0 then None else Some (v * 7 mod num_mcs));
+              fallback = (fun node -> (node + 1) mod num_mcs);
+            }
+      in
+      let pa = Page_alloc.create ~map ~policy ~frames_per_mc () in
+      let na = Naive_page_alloc.create ~map ~policy ~frames_per_mc () in
+      let run f = match f () with v -> Ok v | exception e -> Error e in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Translate (owner, node, vaddr) ->
+              run (fun () -> Page_alloc.translate_owned pa ~owner ~node ~vaddr)
+              = run (fun () -> Naive_page_alloc.translate_owned na ~owner ~node ~vaddr)
+            | Free (first_vpage, last_vpage) ->
+              Page_alloc.free_region pa ~first_vpage ~last_vpage
+              = Naive_page_alloc.free_region na ~first_vpage ~last_vpage
+          in
+          same
+          && Page_alloc.pages_allocated pa = Naive_page_alloc.pages_allocated na
+          && Page_alloc.fallback_allocations pa
+             = Naive_page_alloc.fallback_allocations na
+          && List.for_all
+               (fun owner ->
+                 Page_alloc.fallback_allocations_of pa ~owner
+                 = Naive_page_alloc.fallback_allocations_of na ~owner)
+               [ 0; 1; 2 ])
+        ops)
+
+let test_negative_vaddr () =
+  let pa = Page_alloc.create ~map:page_map ~policy:Page_alloc.Hardware_interleaved () in
+  Alcotest.check_raises "negative vaddr"
+    (Invalid_argument "Page_alloc.translate: negative vaddr") (fun () ->
+      ignore (Page_alloc.translate pa ~node:0 ~vaddr:(-1)));
+  Alcotest.(check int) "nothing mapped" 0 (Page_alloc.pages_allocated pa)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -212,6 +328,7 @@ let suite =
           test_per_owner_fallbacks;
         Alcotest.test_case "line-mode capacity and reuse" `Quick
           test_line_mode_capacity_and_reuse;
+        Alcotest.test_case "negative vaddr" `Quick test_negative_vaddr;
       ]
-      @ qsuite [ prop_translation_injective ] );
+      @ qsuite [ prop_translation_injective; prop_radix_equals_naive ] );
   ]

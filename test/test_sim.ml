@@ -593,6 +593,40 @@ let test_engine_dram_goldens () =
       ("one_channel", Config.with_channels_per_mc base 1);
     ]
 
+(* The same run where the per-access address steps keep their exact
+   divisions (gen_golden --division, recorded before they were staged as
+   shifts): 6 banks per controller from a platform document, an issue
+   cost of 48, and a shared L2 over a 12x12 mesh's 144 home banks. *)
+let test_engine_division_goldens () =
+  let base = Config.scaled () in
+  let banks6 =
+    match Core.Platform.to_json (Config.platform base) with
+    | Obs.Json.Obj fields ->
+      ok
+        (Core.Platform.of_json
+           (Obs.Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   if k = "banks_per_mc" then (k, Obs.Json.Int 6) else (k, v))
+                 fields)))
+    | _ -> Alcotest.fail "platform JSON must be an object"
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let path = Printf.sprintf "golden/division_%s.json" name in
+      Alcotest.(check string) (path ^ " byte-identical") (read_golden path)
+        (seed0_json ~cfg () ^ "\n"))
+    [
+      ("banks6", Config.with_platform base banks6);
+      ("tpc3", { base with Config.threads_per_core = 3 });
+      ( "shared_mesh12x12",
+        {
+          (Config.with_platform base (ok (Core.Platform.of_spec "mesh12x12-mc4")))
+          with
+          Config.l2_org = Config.Shared_l2;
+        } );
+    ]
+
 let test_engine_degenerate_chiplet_golden () =
   (* the 1-chiplet hierarchical machine IS the flat machine: a platform
      declaring a 1x1 chiplet grid must reproduce the flat seed-0 golden
@@ -710,6 +744,8 @@ let suite =
           test_engine_seed_identical_json;
         Alcotest.test_case "seed-0 golden" `Quick test_engine_seed0_golden;
         Alcotest.test_case "seed-0 DRAM path goldens" `Quick test_engine_dram_goldens;
+        Alcotest.test_case "seed-0 exact-division goldens" `Quick
+          test_engine_division_goldens;
         Alcotest.test_case "degenerate chiplet = flat golden" `Quick
           test_engine_degenerate_chiplet_golden;
         Alcotest.test_case "phase advance guard" `Quick
